@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -218,8 +219,8 @@ def cmd_moments(args) -> int:
             x = CycleType(parse_parts(args.x))
             report = moments.commutator_fixed_report(args.n, x, args.r_max)
         else:
-            if args.k is None and args.c is None:
-                raise ValidationError("walk needs --k or --c")
+            if (args.k is None) == (args.c is None):
+                raise ValidationError("walk needs exactly one of --k and --c")
             k = args.k if args.k is not None else moments.cutoff_steps(args.n, args.i, args.c)
             report = moments.icycle_walk_report(
                 args.n, args.i, k, args.r_max, c=args.c, precision_bits=args.precision
@@ -237,15 +238,15 @@ def _poisson_reference_mean(args) -> float | None:
     if args.model in ("uniform", "commutator"):
         return 1.0
     if args.i and args.n:
-        from math import log
-
         k = args.k if args.k is not None else 0
-        c = (k - args.n * log(args.n) / args.i) / args.n
+        c = (k - args.n * math.log(args.n) / args.i) / args.n
         return 1 + float(mpmath.exp(-args.i * c))
     return None
 
 
 def cmd_simulate(args) -> int:
+    if not math.isfinite(args.samples):
+        raise ValidationError(f"--samples must be finite, got {args.samples}")
     samples = int(args.samples)
     args.samples = samples
     x = CycleType(parse_parts(args.x)) if args.x else None
@@ -281,21 +282,18 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _exact_moments_for(args, x) -> dict[int, object] | None:
-    """Exact moments r = 1..2*r_max when an engine covers the model."""
-    orders = range(1, 2 * args.r_max + 1)
+def _exact_moments_for(args, x) -> list | None:
+    """Exact moments r = 0..2*r_max when an engine covers the model."""
+    r_max = 2 * args.r_max
     if args.model == "uniform":
         dist = simulate.uniform_fixed_distribution_exact(args.n)
-        return {r: exact_moment(dist, r) for r in orders}
+        return [exact_moment(dist, r) for r in range(r_max + 1)]
     if args.model == "commutator":
         if x is None:
-            return {r: moments.moment_commutator_random(args.n, r) for r in orders}
-        return {r: moments.moment_commutator_fixed(args.n, x, r) for r in orders}
+            return moments.commutator_random_moments(args.n, r_max)
+        return moments.commutator_fixed_moments(args.n, x, r_max)
     if args.model == "walk":
-        return {
-            r: moments.moment_icycle_walk(args.n, args.i, args.k, r, args.precision)
-            for r in orders
-        }
+        return moments.icycle_walk_moments(args.n, args.i, args.k, r_max, args.precision)
     return None
 
 

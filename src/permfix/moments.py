@@ -9,11 +9,12 @@ Models:
 * the i-cycle walk after k steps: each shape contributes dimension times
   the kth power of its i-cycle character ratio times the multiplicity.
 
-Every sum runs only over shapes whose first part is at least n - r; the
-multiplicity vanishes elsewhere. Commutator moments are exact rationals.
-The walk offers an exact rational path (small k) and a high-precision
-float path that powers ratios in log space, since |ratio| <= 1 and k can
-reach n log n.
+One engine serves the three models, which differ only in the shape
+weight. Its sums run only over shapes whose first part is at least
+n - r; the multiplicity vanishes elsewhere. Commutator moments are exact
+rationals. The walk offers an exact rational path (small k) and a
+high-precision float path that powers ratios in log space, since
+|ratio| <= 1 and k can reach n log n.
 """
 from __future__ import annotations
 
@@ -24,46 +25,61 @@ from math import log
 import mpmath
 from mpmath import mp
 
-from .characters import CycleType, char_ratio_icycle, character
+from .characters import CycleType, _choose2, char_ratio_icycle, character
 from .errors import EnumerationLimitError, SizeMismatchError, ValidationError
-from .multiplicity import mult_skew
 from .partitions import Partition, all_partitions, dim, partitions_with_large_first_row
-from .setpartitions import poisson_moment
+from .setpartitions import poisson_moment, stirling_row
+from .tableaux import skew_syt_count
 
 DEFAULT_PRECISION_BITS = 128
 
 
-def _choose2(m: int) -> int:
-    return m * (m - 1) // 2
+def _moments(n: int, r_max: int, weight, total) -> list:
+    """Moments r = 0..r_max of the shape sum of weight(lam) * mult(lam, r).
+
+    Since mult(lam, r) = sum_a S(r, a) * f^{lam/(n-a)}, each factorial
+    moment F_a = sum_lam weight(lam) * f^{lam/(n-a)} is summed once and
+    shared by every order. total adds up a list of terms: the built-in
+    sum for exact values, mpmath.fsum for reals.
+    """
+    a_max = min(r_max, n)
+    terms: list[list] = [[] for _ in range(a_max + 1)]
+    for lam in partitions_with_large_first_row(n, a_max):
+        w = weight(lam)
+        for a in range(n - lam[0] if lam else 0, a_max + 1):
+            terms[a].append(w * skew_syt_count(lam, (n - a,) if a < n else ()))
+    factorial_moments = [total(t) for t in terms]
+    return [
+        total([s * f for s, f in zip(stirling_row(r), factorial_moments)])
+        for r in range(r_max + 1)
+    ]
+
+
+def commutator_random_moments(n: int, r_max: int) -> list[Fraction]:
+    """Moments r = 0..r_max of the fixed points of a commutator of two uniform factors."""
+    if n < 1 or r_max < 0:
+        raise ValidationError("need n >= 1 and r >= 0")
+    return _moments(n, r_max, lambda lam: Fraction(1, dim(lam)), sum)
 
 
 def moment_commutator_random(n: int, r: int) -> Fraction:
     """rth moment of the fixed points of a commutator of two uniform factors."""
-    if n < 1 or r < 0:
-        raise ValidationError("need n >= 1 and r >= 0")
-    total = Fraction(0)
-    for lam in partitions_with_large_first_row(n, min(r, n)):
-        m = mult_skew(lam, r)
-        if m:
-            total += Fraction(m, dim(lam))
-    return total
+    return commutator_random_moments(n, r)[r]
+
+
+def commutator_fixed_moments(n: int, x, r_max: int) -> list[Fraction]:
+    """Moments r = 0..r_max of the fixed points of a commutator with one factor in class x."""
+    x = CycleType(x)
+    if x.n != n:
+        raise SizeMismatchError(f"cycle type {x!r} has size {x.n}, expected {n}")
+    if r_max < 0:
+        raise ValidationError("r must be nonnegative")
+    return _moments(n, r_max, lambda lam: Fraction(character(lam, x) ** 2, dim(lam)), sum)
 
 
 def moment_commutator_fixed(n: int, x, r: int) -> Fraction:
     """rth moment of the fixed points of a commutator with one factor in class x."""
-    x = CycleType(x)
-    if x.n != n:
-        raise SizeMismatchError(f"cycle type {x!r} has size {x.n}, expected {n}")
-    if r < 0:
-        raise ValidationError("r must be nonnegative")
-    total = Fraction(0)
-    for lam in partitions_with_large_first_row(n, min(r, n)):
-        m = mult_skew(lam, r)
-        if m:
-            chi = character(lam, x)
-            if chi:
-                total += Fraction(m * chi * chi, dim(lam))
-    return total
+    return commutator_fixed_moments(n, x, r)[r]
 
 
 def moment_commutator_fixed_closed(n: int, x, r: int) -> Fraction:
@@ -95,51 +111,55 @@ def _validate_walk(n: int, i: int, k: int, r: int) -> None:
         raise ValidationError("k and r must be nonnegative")
 
 
-def moment_icycle_walk_exact(n: int, i: int, k: int, r: int) -> Fraction:
-    """Exact rational rth moment after k steps of the i-cycle walk.
+def icycle_walk_moments_exact(n: int, i: int, k: int, r_max: int) -> list[Fraction]:
+    """Exact rational moments r = 0..r_max after k steps of the i-cycle walk.
 
     Ratio powers are taken literally, so this path is meant for modest k;
     the float path below handles cutoff-scale step counts.
     """
-    _validate_walk(n, i, k, r)
-    total = Fraction(0)
-    for lam in partitions_with_large_first_row(n, min(r, n)):
-        m = mult_skew(lam, r)
-        if not m:
-            continue
-        ratio = char_ratio_icycle(lam, i)
-        total += dim(lam) * ratio ** k * m
-    return total
+    _validate_walk(n, i, k, r_max)
+    return _moments(n, r_max, lambda lam: dim(lam) * char_ratio_icycle(lam, i) ** k, sum)
+
+
+def moment_icycle_walk_exact(n: int, i: int, k: int, r: int) -> Fraction:
+    """Exact rational rth moment after k steps of the i-cycle walk."""
+    return icycle_walk_moments_exact(n, i, k, r)[r]
+
+
+def _ratio_power(ratio: Fraction, k: int) -> mpmath.mpf:
+    """ratio**k at the working precision, as sign^k * exp(k * log|ratio|)."""
+    if ratio == 0:
+        return mpmath.mpf(1) if k == 0 else mpmath.mpf(0)
+    magnitude = mpmath.exp(
+        k * mpmath.log(mpmath.mpf(abs(ratio.numerator)) / ratio.denominator)
+    )
+    return -magnitude if (ratio < 0 and k % 2) else magnitude
+
+
+def icycle_walk_moments(
+    n: int, i: int, k: int, r_max: int, precision_bits: int = DEFAULT_PRECISION_BITS
+) -> list[mpmath.mpf]:
+    """Moments r = 0..r_max after k steps, as high-precision reals.
+
+    Each shape weighs dim * ratio^k; the sums run with guard precision
+    and each moment is rounded to the requested precision at the end.
+    """
+    _validate_walk(n, i, k, r_max)
+
+    def weight(lam):
+        return mpmath.mpf(dim(lam)) * _ratio_power(char_ratio_icycle(lam, i), k)
+
+    with mp.workprec(precision_bits + 40):
+        values = _moments(n, r_max, weight, mpmath.fsum)
+    with mp.workprec(precision_bits):
+        return [+v for v in values]
 
 
 def moment_icycle_walk(
     n: int, i: int, k: int, r: int, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> mpmath.mpf:
-    """rth moment after k steps, as a high-precision real.
-
-    Each term is dim * sign^k * exp(k * log|ratio|) * multiplicity,
-    accumulated in a fixed shape order with guard precision and rounded
-    to the requested precision at the end.
-    """
-    _validate_walk(n, i, k, r)
-    with mp.workprec(precision_bits + 40):
-        terms = []
-        for lam in partitions_with_large_first_row(n, min(r, n)):
-            m = mult_skew(lam, r)
-            if not m:
-                continue
-            ratio = char_ratio_icycle(lam, i)
-            if ratio == 0:
-                power = mpmath.mpf(1) if k == 0 else mpmath.mpf(0)
-            else:
-                magnitude = mpmath.exp(
-                    k * mpmath.log(mpmath.mpf(abs(ratio.numerator)) / ratio.denominator)
-                )
-                power = -magnitude if (ratio < 0 and k % 2) else magnitude
-            terms.append(mpmath.mpf(dim(lam)) * power * m)
-        total = mpmath.fsum(terms)
-    with mp.workprec(precision_bits):
-        return +total
+    """rth moment after k steps, as a high-precision real."""
+    return icycle_walk_moments(n, i, k, r, precision_bits)[r]
 
 
 def cutoff_steps(n: int, i: int, c: float) -> int:
@@ -178,15 +198,15 @@ def walk_cutoff_comparison(
     k = cutoff_steps(n, i, c)
     with mp.workprec(precision_bits):
         mean = 1 + mpmath.exp(-i * mpmath.mpf(c))
+    values = icycle_walk_moments(n, i, k, r_max, precision_bits)
     rows = []
     for r in range(1, r_max + 1):
-        moment = moment_icycle_walk(n, i, k, r, precision_bits)
         with mp.workprec(precision_bits):
             reference = +poisson_moment(r, mean)
             rows.append(
                 WalkCutoffRow(
-                    r=r, moment=moment, reference=reference,
-                    difference=moment - reference,
+                    r=r, moment=values[r], reference=reference,
+                    difference=values[r] - reference,
                 )
             )
     return WalkCutoffReport(
@@ -250,14 +270,7 @@ def walk_term_at_cutoff(
     k = cutoff_steps(n, i, c)
     ratio = char_ratio_icycle(lam, i)
     with mp.workprec(precision_bits + 40):
-        if ratio == 0:
-            power = mpmath.mpf(1) if k == 0 else mpmath.mpf(0)
-        else:
-            magnitude = mpmath.exp(
-                k * mpmath.log(mpmath.mpf(abs(ratio.numerator)) / ratio.denominator)
-            )
-            power = -magnitude if (ratio < 0 and k % 2) else magnitude
-        term = mpmath.mpf(dim(lam)) * power
+        term = mpmath.mpf(dim(lam)) * _ratio_power(ratio, k)
         bar = lam.first_row_removed()
         limit = (
             mpmath.exp(-i * t * mpmath.mpf(c))
@@ -280,7 +293,7 @@ class MomentReport:
 
 
 def commutator_random_report(n: int, r_max: int) -> MomentReport:
-    moments = tuple(moment_commutator_random(n, r) for r in range(1, r_max + 1))
+    moments = tuple(commutator_random_moments(n, r_max)[1:])
     reference = tuple(poisson_moment(r, 1) for r in range(1, r_max + 1))
     return MomentReport(
         model="commutator_both_random",
@@ -293,18 +306,14 @@ def commutator_random_report(n: int, r_max: int) -> MomentReport:
 
 def commutator_fixed_report(n: int, x, r_max: int) -> MomentReport:
     x = CycleType(x)
-    moments = []
-    formulas = []
-    for r in range(1, r_max + 1):
-        moments.append(moment_commutator_fixed(n, x, r))
-        formulas.append("squared-character-sum")
+    moments = tuple(commutator_fixed_moments(n, x, r_max)[1:])
     reference = tuple(poisson_moment(r, 1) for r in range(1, r_max + 1))
     return MomentReport(
         model="commutator_fixed_x",
         params={"n": n, "x": tuple(x)},
-        moments=tuple(moments),
+        moments=moments,
         reference=reference,
-        formula_used=tuple(formulas),
+        formula_used=("squared-character-sum",) * r_max,
     )
 
 
@@ -326,9 +335,7 @@ def icycle_walk_report(
     with mp.workprec(precision_bits):
         mean = 1 + mpmath.exp(-i * mpmath.mpf(c))
         reference = tuple(+poisson_moment(r, mean) for r in range(1, r_max + 1))
-    moments = tuple(
-        moment_icycle_walk(n, i, k, r, precision_bits) for r in range(1, r_max + 1)
-    )
+    moments = tuple(icycle_walk_moments(n, i, k, r_max, precision_bits)[1:])
     return MomentReport(
         model="icycle_walk",
         params={"n": n, "i": i, "k": k, "c": c},

@@ -53,19 +53,6 @@ def encode_key(key) -> str:
     return str(key)
 
 
-def flat_str(obj, precision_bits: int = 128) -> str:
-    """Single-cell string form used by the CSV writer."""
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, mpmath.mpf):
-        return mpmath.nstr(obj, _decimal_digits(precision_bits))
-    if isinstance(obj, (list, tuple)):
-        return " ".join(flat_str(v, precision_bits) for v in obj)
-    if isinstance(obj, dict):
-        return " ".join(f"{k}={flat_str(v, precision_bits)}" for k, v in obj.items())
-    return str(obj)
-
-
 def build_report(command: str, config: dict, body: dict, precision_bits: int = 128) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,

@@ -25,11 +25,11 @@ from .characters import (
     verify_ratio_asymptotics,
 )
 from .moments import (
+    commutator_fixed_moments,
+    commutator_random_moments,
     cutoff_steps,
-    moment_commutator_fixed,
-    moment_commutator_random,
+    icycle_walk_moments_exact,
     moment_icycle_walk,
-    moment_icycle_walk_exact,
     walk_exact_distribution,
     walk_term_at_cutoff,
 )
@@ -130,8 +130,9 @@ def oracles_suite() -> list[GateResult]:
     bad = []
     for n in range(2, 6):
         dist = enumerate_commutator_distribution(n)
+        engine = commutator_random_moments(n, 3)
         for r in range(1, 4):
-            if exact_moment(dist, r) != moment_commutator_random(n, r):
+            if exact_moment(dist, r) != engine[r]:
                 bad.append((n, r))
     results.append(
         _gate("oracles", "commutator-random-vs-enumeration", not bad, failures=bad)
@@ -142,8 +143,9 @@ def oracles_suite() -> list[GateResult]:
         for x_parts in all_partitions(n):
             x = CycleType(x_parts)
             dist = enumerate_commutator_distribution(n, x)
+            engine = commutator_fixed_moments(n, x, 3)
             for r in range(1, 4):
-                if exact_moment(dist, r) != moment_commutator_fixed(n, x, r):
+                if exact_moment(dist, r) != engine[r]:
                     bad.append((n, tuple(x), r))
     results.append(
         _gate("oracles", "commutator-fixed-vs-enumeration", not bad, failures=bad)
@@ -179,8 +181,9 @@ def oracles_suite() -> list[GateResult]:
                 continue
             for k in range(0, 9):
                 dist = walk_exact_distribution(n, i, k)
+                engine = icycle_walk_moments_exact(n, i, k, 2)
                 for r in range(1, 3):
-                    if exact_moment(dist, r) != moment_icycle_walk_exact(n, i, k, r):
+                    if exact_moment(dist, r) != engine[r]:
                         bad.append((n, i, k, r))
     results.append(_gate("oracles", "walk-moments-vs-class-inversion", not bad, failures=bad))
 
@@ -229,10 +232,11 @@ def asymptotics_suite(precision_bits: int = 128) -> list[GateResult]:
         _gate("asymptotics", "walk-term-approaches-limit", not bad, records=records)
     )
 
+    engine = {n: commutator_random_moments(n, 3) for n in (20, 40, 80)}
     records = []
     ok = True
     for r in range(1, 4):
-        seq = [float((moment_commutator_random(n, r) - bell(r)) * n) for n in (20, 40, 80)]
+        seq = [float((engine[n][r] - bell(r)) * n) for n in (20, 40, 80)]
         records.append({"r": r, "scaled_gaps": seq})
         ok = ok and seq[0] >= seq[1] >= seq[2] >= 0
     results.append(

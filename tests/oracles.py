@@ -3,7 +3,9 @@
 Everything here is deliberately independent of the package's production
 algorithms: tableaux are enumerated cell by cell, characters come from
 permutation-module fixed-point counts plus exact Gram-Schmidt, and the
-longest increasing subsequence uses dynamic programming.
+longest increasing subsequence uses dynamic programming. The one
+exception is per_order_moment, which keeps the moment engines' former
+per-order shape sum as the reference for the shared engine.
 """
 from __future__ import annotations
 
@@ -13,7 +15,8 @@ from itertools import combinations, permutations
 from math import factorial
 
 from permfix.characters import CycleType, perm_cycle_type
-from permfix.partitions import all_partitions
+from permfix.multiplicity import mult_skew
+from permfix.partitions import all_partitions, partitions_with_large_first_row
 
 
 def syt_fillings(outer, inner=()) -> list[tuple[tuple[int, ...], ...]]:
@@ -164,3 +167,20 @@ def uniform_fixed_histogram_by_enumeration(n: int) -> dict[int, Fraction]:
         fix = sum(1 for j, v in enumerate(g) if j == v)
         counts[fix] = counts.get(fix, 0) + 1
     return {j: Fraction(c, factorial(n)) for j, c in sorted(counts.items())}
+
+
+def per_order_moment(n: int, r: int, weight, total=sum):
+    """The rth moment as its own shape sum: total of weight(lam) * mult_skew(lam, r).
+
+    This is the per-order sum the moment engines ran before one engine
+    shared factorial moments across orders: it enumerates the shapes with
+    first part at least n - r again for every r and takes each
+    multiplicity whole. For the walk's float path, call it inside
+    workprec(precision + 40) with total=mpmath.fsum and round the result.
+    """
+    terms = []
+    for lam in partitions_with_large_first_row(n, min(r, n)):
+        m = mult_skew(lam, r)
+        if m:
+            terms.append(weight(lam) * m)
+    return total(terms)

@@ -232,3 +232,23 @@ def test_cross_check_disagreement_exits_4(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "mult", "--lambda", "4,1", "--r", "1", "--alg", "all")
     assert code == 4
     assert "disagree" in err
+
+
+def test_moments_walk_takes_exactly_one_of_k_and_c(capsys):
+    for steps in (("--k", "5", "--c", "0"), ()):
+        code, out, err = run_cli(
+            capsys, "moments", "walk", "--n", "100", "--i", "2", *steps, "--r-max", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "exactly one of --k and --c" in err
+
+
+@pytest.mark.parametrize("samples", ("inf", "nan"))
+def test_simulate_rejects_non_finite_samples(capsys, samples):
+    code, out, err = run_cli(
+        capsys, "simulate", "--model", "uniform", "--n", "5", "--samples", samples
+    )
+    assert code == 2
+    assert out == ""
+    assert "--samples must be finite" in err

@@ -1,0 +1,46 @@
+"""Each experiment script runs on small arguments and prints its table."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_walk_cutoff_scan():
+    lines = run_script("walk_cutoff_scan.py", "--n", "50", "100", "--r-max", "2")
+    assert lines[0].split() == ["c", "n", "steps", "r", "moment", "poisson", "gap"]
+    # three default c values x two n x two orders
+    assert len(lines) == 1 + 3 * 2 * 2
+    assert lines[1].split()[:4] == ["-0.50", "50", "73", "1"]
+
+
+def test_commutator_trends():
+    lines = run_script("commutator_trends.py", "--n-max", "12")
+    assert lines[0] == "both-random, r=2: n * (moment - Bell)"
+    assert lines[1].split() == ["n=", "4", "7.333333"]
+    headers = [line for line in lines if not line.startswith(" ")]
+    assert len(headers) == 4
+    assert len(lines) == 4 + 3 + 3 + 2 + 5
+
+
+def test_ratio_decay_table():
+    lines = run_script("ratio_decay_table.py", "--n", "20", "40")
+    assert lines[0].split() == ["i", "t", "n=20", "n=40"]
+    # default i in {2, 3, 5} x t in {1, 2, 3}
+    assert len(lines) == 1 + 9
