@@ -5,14 +5,13 @@ strips are enumerated through beta-sets (first-column hook lengths):
 removing a strip of length L from a shape corresponds to lowering one
 beta number by L onto an unoccupied value, and the strip height is the
 number of beta numbers jumped over. Cycles are consumed largest first
-and the recursion is memoized on (shape, remaining cycles).
+and values are memoized per (remaining cycles, shape).
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 from .errors import SizeMismatchError, ValidationError
@@ -61,36 +60,78 @@ class CycleType(tuple):
 
 
 def _strip_removals(parts: tuple, size: int) -> list[tuple[tuple, int]]:
-    """All (shape, height) results of removing one border strip of the size."""
+    """All (shape, height) results of removing one border strip of the size.
+
+    Lowering the beta number of row top by size onto a free value moves
+    it past the beta numbers of rows top+1 .. bottom-1: rows top ..
+    bottom-2 take the parts of those rows less one cell, row bottom-1 the
+    part of the lowered value, and the height is the number of rows
+    jumped, bottom - top - 1.
+    """
     length = len(parts)
-    beta = [parts[j] + (length - 1 - j) for j in range(length)]
-    occupied = set(beta)
+    beta = [p + length - 1 - j for j, p in enumerate(parts)]
     results = []
-    for b in beta:
-        nb = b - size
-        if nb < 0 or nb in occupied:
+    for top, b in enumerate(beta):
+        low = b - size
+        if low < 0:
             continue
-        height = sum(1 for x in beta if nb < x < b)
-        new = sorted((occupied - {b}) | {nb}, reverse=True)
-        shape = tuple(new[j] - (length - 1 - j) for j in range(length))
+        bottom = top + 1
+        while bottom < length and beta[bottom] > low:
+            bottom += 1
+        if bottom < length and beta[bottom] == low:
+            continue
+        shape = (
+            parts[:top]
+            + tuple(p - 1 for p in parts[top + 1:bottom])
+            + (low - length + bottom,)
+            + parts[bottom:]
+        )
         while shape and shape[-1] == 0:
             shape = shape[:-1]
-        results.append((shape, height))
+        results.append((shape, bottom - top - 1))
     return results
 
 
-@lru_cache(maxsize=None)
+_char_memo: dict[tuple, dict[tuple, int]] = {}
+
+
 def _char(parts: tuple, cycles: tuple) -> int:
-    if not cycles:
-        return 1
-    if cycles[0] == 1:
-        return dim(parts)
-    total = 0
-    rest = cycles[1:]
-    for shape, height in _strip_removals(parts, cycles[0]):
-        value = _char(shape, rest)
-        total += -value if height % 2 else value
-    return total
+    """Murnaghan-Nakayama value, memoized per remaining cycles and shape.
+
+    A forward pass takes the cycles in turn and collects, level by level,
+    the shapes left by each strip removal whose value is not memoized yet;
+    a backward pass then sums the levels from the last one up. No step
+    recurses, so classes with thousands of non-fixed cycles need no
+    call-stack depth. Once only fixed points remain, the value is the
+    dimension (1 for the empty shape once no cycle remains).
+    """
+    memo = _char_memo
+    known = memo.setdefault(cycles, {})
+    if parts in known:
+        return known[parts]
+    top = known
+    levels = []
+    frontier = {parts}
+    depth = 0
+    while frontier:
+        if depth == len(cycles) or cycles[depth] == 1:
+            for shape in frontier:
+                known[shape] = dim(shape)
+            break
+        below = memo.setdefault(cycles[depth + 1:], {})
+        strips = {shape: _strip_removals(shape, cycles[depth]) for shape in frontier}
+        levels.append((known, below, strips))
+        frontier = {s for removals in strips.values() for s, _ in removals if s not in below}
+        known = below
+        depth += 1
+    for values, below, strips in reversed(levels):
+        for shape, removals in strips.items():
+            total = 0
+            for child, height in removals:
+                value = below[child]
+                total += -value if height % 2 else value
+            values[shape] = total
+    return top[parts]
 
 
 def character(lam, mu) -> int:

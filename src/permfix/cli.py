@@ -353,6 +353,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "r_max", 0) < 0:
+            raise ValidationError(f"--r-max must be nonnegative, got {args.r_max}")
         return _COMMANDS[args.command](args)
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -7,7 +7,7 @@ Python integers.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
+from math import perm, prod
 from typing import Iterator
 
 
@@ -103,16 +103,27 @@ def hook_lengths(lam) -> list[int]:
 def dim(lam) -> int:
     """Number of standard Young tableaux of the given shape.
 
-    Computed by the hook length formula; the division is exact and
-    verified, so the result is never silently truncated.
+    The hook length formula n!/prod(hooks), with the first row's trailing
+    hooks 1, ..., lam_1 - lam_2 cancelled against n!:
+
+        dim(lam) = perm(n, n - lam_1 + lam_2)
+                   / (prod_{j <= lam_2} (lam_1 - j + 1 + bar'_j) * prod hooks(bar))
+
+    where bar is lam without its first row and bar' its conjugate. A shape
+    with first part n - t costs O(t + lam_2) small products, however large
+    n is. The division is exact and verified, so the result is never
+    silently truncated.
     """
     lam = Partition(lam)
-    product = 1
-    for h in hook_lengths(lam):
-        product *= h
-    q, rem = divmod(factorial(lam.n), product)
+    if not lam:
+        return 1
+    bar = lam.first_row_removed()
+    first, n = lam[0], lam.n
+    product = prod(first - j + col for j, col in enumerate(bar.conjugate()))
+    product *= prod(hook_lengths(bar))
+    q, rem = divmod(perm(n, n - first + (bar[0] if bar else 0)), product)
     if rem:
-        raise ArithmeticError(f"hook product does not divide {lam.n}! for {lam!r}")
+        raise ArithmeticError(f"hook product does not divide {n}! for {lam!r}")
     return q
 
 

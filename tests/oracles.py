@@ -3,9 +3,12 @@
 Everything here is deliberately independent of the package's production
 algorithms: tableaux are enumerated cell by cell, characters come from
 permutation-module fixed-point counts plus exact Gram-Schmidt, and the
-longest increasing subsequence uses dynamic programming. The one
-exception is per_order_moment, which keeps the moment engines' former
-per-order shape sum as the reference for the shared engine.
+longest increasing subsequence uses dynamic programming. Three exceptions
+keep a production path's former form as the reference for its
+replacement: per_order_moment, the moment engines' per-order shape sum;
+dim_hook_product, the uncancelled hook length formula; and
+character_recursive, the Murnaghan-Nakayama recursion with one call per
+cycle.
 """
 from __future__ import annotations
 
@@ -16,7 +19,12 @@ from math import factorial
 
 from permfix.characters import CycleType, perm_cycle_type
 from permfix.multiplicity import mult_skew
-from permfix.partitions import all_partitions, partitions_with_large_first_row
+from permfix.partitions import (
+    Partition,
+    all_partitions,
+    hook_lengths,
+    partitions_with_large_first_row,
+)
 
 
 def syt_fillings(outer, inner=()) -> list[tuple[tuple[int, ...], ...]]:
@@ -72,6 +80,48 @@ def dim_branching(parts: tuple) -> int:
             else:
                 smaller = parts[:i] + (parts[i] - 1,) + parts[i + 1:]
             total += dim_branching(smaller)
+    return total
+
+
+def dim_hook_product(lam) -> int:
+    """Dimension as n! over the product of every hook length, nothing cancelled."""
+    lam = Partition(lam)
+    product = 1
+    for h in hook_lengths(lam):
+        product *= h
+    q, rem = divmod(factorial(lam.n), product)
+    assert rem == 0, f"hook product does not divide {lam.n}! for {lam!r}"
+    return q
+
+
+def _beta_strip_removals(parts: tuple, size: int) -> list[tuple[tuple, int]]:
+    """Shapes and heights left by removing one border strip, read off beta sets."""
+    length = len(parts)
+    beta = [parts[j] + (length - 1 - j) for j in range(length)]
+    occupied = set(beta)
+    results = []
+    for b in beta:
+        nb = b - size
+        if nb < 0 or nb in occupied:
+            continue
+        height = sum(1 for x in beta if nb < x < b)
+        new = sorted((occupied - {b}) | {nb}, reverse=True)
+        shape = tuple(new[j] - (length - 1 - j) for j in range(length))
+        while shape and shape[-1] == 0:
+            shape = shape[:-1]
+        results.append((shape, height))
+    return results
+
+
+@lru_cache(maxsize=None)
+def character_recursive(parts: tuple, cycles: tuple) -> int:
+    """Murnaghan-Nakayama value, one recursive call per cycle, cycles largest first."""
+    if not cycles:
+        return 1
+    total = 0
+    for shape, height in _beta_strip_removals(parts, cycles[0]):
+        value = character_recursive(shape, cycles[1:])
+        total += -value if height % 2 else value
     return total
 
 

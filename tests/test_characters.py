@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from oracles import brute_character_table
+from oracles import brute_character_table, character_recursive
 from permfix.characters import (
     CycleType,
     char_near_one_row,
@@ -73,6 +73,21 @@ def test_second_orthogonality():
         for mu in classes_of(n):
             square_sum = sum(character(lam, mu) ** 2 for lam in all_partitions(n))
             assert square_sum == mu.centralizer_order()
+
+
+def test_matches_recursive_murnaghan_nakayama():
+    for n in range(1, 11):
+        for lam in all_partitions(n):
+            for mu in classes_of(n):
+                assert character(lam, mu) == character_recursive(tuple(lam), tuple(mu))
+
+
+def test_many_cycle_classes_match_closed_forms():
+    n = 3000
+    for x in (CycleType((2,) * 1500), CycleType((3,) * 999 + (1,) * 3)):
+        assert character((n,), x) == 1
+        for lam in ((n - 1, 1), (n - 2, 2), (n - 2, 1, 1)):
+            assert character(lam, x) == char_near_one_row(lam, x)
 
 
 def test_size_mismatch_raises():

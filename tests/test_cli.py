@@ -5,6 +5,7 @@ import pytest
 
 from permfix.cli import main, parse_parts
 from permfix.errors import ValidationError
+from permfix.moments import moment_commutator_fixed_closed
 
 
 def run_cli(capsys, *argv):
@@ -252,3 +253,30 @@ def test_simulate_rejects_non_finite_samples(capsys, samples):
     assert code == 2
     assert out == ""
     assert "--samples must be finite" in err
+
+
+def test_moments_commutator_fixed_with_a_thousand_cycles(capsys):
+    code, out, err = run_cli(
+        capsys, "moments", "commutator-fixed", "--n", "2000", "--x", "2^1000", "--r-max", "2"
+    )
+    assert code == 0, err
+    rows = json.loads(out)["table"]
+    x = (2,) * 1000
+    assert as_fraction(rows[0]["moment"]) == 1 + Fraction(1, 1999)
+    for row in rows:
+        assert as_fraction(row["moment"]) == moment_commutator_fixed_closed(2000, x, row["r"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--model", "uniform", "--n", "5", "--samples", "100"),
+        ("simulate", "--model", "commutator", "--n", "5", "--samples", "100"),
+        ("moments", "commutator-random", "--n", "5"),
+    ],
+)
+def test_negative_r_max_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--r-max", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--r-max must be nonnegative" in err

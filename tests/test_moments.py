@@ -300,3 +300,10 @@ def test_commutator_moment_against_group_identity():
             )
             total += Fraction(x.class_size() * inner, len(perms) ** 2)
         assert total == moment_commutator_random(n, r)
+
+
+def test_walk_cutoff_moments_at_a_million():
+    report = walk_cutoff_comparison(10**6, 2, 0.0, 3)
+    assert report.steps == 6907755
+    for row, target in zip(report.rows, (2, 6, 22)):
+        assert abs(row.moment - target) < 1e-3 * target

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import count_syt, dim_branching
+from oracles import count_syt, dim_branching, dim_hook_product
 from permfix.partitions import (
     Partition,
     all_partitions,
@@ -89,6 +89,33 @@ def test_dim_squares_sum_to_factorial():
 @given(partitions(max_n=10))
 def test_dim_is_conjugation_invariant(lam):
     assert dim(lam) == dim(conjugate(lam))
+
+
+def test_dim_matches_hook_product_every_shape_small():
+    for n in range(0, 15):
+        for lam in all_partitions(n):
+            assert dim(lam) == dim_hook_product(lam), lam
+
+
+@pytest.mark.parametrize("n", [50, 300, 2000])
+def test_dim_matches_hook_product_long_first_row(n):
+    for lam in partitions_with_large_first_row(n, 6):
+        assert dim(lam) == dim_hook_product(lam), lam
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [(1,) * 200, (2,) * 100, (3,) * 40 + (1,) * 80, (5, 5, 2), (7, 7, 7, 7)],
+)
+def test_dim_matches_hook_product_equal_first_rows(lam):
+    assert dim(lam) == dim_hook_product(lam)
+
+
+def test_dim_near_one_row_at_a_million():
+    n = 10**6
+    assert dim((n - 1, 1)) == n - 1
+    assert dim((n - 2, 2)) == n * (n - 3) // 2
+    assert dim((n - 2, 1, 1)) == (n - 1) * (n - 2) // 2
 
 
 def test_all_partitions_counts():

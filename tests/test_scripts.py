@@ -44,3 +44,10 @@ def test_ratio_decay_table():
     assert lines[0].split() == ["i", "t", "n=20", "n=40"]
     # default i in {2, 3, 5} x t in {1, 2, 3}
     assert len(lines) == 1 + 9
+
+
+def test_walk_cutoff_scan_at_a_million():
+    lines = run_script("walk_cutoff_scan.py", "--n", "1000000", "--r-max", "3")
+    # three default c values x one n x three orders
+    assert len(lines) == 1 + 3 * 3
+    assert all(line.split()[1] == "1000000" for line in lines[1:])
