@@ -23,11 +23,12 @@ def main() -> None:
     for c in args.c:
         for n in args.n:
             report = walk_cutoff_comparison(n, args.i, c, args.r_max)
-            for row in report.rows:
+            rows = zip(report.moments, report.reference, report.difference)
+            for r, (moment, reference, difference) in enumerate(rows, start=1):
                 print(
-                    f"{c:>6.2f} {n:>6} {report.steps:>7} {row.r:>3} "
-                    f"{float(row.moment):>14.6f} {float(row.reference):>14.6f} "
-                    f"{float(row.difference):>12.2e}"
+                    f"{c:>6.2f} {n:>6} {report.params['k']:>7} {r:>3} "
+                    f"{float(moment):>14.6f} {float(reference):>14.6f} "
+                    f"{float(difference):>12.2e}"
                 )
 
 

@@ -18,10 +18,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
-
-import mpmath
-from mpmath import mp
 
 from . import moments, reports, simulate
 from .characters import CycleType, char_ratio_icycle
@@ -150,7 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolved_config(args: argparse.Namespace) -> dict:
-    skip = {"command", "model", "dist_model"}
+    # --threads never changes a result, and its default is the core count,
+    # so echoing it would make the same report differ between machines.
+    skip = {"command", "model", "dist_model", "threads"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 
@@ -192,56 +190,30 @@ def cmd_mult(args) -> int:
     return EXIT_OK
 
 
-def _moment_table(report: moments.MomentReport) -> list[dict]:
-    table = []
-    for idx, (m, ref) in enumerate(zip(report.moments, report.reference), start=1):
-        if isinstance(m, mpmath.mpf):
-            diff = m - ref
-        else:
-            diff = Fraction(m) - Fraction(ref)
-        table.append(
-            {
-                "r": idx,
-                "moment": m,
-                "poisson_reference": ref,
-                "difference": diff,
-                "formula": report.formula_used[idx - 1],
-            }
-        )
-    return table
-
-
 def cmd_moments(args) -> int:
-    with mp.workprec(args.precision):
-        if args.model == "commutator-random":
-            report = moments.commutator_random_report(args.n, args.r_max)
-        elif args.model == "commutator-fixed":
-            x = CycleType(parse_parts(args.x))
-            report = moments.commutator_fixed_report(args.n, x, args.r_max)
-        else:
-            if (args.k is None) == (args.c is None):
-                raise ValidationError("walk needs exactly one of --k and --c")
-            k = args.k if args.k is not None else moments.cutoff_steps(args.n, args.i, args.c)
-            report = moments.icycle_walk_report(
-                args.n, args.i, k, args.r_max, c=args.c, precision_bits=args.precision
-            )
+    if args.model == "commutator-random":
+        report = moments.commutator_random_report(args.n, args.r_max)
+    elif args.model == "commutator-fixed":
+        x = CycleType(parse_parts(args.x))
+        report = moments.commutator_fixed_report(args.n, x, args.r_max)
+    else:
+        if (args.k is None) == (args.c is None):
+            raise ValidationError("walk needs exactly one of --k and --c")
+        k = args.k if args.k is not None else moments.cutoff_steps(args.n, args.i, args.c)
+        report = moments.icycle_walk_report(
+            args.n, args.i, k, args.r_max, c=args.c, precision_bits=args.precision
+        )
+    rows = zip(report.moments, report.reference, report.difference)
     body = {
         "model": report.model,
         "params": report.params,
-        "table": _moment_table(report),
+        "table": [
+            {"r": r, "moment": m, "poisson_reference": ref, "difference": diff}
+            for r, (m, ref, diff) in enumerate(rows, start=1)
+        ],
     }
     _emit(args, "moments", body)
     return EXIT_OK
-
-
-def _poisson_reference_mean(args) -> float | None:
-    if args.model in ("uniform", "commutator"):
-        return 1.0
-    if args.i and args.n:
-        k = args.k if args.k is not None else 0
-        c = (k - args.n * math.log(args.n) / args.i) / args.n
-        return 1 + float(mpmath.exp(-args.i * c))
-    return None
 
 
 def cmd_simulate(args) -> int:
@@ -258,32 +230,37 @@ def cmd_simulate(args) -> int:
         i=args.i,
         k=args.k,
         x=x,
-        threads=max(1, args.threads),
+        threads=args.threads,
     )
     exact = _exact_moments_for(args, x)
-    table = []
-    for r in range(1, args.r_max + 1):
-        row = {"r": r, "empirical_moment": dist.moment(r)}
-        if exact is not None:
-            row["exact_moment"] = exact[r]
-            row["z"] = moment_z_score(dist, r, exact[r], exact[2 * r])
-        table.append(row)
-    mean = _poisson_reference_mean(args)
+    table = [
+        {
+            "r": r,
+            "empirical_moment": dist.moment(r),
+            "exact_moment": exact[r],
+            "z": moment_z_score(dist, r, exact[r], exact[2 * r]),
+        }
+        for r in range(1, args.r_max + 1)
+    ]
+    if args.model == "walk":
+        offset = moments.cutoff_offset(args.n, args.i, args.k)
+        mean = float(moments.walk_poisson_mean(args.i, offset, precision_bits=53))
+    else:
+        mean = 1.0
     body = {
         "model": args.model,
         "histogram": {str(j): c for j, c in dist.histogram.items()},
         "samples": dist.samples,
         "table": table,
+        "poisson_reference_mean": mean,
+        "tv_to_poisson_reference": tv_to_poisson(dist, mean),
     }
-    if mean is not None:
-        body["poisson_reference_mean"] = mean
-        body["tv_to_poisson_reference"] = tv_to_poisson(dist, mean)
     _emit(args, "simulate", body)
     return EXIT_OK
 
 
-def _exact_moments_for(args, x) -> list | None:
-    """Exact moments r = 0..2*r_max when an engine covers the model."""
+def _exact_moments_for(args, x) -> list:
+    """Exact moments r = 0..2*r_max of the simulated model."""
     r_max = 2 * args.r_max
     if args.model == "uniform":
         dist = simulate.uniform_fixed_distribution_exact(args.n)
@@ -292,9 +269,7 @@ def _exact_moments_for(args, x) -> list | None:
         if x is None:
             return moments.commutator_random_moments(args.n, r_max)
         return moments.commutator_fixed_moments(args.n, x, r_max)
-    if args.model == "walk":
-        return moments.icycle_walk_moments(args.n, args.i, args.k, r_max, args.precision)
-    return None
+    return moments.icycle_walk_moments(args.n, args.i, args.k, r_max, args.precision)
 
 
 def cmd_verify(args) -> int:

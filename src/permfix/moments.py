@@ -18,9 +18,9 @@ high-precision float path that powers ratios in log space, since
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import log
+from math import isfinite, log
 
 import mpmath
 from mpmath import mp
@@ -166,52 +166,23 @@ def cutoff_steps(n: int, i: int, c: float) -> int:
     """Step count n*log(n)/i + c*n rounded to the nearest integer, ties to even."""
     if n < 1 or i < 1:
         raise ValidationError("need n >= 1 and i >= 1")
-    return round(n * log(n) / i + c * n)
+    steps = n * log(n) / i + c * n
+    if not isfinite(steps):
+        raise ValidationError(f"c = {c} gives no finite step count n*log(n)/i + c*n")
+    return round(steps)
 
 
-@dataclass(frozen=True)
-class WalkCutoffRow:
-    r: int
-    moment: mpmath.mpf
-    reference: mpmath.mpf
-    difference: mpmath.mpf
+def cutoff_offset(n: int, i: int, k: int) -> float:
+    """The c with k = n*log(n)/i + c*n: cutoff_steps inverted before rounding."""
+    return (k - n * log(n) / i) / n
 
 
-@dataclass(frozen=True)
-class WalkCutoffReport:
-    n: int
-    i: int
-    c: float
-    steps: int
-    poisson_mean: mpmath.mpf
-    rows: tuple[WalkCutoffRow, ...]
-
-
-def walk_cutoff_comparison(
-    n: int,
-    i: int,
-    c: float,
-    r_max: int,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-) -> WalkCutoffReport:
-    """Walk moments at the cutoff step count against their Poisson targets."""
-    k = cutoff_steps(n, i, c)
+def walk_poisson_mean(
+    i: int, c: float, precision_bits: int = DEFAULT_PRECISION_BITS
+) -> mpmath.mpf:
+    """Mean 1 + exp(-i*c) of the Poisson limit of the walk after n*log(n)/i + c*n steps."""
     with mp.workprec(precision_bits):
-        mean = 1 + mpmath.exp(-i * mpmath.mpf(c))
-    values = icycle_walk_moments(n, i, k, r_max, precision_bits)
-    rows = []
-    for r in range(1, r_max + 1):
-        with mp.workprec(precision_bits):
-            reference = +poisson_moment(r, mean)
-            rows.append(
-                WalkCutoffRow(
-                    r=r, moment=values[r], reference=reference,
-                    difference=values[r] - reference,
-                )
-            )
-    return WalkCutoffReport(
-        n=n, i=i, c=c, steps=k, poisson_mean=mean, rows=tuple(rows)
-    )
+        return 1 + mpmath.exp(-i * mpmath.mpf(c))
 
 
 def walk_exact_distribution(n: int, i: int, k: int) -> dict[int, Fraction]:
@@ -283,38 +254,41 @@ def walk_term_at_cutoff(
 
 @dataclass(frozen=True)
 class MomentReport:
-    """Moments r = 1..R of one model with Poisson reference values."""
+    """Moments r = 1..R of one model beside those of its Poisson limit.
+
+    reference holds the moments of a Poisson law with poisson_mean, and
+    difference = moments - reference; both are computed at the report's
+    precision, so they are exact whenever the moments are.
+    """
 
     model: str
     params: dict
+    poisson_mean: object
     moments: tuple
     reference: tuple
-    formula_used: tuple = field(default=())
+    difference: tuple
+
+
+def _report(
+    model: str, params: dict, values: list, mean, precision_bits: int = DEFAULT_PRECISION_BITS
+) -> MomentReport:
+    """Report of the moments values[1:] against the Poisson law with the given mean."""
+    moments = tuple(values[1:])
+    with mp.workprec(precision_bits):
+        reference = tuple(+poisson_moment(r, mean) for r in range(1, len(values)))
+        difference = tuple(m - ref for m, ref in zip(moments, reference))
+    return MomentReport(model, params, mean, moments, reference, difference)
 
 
 def commutator_random_report(n: int, r_max: int) -> MomentReport:
-    moments = tuple(commutator_random_moments(n, r_max)[1:])
-    reference = tuple(poisson_moment(r, 1) for r in range(1, r_max + 1))
-    return MomentReport(
-        model="commutator_both_random",
-        params={"n": n},
-        moments=moments,
-        reference=reference,
-        formula_used=("multiplicity-over-dimension",) * r_max,
-    )
+    values = commutator_random_moments(n, r_max)
+    return _report("commutator_both_random", {"n": n}, values, 1)
 
 
 def commutator_fixed_report(n: int, x, r_max: int) -> MomentReport:
     x = CycleType(x)
-    moments = tuple(commutator_fixed_moments(n, x, r_max)[1:])
-    reference = tuple(poisson_moment(r, 1) for r in range(1, r_max + 1))
-    return MomentReport(
-        model="commutator_fixed_x",
-        params={"n": n, "x": tuple(x)},
-        moments=moments,
-        reference=reference,
-        formula_used=("squared-character-sum",) * r_max,
-    )
+    values = commutator_fixed_moments(n, x, r_max)
+    return _report("commutator_fixed_x", {"n": n, "x": tuple(x)}, values, 1)
 
 
 def icycle_walk_report(
@@ -330,16 +304,21 @@ def icycle_walk_report(
     If c is not supplied it is recovered from k by inverting the cutoff
     relation, so a reference mean is always available.
     """
+    values = icycle_walk_moments(n, i, k, r_max, precision_bits)
     if c is None:
-        c = (k - n * log(n) / i) / n
-    with mp.workprec(precision_bits):
-        mean = 1 + mpmath.exp(-i * mpmath.mpf(c))
-        reference = tuple(+poisson_moment(r, mean) for r in range(1, r_max + 1))
-    moments = tuple(icycle_walk_moments(n, i, k, r_max, precision_bits)[1:])
-    return MomentReport(
-        model="icycle_walk",
-        params={"n": n, "i": i, "k": k, "c": c},
-        moments=moments,
-        reference=reference,
-        formula_used=("dimension-ratio-power-sum",) * r_max,
+        c = cutoff_offset(n, i, k)
+    mean = walk_poisson_mean(i, c, precision_bits)
+    return _report("icycle_walk", {"n": n, "i": i, "k": k, "c": c}, values, mean, precision_bits)
+
+
+def walk_cutoff_comparison(
+    n: int,
+    i: int,
+    c: float,
+    r_max: int,
+    precision_bits: int = DEFAULT_PRECISION_BITS,
+) -> MomentReport:
+    """Walk moments at the cutoff step count against their Poisson targets."""
+    return icycle_walk_report(
+        n, i, cutoff_steps(n, i, c), r_max, c=c, precision_bits=precision_bits
     )

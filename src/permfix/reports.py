@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import mpmath
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _decimal_digits(precision_bits: int) -> int:

@@ -280,13 +280,9 @@ def fixed_point_histogram(
         return Counter({int(v): int(f) for v, f in zip(values, freq)})
 
     merged: Counter = Counter()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(run_chunk, zip(sizes, rngs)):
-                merged.update(part)
-    else:
-        for chunk in zip(sizes, rngs):
-            merged.update(run_chunk(chunk))
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        for part in pool.map(run_chunk, zip(sizes, rngs)):
+            merged.update(part)
     return EmpiricalDistribution(
         model=model,
         params=report_params,

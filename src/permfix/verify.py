@@ -14,9 +14,6 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
-import mpmath
-from mpmath import mp
-
 from .characters import (
     CycleType,
     char_near_one_row,
@@ -27,9 +24,8 @@ from .characters import (
 from .moments import (
     commutator_fixed_moments,
     commutator_random_moments,
-    cutoff_steps,
     icycle_walk_moments_exact,
-    moment_icycle_walk,
+    walk_cutoff_comparison,
     walk_exact_distribution,
     walk_term_at_cutoff,
 )
@@ -244,17 +240,14 @@ def asymptotics_suite(precision_bits: int = 128) -> list[GateResult]:
     )
 
     n, i, c = 300, 2, 0.0
-    k = cutoff_steps(n, i, c)
-    mean = moment_icycle_walk(n, i, k, 1, precision_bits)
-    with mp.workprec(precision_bits):
-        target = 1 + mpmath.exp(-i * mpmath.mpf(c))
-    gap = abs(float(mean - target))
+    report = walk_cutoff_comparison(n, i, c, 1, precision_bits)
+    gap = abs(float(report.difference[0]))
     results.append(
         _gate(
             "asymptotics",
             "walk-cutoff-mean-near-poisson",
             gap < 0.1,
-            n=n, i=i, c=c, steps=k, gap=gap,
+            n=n, i=i, c=c, steps=report.params["k"], gap=gap,
         )
     )
 

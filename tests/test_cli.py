@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from permfix.cli import main, parse_parts
@@ -35,7 +36,7 @@ def test_mult_all_agree(capsys):
     code, out, _ = run_cli(capsys, "mult", "--lambda", "4,1", "--r", "1", "--alg", "all")
     assert code == 0
     report = json.loads(out)
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert report["multiplicity"] == 1
     assert report["agree"] is True
     assert set(report["by_algorithm"]) == {"skew", "updown", "first-row", "oracle"}
@@ -101,6 +102,45 @@ def test_moments_walk_small(capsys):
     assert abs(float(row["moment"]) - 2.0) < 0.25
 
 
+def test_moments_walk_difference_is_taken_at_the_working_precision(capsys):
+    code, out, _ = run_cli(
+        capsys, "moments", "walk", "--n", "1000", "--i", "2", "--c", "0", "--r-max", "2"
+    )
+    assert code == 0
+    for row in json.loads(out)["table"]:
+        with mpmath.workprec(128):
+            difference = mpmath.mpf(row["moment"]) - mpmath.mpf(row["poisson_reference"])
+            assert row["difference"] == mpmath.nstr(difference, 40)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("commutator-random", "--n", "6"),
+        ("commutator-fixed", "--n", "6", "--x", "3,2,1"),
+        ("walk", "--n", "30", "--i", "2", "--k", "10"),
+    ],
+)
+def test_moments_rows_hold_moment_reference_and_difference(capsys, argv):
+    code, out, _ = run_cli(capsys, "moments", *argv, "--r-max", "2")
+    assert code == 0
+    report = json.loads(out)
+    assert report["schema_version"] == 2
+    assert [set(row) for row in report["table"]] == [
+        {"r", "moment", "poisson_reference", "difference"}
+    ] * 2
+
+
+@pytest.mark.parametrize("c", ("inf", "1e308", "nan"))
+def test_moments_walk_rejects_a_non_finite_step_count(capsys, c):
+    code, out, err = run_cli(
+        capsys, "moments", "walk", "--n", "10", "--i", "2", "--c", c, "--r-max", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert f"c = {float(c)}" in err
+
+
 def test_moments_walk_requires_k_or_c(capsys):
     code, _, err = run_cli(capsys, "moments", "walk", "--n", "60", "--i", "2")
     assert code == 2
@@ -118,6 +158,17 @@ def test_simulate_deterministic_byte_for_byte(capsys):
     report = json.loads(out1)
     assert report["samples"] == 20000
     assert "tv_to_poisson_reference" in report
+
+
+def test_simulate_report_does_not_depend_on_threads(capsys):
+    argv = (
+        "simulate", "--model", "commutator", "--n", "5",
+        "--samples", "300000", "--seed", "3",
+    )
+    one = run_cli(capsys, *argv, "--threads", "1")
+    two = run_cli(capsys, *argv, "--threads", "2")
+    assert one == two
+    assert "threads" not in json.loads(one[1])["config"]
 
 
 def test_simulate_commutator_bands(capsys):

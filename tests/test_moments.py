@@ -236,18 +236,16 @@ def test_cutoff_steps_rounding():
 
 def test_walk_cutoff_report_near_poisson():
     report = walk_cutoff_comparison(400, 2, 0.0, 2)
-    assert report.steps == cutoff_steps(400, 2, 0.0)
+    assert report.params["k"] == cutoff_steps(400, 2, 0.0)
     assert float(report.poisson_mean) == pytest.approx(2.0)
-    mean_row = report.rows[0]
-    assert abs(float(mean_row.difference)) < 0.1
-    second = report.rows[1]
-    assert float(second.reference) == pytest.approx(float(poisson_moment(2, 2.0)))
+    assert abs(float(report.difference[0])) < 0.1
+    assert float(report.reference[1]) == pytest.approx(float(poisson_moment(2, 2.0)))
 
 
 def test_walk_cutoff_large_c_approaches_unit_mean():
     report = walk_cutoff_comparison(200, 2, 8.0, 1)
     assert float(report.poisson_mean) == pytest.approx(1.0, abs=1e-6)
-    assert abs(float(report.rows[0].moment) - 1.0) < 0.05
+    assert abs(float(report.moments[0]) - 1.0) < 0.05
 
 
 def test_walk_term_trivial_shape():
@@ -304,6 +302,6 @@ def test_commutator_moment_against_group_identity():
 
 def test_walk_cutoff_moments_at_a_million():
     report = walk_cutoff_comparison(10**6, 2, 0.0, 3)
-    assert report.steps == 6907755
-    for row, target in zip(report.rows, (2, 6, 22)):
-        assert abs(row.moment - target) < 1e-3 * target
+    assert report.params["k"] == 6907755
+    for moment, target in zip(report.moments, (2, 6, 22)):
+        assert abs(moment - target) < 1e-3 * target
