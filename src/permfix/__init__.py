@@ -36,9 +36,6 @@ from .simulate import (
     enumerate_commutator_distribution,
     fixed_point_histogram,
     rsk_shape,
-    sample_commutator,
-    sample_icycle_walk,
-    sample_uniform,
     top_to_random_shape_check,
     tv_to_poisson,
 )
@@ -74,9 +71,6 @@ __all__ = [
     "partitions_with_large_first_row",
     "poisson_moment",
     "rsk_shape",
-    "sample_commutator",
-    "sample_icycle_walk",
-    "sample_uniform",
     "skew_syt_count",
     "skew_syt_large_first_row",
     "stirling",

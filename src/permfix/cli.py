@@ -21,7 +21,7 @@ import sys
 
 from . import moments, reports, simulate
 from .characters import CycleType, char_ratio_icycle
-from .errors import CrossCheckError, ValidationError
+from .errors import CrossCheckError, SizeMismatchError, ValidationError
 from .multiplicity import mult_large_first_row, mult_oracle, mult_skew, mult_updown
 from .partitions import Partition
 from .simulate import (
@@ -38,42 +38,58 @@ EXIT_VALIDATION = 2
 EXIT_GATE_FAILURE = 3
 EXIT_CROSS_CHECK = 4
 
+# Below a double's 53 bits, mpmath would still compute, and print wrong
+# digits: at -5 bits a walk moment of 8 comes out as 4.
+MIN_PRECISION_BITS = 53
 
-def parse_parts(text: str) -> tuple[int, ...]:
-    """Parse "4,1" or "2^3,1" into a sorted tuple of parts."""
-    parts: list[int] = []
+
+def parse_parts(text: str, size: int | None = None) -> tuple[int, ...]:
+    """Parse "4,1" or "2^3,1" into a sorted tuple of parts.
+
+    With size given, parts that do not sum to size are rejected before any
+    multiplicity is expanded, so "2^30000000" costs no more than "2".
+    """
+    runs: list[tuple[int, int]] = []
     cleaned = text.replace(" ", "").replace("\t", "")
     if not cleaned:
         raise ValidationError("empty partition string")
     for token in cleaned.split(","):
         if not token:
             raise ValidationError(f"empty component in {text!r}")
-        if "^" in token:
-            base, _, count = token.partition("^")
-            try:
-                value, repeat = int(base), int(count)
-            except ValueError as exc:
-                raise ValidationError(f"cannot parse {token!r}") from exc
-        else:
-            try:
-                value, repeat = int(token), 1
-            except ValueError as exc:
-                raise ValidationError(f"cannot parse {token!r}") from exc
+        base, caret, count = token.partition("^")
+        try:
+            value, repeat = int(base), int(count) if caret else 1
+        except ValueError as exc:
+            raise ValidationError(f"cannot parse {token!r}") from exc
         if value <= 0 or repeat <= 0:
             raise ValidationError(f"parts and multiplicities must be positive: {token!r}")
-        parts.extend([value] * repeat)
+        runs.append((value, repeat))
+    total = sum(value * repeat for value, repeat in runs)
+    if size is not None and total != size:
+        raise SizeMismatchError(f"cycle type {text!r} has size {total}, expected {size}")
+    parts = [value for value, repeat in runs for _ in range(repeat)]
     return tuple(sorted(parts, reverse=True))
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--precision", type=int, default=128, help="bits")
     parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("PERMFIX_THREADS", os.cpu_count() or 1)),
+        "--precision", type=int, default=128, help=f"bits, at least {MIN_PRECISION_BITS}"
     )
+    parser.add_argument(
+        "--threads", type=int, default=None, help="default: PERMFIX_THREADS or the core count"
+    )
+
+
+def _default_threads() -> int:
+    text = os.environ.get("PERMFIX_THREADS")
+    if text is None:
+        return os.cpu_count() or 1
+    try:
+        return int(text)
+    except ValueError:
+        raise ValidationError(f"PERMFIX_THREADS must be an integer, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,7 +210,7 @@ def cmd_moments(args) -> int:
     if args.model == "commutator-random":
         report = moments.commutator_random_report(args.n, args.r_max)
     elif args.model == "commutator-fixed":
-        x = CycleType(parse_parts(args.x))
+        x = CycleType(parse_parts(args.x, args.n))
         report = moments.commutator_fixed_report(args.n, x, args.r_max)
     else:
         if (args.k is None) == (args.c is None):
@@ -221,7 +237,7 @@ def cmd_simulate(args) -> int:
         raise ValidationError(f"--samples must be finite, got {args.samples}")
     samples = int(args.samples)
     args.samples = samples
-    x = CycleType(parse_parts(args.x)) if args.x else None
+    x = CycleType(parse_parts(args.x, args.n)) if args.x else None
     dist = fixed_point_histogram(
         args.model,
         args.n,
@@ -251,6 +267,7 @@ def cmd_simulate(args) -> int:
         "model": args.model,
         "histogram": {str(j): c for j, c in dist.histogram.items()},
         "samples": dist.samples,
+        "stream_version": dist.stream_version,
         "table": table,
         "poisson_reference_mean": mean,
         "tv_to_poisson_reference": tv_to_poisson(dist, mean),
@@ -298,7 +315,7 @@ def cmd_dist(args) -> int:
         dist = moments.walk_exact_distribution(args.n, args.i, args.k)
         params = {"n": args.n, "i": args.i, "k": args.k}
     else:
-        x = CycleType(parse_parts(args.x)) if args.x else None
+        x = CycleType(parse_parts(args.x, args.n)) if args.x else None
         dist = enumerate_commutator_distribution(args.n, x)
         params = {"n": args.n, "x": list(x) if x else None}
     table = [
@@ -330,6 +347,12 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "r_max", 0) < 0:
             raise ValidationError(f"--r-max must be nonnegative, got {args.r_max}")
+        if args.precision < MIN_PRECISION_BITS:
+            raise ValidationError(
+                f"--precision must be at least {MIN_PRECISION_BITS} bits, got {args.precision}"
+            )
+        if args.threads is None:
+            args.threads = _default_threads()
         return _COMMANDS[args.command](args)
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")

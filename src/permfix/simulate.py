@@ -1,9 +1,9 @@
 """Random permutation sampling, RSK shapes, and small-n exhaustive oracles.
 
 Randomness contract: every sampler draws from a numpy PCG64 generator.
-A run is identified by a 64-bit master seed; worker streams are derived
-with SeedSequence(seed).spawn, so chunked or threaded runs produce the
-same histogram as a sequential run with the same seed and chunking.
+A run is identified by a 64-bit master seed; one stream per chunk is
+derived with SeedSequence(seed).spawn, so threaded runs produce the same
+histogram as a sequential run with the same seed and stream version.
 
 Permutations are tuples in one-line form over 0..n-1. compose(p, q)
 applies q first.
@@ -11,7 +11,7 @@ applies q first.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,19 +26,35 @@ from .errors import EnumerationLimitError, SizeMismatchError, ValidationError
 from .multiplicity import mult_skew
 from .partitions import Partition, all_partitions, dim
 
-_CHUNK = 1 << 17
+# Version of the seeded sample streams: a histogram is reproducible from
+# its seed and parameters at one stream version. Version 2 sizes chunks
+# from n, which changes the histograms of n > 128 only.
+STREAM_VERSION = 2
+
+# A chunk of samples holds min(2^17, 2^24 // n) rows, so every n <= 128
+# keeps the 2^17-row chunks of version 1 and a chunk's point arrays stay
+# near 2^24 entries. Kernels shuffle and compare _SUB_CELLS entries at a
+# time; that size changes no result.
+_CHUNK_ROWS = 1 << 17
+_CHUNK_CELLS = 1 << 24
+_SUB_CELLS = 1 << 16
+
+
+def _chunk_rows(n: int) -> int:
+    return max(1, min(_CHUNK_ROWS, _CHUNK_CELLS // n))
 
 
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
-    """Independent per-worker generators derived from the master seed."""
-    return [
-        np.random.Generator(np.random.PCG64(s))
-        for s in np.random.SeedSequence(seed).spawn(count)
-    ]
+def spawn_rngs(root: np.random.SeedSequence, count: int) -> list[np.random.Generator]:
+    """The next count generators spawned from root.
+
+    Successive calls continue where the last one stopped, so spawning one
+    at a time gives the same streams as spawning all at once.
+    """
+    return [np.random.Generator(np.random.PCG64(s)) for s in root.spawn(count)]
 
 
 def identity_perm(n: int) -> tuple[int, ...]:
@@ -77,52 +93,6 @@ def perm_from_cycle_type(ct) -> tuple[int, ...]:
     return tuple(out)
 
 
-def sample_uniform(n: int, rng: np.random.Generator) -> tuple[int, ...]:
-    """Uniform permutation via the generator's unbiased shuffle."""
-    if n < 1:
-        raise ValidationError("n must be positive")
-    return tuple(int(v) for v in rng.permutation(n))
-
-
-def sample_commutator(n: int, rng: np.random.Generator, x=None) -> tuple[int, ...]:
-    """Commutator of a uniform g with x (uniform too when absent)."""
-    g = sample_uniform(n, rng)
-    if x is None:
-        x = sample_uniform(n, rng)
-    elif len(x) != n:
-        raise SizeMismatchError(f"fixed factor has size {len(x)}, expected {n}")
-    return commutator_perm(g, x)
-
-
-def sample_icycle(n: int, i: int, rng: np.random.Generator) -> tuple[int, ...]:
-    """Uniform i-cycle, sampled as an ordered tuple of distinct points.
-
-    Each cycle arises from exactly i ordered tuples, so the outcome is
-    uniform over all i-cycles.
-    """
-    if not 2 <= i <= n:
-        raise ValidationError(f"need 2 <= i <= {n}, got i = {i}")
-    pool = list(range(n))
-    for j in range(i):
-        pick = j + int(rng.integers(0, n - j))
-        pool[j], pool[pick] = pool[pick], pool[j]
-    points = pool[:i]
-    out = list(range(n))
-    for j in range(i):
-        out[points[j]] = points[(j + 1) % i]
-    return tuple(out)
-
-
-def sample_icycle_walk(n: int, i: int, k: int, rng: np.random.Generator) -> tuple[int, ...]:
-    """Product of k independent uniform i-cycles applied to the identity."""
-    if k < 0:
-        raise ValidationError("k must be nonnegative")
-    g = identity_perm(n)
-    for _ in range(k):
-        g = compose(sample_icycle(n, i, rng), g)
-    return g
-
-
 def rsk_shape(word) -> Partition:
     """Common shape of the RSK insertion pair of a sequence of distinct values."""
     rows: list[list[int]] = []
@@ -158,6 +128,7 @@ class EmpiricalDistribution:
     seed: int
     samples: int
     histogram: dict[int, int] = field(default_factory=dict)
+    stream_version: int = STREAM_VERSION
 
     def moment(self, r: int) -> Fraction:
         total = sum(count * j ** r for j, count in self.histogram.items())
@@ -168,27 +139,66 @@ class EmpiricalDistribution:
         return self.moment(1)
 
 
-def _batch_uniform_rows(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    rows = np.tile(np.arange(n), (count, 1))
-    return rng.permuted(rows, axis=1)
+def _point_dtype(n: int):
+    """The narrowest signed integer dtype that holds the points 0..n-1."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if n <= np.iinfo(dtype).max + 1:
+            return dtype
+    return np.int64
+
+
+def _sub_rows(n: int) -> int:
+    return max(1, _SUB_CELLS // n)
+
+
+def _shuffled_batches(n, count, rng):
+    """(start, rows): count uniform permutations of 0..n-1, one per row,
+    in consecutive int64 sub-batches that share one buffer.
+
+    numpy shuffles int64 rows faster than narrow ones, and shuffling
+    consecutive sub-batches from one generator draws the same rows as one
+    shuffle of all of them, so the sub-batch size changes no result.
+    """
+    buf = np.empty((min(count, _sub_rows(n)), n), dtype=np.int64)
+    for start in range(0, count, len(buf)):
+        rows = buf[: count - start]
+        rows[:] = np.arange(n)
+        rng.permuted(rows, axis=1, out=rows)
+        yield start, rows
 
 
 def _uniform_fix_counts(n, count, rng, params) -> np.ndarray:
-    g = _batch_uniform_rows(n, count, rng)
-    return (g == np.arange(n)).sum(axis=1)
+    fix = np.empty(count, dtype=np.int64)
+    for start, g in _shuffled_batches(n, count, rng):
+        fix[start : start + len(g)] = (g == np.arange(n)).sum(axis=1)
+    return fix
+
+
+def _shuffled_rows(n, count, rng) -> np.ndarray:
+    out = np.empty((count, n), dtype=_point_dtype(n))
+    for start, rows in _shuffled_batches(n, count, rng):
+        out[start : start + len(rows)] = rows
+    return out
 
 
 def _commutator_fix_counts(n, count, rng, params) -> np.ndarray:
-    # fix(g^-1 x^-1 g x) counts the points where g.x and x.g agree.
-    g = _batch_uniform_rows(n, count, rng)
+    # fix(g^-1 x^-1 g x) counts the points where g.x and x.g agree. All g
+    # rows are drawn before any x row, as in stream version 1.
+    g = _shuffled_rows(n, count, rng)
     x_row = params.get("x_row")
-    if x_row is None:
-        x = _batch_uniform_rows(n, count, rng)
-    else:
-        x = np.tile(x_row, (count, 1))
-    gx = np.take_along_axis(g, x, axis=1)
-    xg = np.take_along_axis(x, g, axis=1)
-    return (gx == xg).sum(axis=1)
+    x = _shuffled_rows(n, count, rng) if x_row is None else None
+    fix = np.empty(count, dtype=np.int64)
+    step = _sub_rows(n)
+    for start in range(0, count, step):
+        gs = g[start : start + step]
+        if x is None:
+            gx, xg = gs[:, x_row], x_row[gs]
+        else:
+            xs = x[start : start + step]
+            gx = np.take_along_axis(gs, xs, axis=1)
+            xg = np.take_along_axis(xs, gs, axis=1)
+        fix[start : start + len(gs)] = (gx == xg).sum(axis=1)
+    return fix
 
 
 def _distinct_tuples(n, i, count, rng, dtype) -> np.ndarray:
@@ -210,15 +220,17 @@ def _walk_fix_counts(n, count, rng, params) -> np.ndarray:
     # p_1 -> ... -> p_i only moves the i entries at those values, so one
     # step costs O(i) per sample instead of O(n). Fixed points agree
     # with those of the permutation itself.
+    # The draw dtype stays as in stream version 1: rng.integers draws
+    # depend on it.
     i, k = params["i"], params["k"]
     dtype = np.int16 if n < 2 ** 15 else np.int64
-    h = np.tile(np.arange(n, dtype=dtype), (count, 1))
-    rows = np.arange(count)[:, None]
+    h = np.tile(np.arange(n, dtype=_point_dtype(n)), (count, 1))
+    flat = h.reshape(-1)
+    offsets = np.arange(0, count * n, n)[:, None]
     for _ in range(k):
-        points = _distinct_tuples(n, i, count, rng, dtype)
-        moved = h[rows, points]
-        h[rows, np.roll(points, -1, axis=1)] = moved
-    return (h == np.arange(n, dtype=dtype)).sum(axis=1)
+        cells = offsets + _distinct_tuples(n, i, count, rng, dtype)
+        flat[np.roll(cells, -1, axis=1)] = flat[cells]
+    return (h == np.arange(n, dtype=h.dtype)).sum(axis=1)
 
 
 _KERNELS = {
@@ -241,9 +253,10 @@ def fixed_point_histogram(
 ) -> EmpiricalDistribution:
     """Seeded histogram of fixed-point counts for one model.
 
-    Work is split into fixed-size chunks, one spawned stream per chunk;
-    merging integer histograms is order-independent, so the result
-    depends only on the seed and the parameters.
+    Work is split into chunks of _chunk_rows(n) samples, one spawned
+    stream per chunk; merging integer histograms is order-independent, so
+    the result depends only on the seed, the parameters and the stream
+    version, not on the thread count.
     """
     if model not in _KERNELS:
         raise ValidationError(f"unknown model {model!r}")
@@ -264,25 +277,31 @@ def fixed_point_histogram(
         x = CycleType(x)
         if x.n != n:
             raise SizeMismatchError(f"cycle type {x!r} has size {x.n}, expected {n}")
-        params["x_row"] = np.array(perm_from_cycle_type(x))
+        params["x_row"] = np.array(perm_from_cycle_type(x), dtype=_point_dtype(n))
         report_params["x"] = tuple(x)
 
     kernel = _KERNELS[model]
-    sizes = [_CHUNK] * (samples // _CHUNK)
-    if samples % _CHUNK:
-        sizes.append(samples % _CHUNK)
-    rngs = spawn_rngs(seed, len(sizes))
+    rows = _chunk_rows(n)
+    root = np.random.SeedSequence(seed)
 
-    def run_chunk(args) -> Counter:
-        size, rng = args
+    def run_chunk(size, rng) -> Counter:
         counts = kernel(n, size, rng, params)
         values, freq = np.unique(counts, return_counts=True)
         return Counter({int(v): int(f) for v, f in zip(values, freq)})
 
+    # Streams are spawned and chunks submitted as workers free up, so at
+    # most threads + 1 chunks are pending, however many there are.
+    threads = max(1, threads)
     merged: Counter = Counter()
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        for part in pool.map(run_chunk, zip(sizes, rngs)):
-            merged.update(part)
+    pending: deque = deque()
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for start in range(0, samples, rows):
+            (rng,) = spawn_rngs(root, 1)
+            pending.append(pool.submit(run_chunk, min(rows, samples - start), rng))
+            if len(pending) > threads:
+                merged.update(pending.popleft().result())
+        for future in pending:
+            merged.update(future.result())
     return EmpiricalDistribution(
         model=model,
         params=report_params,

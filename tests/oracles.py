@@ -8,7 +8,8 @@ keep a production path's former form as the reference for its
 replacement: per_order_moment, the moment engines' per-order shape sum;
 dim_hook_product, the uncancelled hook length formula; and
 character_recursive, the Murnaghan-Nakayama recursion with one call per
-cycle.
+cycle. The scalar samplers draw one permutation at a time with plain
+Python loops, as references for the vectorized kernels.
 """
 from __future__ import annotations
 
@@ -17,7 +18,10 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
 
+import numpy as np
+
 from permfix.characters import CycleType, perm_cycle_type
+from permfix.errors import SizeMismatchError, ValidationError
 from permfix.multiplicity import mult_skew
 from permfix.partitions import (
     Partition,
@@ -25,6 +29,7 @@ from permfix.partitions import (
     hook_lengths,
     partitions_with_large_first_row,
 )
+from permfix.simulate import commutator_perm, compose, identity_perm
 
 
 def syt_fillings(outer, inner=()) -> list[tuple[tuple[int, ...], ...]]:
@@ -234,3 +239,53 @@ def per_order_moment(n: int, r: int, weight, total=sum):
         if m:
             terms.append(weight(lam) * m)
     return total(terms)
+
+
+# Scalar samplers: one permutation at a time, as references for the
+# vectorized kernels of permfix.simulate.
+
+
+def sample_uniform(n: int, rng: np.random.Generator) -> tuple[int, ...]:
+    """Uniform permutation via the generator's unbiased shuffle."""
+    if n < 1:
+        raise ValidationError("n must be positive")
+    return tuple(int(v) for v in rng.permutation(n))
+
+
+def sample_commutator(n: int, rng: np.random.Generator, x=None) -> tuple[int, ...]:
+    """Commutator of a uniform g with x (uniform too when absent)."""
+    g = sample_uniform(n, rng)
+    if x is None:
+        x = sample_uniform(n, rng)
+    elif len(x) != n:
+        raise SizeMismatchError(f"fixed factor has size {len(x)}, expected {n}")
+    return commutator_perm(g, x)
+
+
+def sample_icycle(n: int, i: int, rng: np.random.Generator) -> tuple[int, ...]:
+    """Uniform i-cycle, sampled as an ordered tuple of distinct points.
+
+    Each cycle arises from exactly i ordered tuples, so the outcome is
+    uniform over all i-cycles.
+    """
+    if not 2 <= i <= n:
+        raise ValidationError(f"need 2 <= i <= {n}, got i = {i}")
+    pool = list(range(n))
+    for j in range(i):
+        pick = j + int(rng.integers(0, n - j))
+        pool[j], pool[pick] = pool[pick], pool[j]
+    points = pool[:i]
+    out = list(range(n))
+    for j in range(i):
+        out[points[j]] = points[(j + 1) % i]
+    return tuple(out)
+
+
+def sample_icycle_walk(n: int, i: int, k: int, rng: np.random.Generator) -> tuple[int, ...]:
+    """Product of k independent uniform i-cycles applied to the identity."""
+    if k < 0:
+        raise ValidationError("k must be nonnegative")
+    g = identity_perm(n)
+    for _ in range(k):
+        g = compose(sample_icycle(n, i, rng), g)
+    return g

@@ -5,7 +5,7 @@ import mpmath
 import pytest
 
 from permfix.cli import main, parse_parts
-from permfix.errors import ValidationError
+from permfix.errors import SizeMismatchError, ValidationError
 from permfix.moments import moment_commutator_fixed_closed
 
 
@@ -331,3 +331,66 @@ def test_negative_r_max_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "--r-max must be nonnegative" in err
+
+
+@pytest.mark.parametrize("precision", ("-5", "0", "52"))
+def test_precision_below_its_floor_exits_2(capsys, precision):
+    code, out, err = run_cli(
+        capsys, "moments", "walk", "--n", "10", "--i", "2", "--k", "3", "--r-max", "1",
+        "--precision", precision,
+    )
+    assert code == 2
+    assert out == ""
+    assert "--precision must be at least 53 bits" in err
+
+
+def test_precision_at_its_floor_is_accepted(capsys):
+    code, out, err = run_cli(
+        capsys, "moments", "walk", "--n", "10", "--i", "2", "--k", "3", "--r-max", "1",
+        "--precision", "53",
+    )
+    assert code == 0, err
+    assert json.loads(out)["config"]["precision"] == 53
+
+
+def test_non_integer_permfix_threads_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("PERMFIX_THREADS", "abc")
+    argv = ("simulate", "--model", "uniform", "--n", "5", "--samples", "100")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "PERMFIX_THREADS must be an integer" in err
+    # An explicit --threads never reads the variable.
+    code, _, err = run_cli(capsys, *argv, "--threads", "1")
+    assert code == 0, err
+
+
+def test_simulate_report_carries_the_stream_version(capsys):
+    code, out, _ = run_cli(
+        capsys, "simulate", "--model", "uniform", "--n", "5", "--samples", "100", "--seed", "1"
+    )
+    assert code == 0
+    assert json.loads(out)["stream_version"] == 2
+
+
+def test_parse_parts_checks_the_size_before_expanding():
+    assert parse_parts("2^3", 6) == (2, 2, 2)
+    with pytest.raises(SizeMismatchError):
+        parse_parts("2^30000000", 5)
+    with pytest.raises(ValidationError):
+        parse_parts("2^", 2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("moments", "commutator-fixed", "--n", "5"),
+        ("simulate", "--model", "commutator", "--n", "5", "--samples", "10"),
+        ("dist", "commutator", "--n", "5"),
+    ],
+)
+def test_cycle_type_of_the_wrong_size_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--x", "2^30000000")
+    assert code == 2
+    assert out == ""
+    assert "has size 60000000, expected 5" in err

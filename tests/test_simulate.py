@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -5,7 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import lis_length, uniform_fixed_histogram_by_enumeration
+from oracles import (
+    lis_length,
+    sample_commutator,
+    sample_icycle,
+    sample_icycle_walk,
+    sample_uniform,
+    uniform_fixed_histogram_by_enumeration,
+)
 from permfix.characters import CycleType, perm_cycle_type
 from permfix.errors import EnumerationLimitError, ValidationError
 from permfix.moments import (
@@ -13,6 +21,7 @@ from permfix.moments import (
     moment_icycle_walk_exact,
     walk_exact_distribution,
 )
+from permfix import simulate
 from permfix.partitions import Partition
 from permfix.simulate import (
     EmpiricalDistribution,
@@ -28,10 +37,6 @@ from permfix.simulate import (
     moment_z_score,
     perm_from_cycle_type,
     rsk_shape,
-    sample_commutator,
-    sample_icycle,
-    sample_icycle_walk,
-    sample_uniform,
     top_to_random_shape_check,
     top_to_random_step,
     tv_to_poisson,
@@ -389,3 +394,80 @@ def test_fixed_point_histogram_validation():
         fixed_point_histogram("walk", 4, 10, seed=0)
     with pytest.raises(ValidationError):
         fixed_point_histogram("walk", 4, 10, seed=0, i=9, k=1)
+
+
+# Histograms of stream version 1, before chunks were sized from n: every
+# n <= 128 keeps its 2^17-row chunks, so these must not move. Each run
+# spans a full chunk and part of a second.
+PINNED_SAMPLES = (1 << 17) + 5000
+PINNED_HISTOGRAMS = [
+    (
+        ("uniform", 64, 61, {}),
+        {0: 50097, 1: 49836, 2: 25133, 3: 8419, 4: 2073, 5: 439, 6: 60, 7: 11, 8: 4},
+    ),
+    (
+        ("commutator", 32, 62, {}),
+        {0: 48620, 1: 50171, 2: 25633, 3: 8839, 4: 2198, 5: 506, 6: 88, 7: 11, 8: 6},
+    ),
+    (
+        ("commutator", 32, 63, {"x": (5, 4, 3, 3, 3, 3, 3, 2, 2, 2, 2)}),
+        {0: 49762, 1: 48845, 2: 25166, 3: 8948, 4: 2575, 5: 614, 6: 131, 7: 22, 8: 7, 9: 1,
+         12: 1},
+    ),
+    (
+        ("walk", 50, 64, {"i": 3, "k": 10}),
+        {20: 4, 21: 78, 22: 547, 23: 2518, 24: 7956, 25: 16757, 26: 25645, 27: 28624,
+         28: 24596, 29: 15931, 30: 8271, 31: 3461, 32: 1244, 33: 333, 34: 93, 35: 9, 36: 3,
+         37: 1, 38: 1},
+    ),
+]
+
+
+@pytest.mark.parametrize("run, histogram", PINNED_HISTOGRAMS)
+def test_seeded_histograms_at_small_n_are_pinned(run, histogram):
+    model, n, seed, kwargs = run
+    dist = fixed_point_histogram(model, n, PINNED_SAMPLES, seed=seed, **kwargs)
+    assert dist.histogram == histogram
+    assert dist.stream_version == 2
+
+
+def test_chunks_shrink_only_beyond_n_128():
+    assert all(simulate._chunk_rows(n) == 1 << 17 for n in range(1, 129))
+    assert simulate._chunk_rows(129) < 1 << 17
+    assert simulate._chunk_rows(10 ** 9) == 1
+
+
+@pytest.mark.parametrize("sub_cells", [1, 7, 100, 1 << 20])
+def test_sub_batch_size_changes_no_histogram(monkeypatch, sub_cells):
+    runs = [
+        ("uniform", 40, {}),
+        ("commutator", 40, {}),
+        ("commutator", 40, {"x": (7, 5, 5, 3, 3, 3, 2, 2, 2, 2, 2, 2, 1, 1)}),
+        ("commutator", 300, {}),
+    ]
+    expected = [fixed_point_histogram(m, n, 3000, seed=5, **kw).histogram for m, n, kw in runs]
+    monkeypatch.setattr(simulate, "_SUB_CELLS", sub_cells)
+    for (model, n, kwargs), histogram in zip(runs, expected):
+        assert fixed_point_histogram(model, n, 3000, seed=5, **kwargs).histogram == histogram
+
+
+def test_many_chunks_in_flight_do_not_change_result(monkeypatch):
+    monkeypatch.setattr(simulate, "_CHUNK_ROWS", 100)
+    a = fixed_point_histogram("commutator", 6, 2950, seed=8, threads=1)
+    b = fixed_point_histogram("commutator", 6, 2950, seed=8, threads=3)
+    assert a.histogram == b.histogram
+    assert sum(a.histogram.values()) == 2950
+
+
+def test_commutator_memory_is_bounded_by_narrow_points():
+    # 2000 commutators at n = 3000. One int64 copy of the chunk is
+    # 2000 * 3000 * 8 bytes = 48 MB; the int64 kernels of stream version 1
+    # peaked at about four of them (199 MB). Version 2 holds g and x as
+    # int16 (24 MB) plus sub-batch buffers.
+    tracemalloc.start()
+    try:
+        fixed_point_histogram("commutator", 3000, 2000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2000 * 3000 * 8
