@@ -43,11 +43,22 @@ EXIT_CROSS_CHECK = 4
 MIN_PRECISION_BITS = 53
 
 
-def parse_parts(text: str, size: int | None = None) -> tuple[int, ...]:
+# A --lambda shape's cost grows with its cells below the first row: ratio
+# takes a dimension per strip removal, and a dimension costs about the
+# square of those cells. At this many, the slowest shape tried (a staircase
+# of 99 rows below a first row of 10^6) takes about 2 s for ratio.
+MAX_CELLS_BELOW_FIRST_ROW = 5000
+
+
+def parse_parts(
+    text: str, size: int | None = None, max_below_first_row: int | None = None
+) -> tuple[int, ...]:
     """Parse "4,1" or "2^3,1" into a sorted tuple of parts.
 
     With size given, parts that do not sum to size are rejected before any
-    multiplicity is expanded, so "2^30000000" costs no more than "2".
+    multiplicity is expanded, so "2^30000000" costs no more than "2". With
+    max_below_first_row given, so are parts with more cells than that
+    outside the largest part.
     """
     runs: list[tuple[int, int]] = []
     cleaned = text.replace(" ", "").replace("\t", "")
@@ -67,6 +78,12 @@ def parse_parts(text: str, size: int | None = None) -> tuple[int, ...]:
     total = sum(value * repeat for value, repeat in runs)
     if size is not None and total != size:
         raise SizeMismatchError(f"cycle type {text!r} has size {total}, expected {size}")
+    below = total - max(value for value, _ in runs)
+    if max_below_first_row is not None and below > max_below_first_row:
+        raise ValidationError(
+            f"partition {text!r} has {below} cells below its first row, "
+            f"more than the {max_below_first_row} accepted"
+        )
     parts = [value for value, repeat in runs for _ in range(repeat)]
     return tuple(sorted(parts, reverse=True))
 
@@ -187,7 +204,7 @@ _MULT_ALGORITHMS = {
 
 
 def cmd_mult(args) -> int:
-    lam = Partition(parse_parts(args.lam))
+    lam = Partition(parse_parts(args.lam, max_below_first_row=MAX_CELLS_BELOW_FIRST_ROW))
     if args.r < 0:
         raise ValidationError("r must be nonnegative")
     if args.alg == "all":
@@ -303,7 +320,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ratio(args) -> int:
-    lam = Partition(parse_parts(args.lam))
+    lam = Partition(parse_parts(args.lam, max_below_first_row=MAX_CELLS_BELOW_FIRST_ROW))
     value = char_ratio_icycle(lam, args.i)
     body = {"shape": list(lam), "i": args.i, "ratio": value, "ratio_float": float(value)}
     _emit(args, "ratio", body)

@@ -10,17 +10,20 @@ Models:
   the kth power of its i-cycle character ratio times the multiplicity.
 
 One engine serves the three models, which differ only in the shape
-weight. Its sums run only over shapes whose first part is at least
-n - r; the multiplicity vanishes elsewhere. Commutator moments are exact
-rationals. The walk offers an exact rational path (small k) and a
-high-precision float path that powers ratios in log space, since
-|ratio| <= 1 and k can reach n log n.
+weight: the rth moment is sum_a S(r, a) * F_a, with factorial moments
+F_a = sum_lam weight(lam) * f^{lam/(n-a)} over the shapes whose first
+part is at least n - r. Every F_a comes from one pass down the Young
+lattice on integer numerators over a common denominator.
+Commutator moments are exact rationals. The walk offers an exact
+rational path (small k) and a high-precision float path that powers
+ratios in log space, since |ratio| <= 1 and k can reach n log n.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite, log
+from math import isfinite, lcm, log
+from typing import Callable
 
 import mpmath
 from mpmath import mp
@@ -29,26 +32,87 @@ from .characters import CycleType, _choose2, char_ratio_icycle, character
 from .errors import EnumerationLimitError, SizeMismatchError, ValidationError
 from .partitions import Partition, all_partitions, dim, partitions_with_large_first_row
 from .setpartitions import poisson_moment, stirling_row
-from .tableaux import skew_syt_count
+from .tableaux import _corner_removals
 
 DEFAULT_PRECISION_BITS = 128
+
+
+def _over_common_denominator(weights: list) -> tuple[list[int], Callable[[int], object]]:
+    """Integer numerators N with weights[j] = N[j] / D, and the map F -> F / D.
+
+    Rational weights share the lcm D of their denominators, and F / D is an
+    exact Fraction. mpf weights are read exactly as man * 2^exp and shifted
+    to the smallest exponent e0, so F / D = F * 2^e0, rounded once at the
+    working precision p. So that ratio^k spanning millions of binades
+    cannot make the numerators that long, e0 is at least 3p bits below the
+    largest weight's top bit, and the weights below that level are rounded
+    to it (magnitude and sign apart, so opposite weights still cancel
+    exactly). This adds at most 2^-3p of the largest weight per tableau,
+    far less than rounding every product weight * f to p bits would.
+    """
+    if not isinstance(weights[0], mpmath.mpf):
+        denominator = lcm(*(w.denominator for w in weights))
+        numerators = [w.numerator * (denominator // w.denominator) for w in weights]
+        return numerators, lambda total: Fraction(total, denominator)
+    dyadic = [w._mpf_ for w in weights]
+    nonzero = [(exp, exp + bc) for _, man, exp, bc in dyadic if man]
+    e0 = max(max(top for _, top in nonzero) - 3 * mp.prec, min(exp for exp, _ in nonzero))
+    numerators = []
+    for sign, man, exp, bc in dyadic:
+        if exp >= e0:
+            magnitude = man << (exp - e0)
+        elif exp + bc < e0:
+            magnitude = 0
+        else:
+            # Round half up on the magnitude, so -w always maps to -N.
+            magnitude = (man + (1 << (e0 - exp - 1))) >> (e0 - exp)
+        numerators.append(-magnitude if sign else magnitude)
+    return numerators, lambda total: mpmath.mpf((total, e0))
+
+
+def _lattice_sums(n: int, a_max: int, top: dict[tuple, int]) -> list[int]:
+    """F_a = sum over shapes lam of size n of top[lam] * f^{lam/(n-a)}, for a = 0..a_max.
+
+    Walks the Young lattice down from level n: h(lam) = top[lam], and each
+    shape one level lower collects h of every shape it leaves by removing
+    one corner, so h(mu) = sum_lam top[lam] * f^{lam/mu}. F_a is h of the
+    one-row shape (n - a), read at level n - a. Shapes whose first row is
+    shorter than n - a_max contain none of those rows and are dropped.
+    """
+    shortest_first_row = n - a_max
+    level = top
+    sums = []
+    for a in range(a_max + 1):
+        sums.append(level.get((n - a,) if a < n else (), 0))
+        if a == a_max:
+            break
+        below: dict[tuple, int] = {}
+        for parts, h in level.items():
+            if not h:
+                continue
+            for smaller in _corner_removals(parts):
+                if (smaller[0] if smaller else 0) >= shortest_first_row:
+                    below[smaller] = below.get(smaller, 0) + h
+        level = below
+    return sums
+
+
+def _factorial_moments(n: int, a_max: int, weight) -> list:
+    """F_a = sum over lam of size n of weight(lam) * f^{lam/(n-a)}, for a = 0..a_max."""
+    shapes = [tuple(lam) for lam in partitions_with_large_first_row(n, a_max)]
+    numerators, over_denominator = _over_common_denominator([weight(lam) for lam in shapes])
+    return [over_denominator(f) for f in _lattice_sums(n, a_max, dict(zip(shapes, numerators)))]
 
 
 def _moments(n: int, r_max: int, weight, total) -> list:
     """Moments r = 0..r_max of the shape sum of weight(lam) * mult(lam, r).
 
     Since mult(lam, r) = sum_a S(r, a) * f^{lam/(n-a)}, each factorial
-    moment F_a = sum_lam weight(lam) * f^{lam/(n-a)} is summed once and
-    shared by every order. total adds up a list of terms: the built-in
-    sum for exact values, mpmath.fsum for reals.
+    moment F_a is computed once and shared by every order. total adds up
+    the Stirling combination: the built-in sum for exact values,
+    mpmath.fsum for reals.
     """
-    a_max = min(r_max, n)
-    terms: list[list] = [[] for _ in range(a_max + 1)]
-    for lam in partitions_with_large_first_row(n, a_max):
-        w = weight(lam)
-        for a in range(n - lam[0] if lam else 0, a_max + 1):
-            terms[a].append(w * skew_syt_count(lam, (n - a,) if a < n else ()))
-    factorial_moments = [total(t) for t in terms]
+    factorial_moments = _factorial_moments(n, min(r_max, n), weight)
     return [
         total([s * f for s, f in zip(stirling_row(r), factorial_moments)])
         for r in range(r_max + 1)

@@ -1,16 +1,15 @@
 """Exact counts of standard Young tableaux of skew shape.
 
-Two independent algorithms are provided: a memoized corner-peeling
-recursion (the production path) and a determinant evaluation used as an
-internal oracle. A closed form covers shapes whose inner part is a long
-single row.
+Counts come from a memoized corner-peeling recursion; a closed form
+covers shapes whose inner part is a long single row. The moment engine
+counts no skew tableaux shape by shape: it walks the Young lattice with
+_corner_removals (moments.py).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 
 from .errors import FirstRowGuardError
 from .partitions import Partition, dim
@@ -78,53 +77,6 @@ def skew_syt_count(outer, inner=()) -> int:
     outer = Partition(outer)
     inner = Partition(inner)
     return _skew_count(tuple(outer), tuple(inner))
-
-
-def _det_fraction(matrix: list[list[Fraction]]) -> Fraction:
-    m = [row[:] for row in matrix]
-    size = len(m)
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, size):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                for c in range(col, size):
-                    m[r][c] -= factor * m[col][c]
-    return det
-
-
-def skew_syt_count_determinant(outer, inner=()) -> int:
-    """Independent determinant evaluation of the same skew count.
-
-    The entry at (i, j) is 1/((outer_i - i) - (inner_j - j))!, with
-    reciprocal factorials of negative integers read as zero.
-    """
-    outer = Partition(outer)
-    inner = tuple(Partition(inner))
-    size = outer.n - sum(inner)
-    ell = len(outer)
-    if ell == 0:
-        return 1
-    padded = inner + (0,) * (ell - len(inner))
-    matrix = []
-    for i in range(ell):
-        row = []
-        for j in range(ell):
-            e = (outer[i] - (i + 1)) - (padded[j] - (j + 1))
-            row.append(Fraction(1, factorial(e)) if e >= 0 else Fraction(0))
-        matrix.append(row)
-    value = factorial(size) * _det_fraction(matrix)
-    if value.denominator != 1:
-        raise ArithmeticError(f"determinant count is not integral for {outer}/{inner}")
-    return int(value)
 
 
 def skew_syt_large_first_row(lam, a: int) -> int:

@@ -3,13 +3,16 @@
 Everything here is deliberately independent of the package's production
 algorithms: tableaux are enumerated cell by cell, characters come from
 permutation-module fixed-point counts plus exact Gram-Schmidt, and the
-longest increasing subsequence uses dynamic programming. Three exceptions
+longest increasing subsequence uses dynamic programming. Four exceptions
 keep a production path's former form as the reference for its
 replacement: per_order_moment, the moment engines' per-order shape sum;
-dim_hook_product, the uncancelled hook length formula; and
-character_recursive, the Murnaghan-Nakayama recursion with one call per
-cycle. The scalar samplers draw one permutation at a time with plain
-Python loops, as references for the vectorized kernels.
+factorial_moments_by_skew_counts, the engine's former per-shape route to
+the factorial moments; dim_hook_product, the uncancelled hook length
+formula; and character_recursive, the Murnaghan-Nakayama recursion with
+one call per cycle. skew_syt_count_determinant is an independent
+determinant evaluation of the skew tableau counts. The scalar samplers
+draw one permutation at a time with plain Python loops, as references for
+the vectorized kernels.
 """
 from __future__ import annotations
 
@@ -30,6 +33,7 @@ from permfix.partitions import (
     partitions_with_large_first_row,
 )
 from permfix.simulate import commutator_perm, compose, identity_perm
+from permfix.tableaux import skew_syt_count
 
 
 def syt_fillings(outer, inner=()) -> list[tuple[tuple[int, ...], ...]]:
@@ -239,6 +243,69 @@ def per_order_moment(n: int, r: int, weight, total=sum):
         if m:
             terms.append(weight(lam) * m)
     return total(terms)
+
+
+def factorial_moments_by_skew_counts(n: int, a_max: int, weight, total=sum) -> list:
+    """F_a = total of weight(lam) * skew_syt_count(lam, (n - a)), for a = 0..a_max.
+
+    This is the route the moment engine took before its lattice pass: one
+    product per (shape, a), each skew count a corner-peeling memo lookup.
+    For the walk's float path, call it inside workprec(precision + 40) with
+    total=mpmath.fsum.
+    """
+    terms: list[list] = [[] for _ in range(a_max + 1)]
+    for lam in partitions_with_large_first_row(n, a_max):
+        w = weight(lam)
+        for a in range(n - lam[0] if lam else 0, a_max + 1):
+            terms[a].append(w * skew_syt_count(lam, (n - a,) if a < n else ()))
+    return [total(t) for t in terms]
+
+
+def _det_fraction(matrix: list[list[Fraction]]) -> Fraction:
+    m = [row[:] for row in matrix]
+    size = len(m)
+    det = Fraction(1)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, size):
+            if m[r][col] != 0:
+                factor = m[r][col] * inv
+                for c in range(col, size):
+                    m[r][c] -= factor * m[col][c]
+    return det
+
+
+def skew_syt_count_determinant(outer, inner=()) -> int:
+    """Independent determinant evaluation of the same skew count.
+
+    The entry at (i, j) is 1/((outer_i - i) - (inner_j - j))!, with
+    reciprocal factorials of negative integers read as zero.
+    """
+    outer = Partition(outer)
+    inner = tuple(Partition(inner))
+    size = outer.n - sum(inner)
+    ell = len(outer)
+    if ell == 0:
+        return 1
+    padded = inner + (0,) * (ell - len(inner))
+    matrix = []
+    for i in range(ell):
+        row = []
+        for j in range(ell):
+            e = (outer[i] - (i + 1)) - (padded[j] - (j + 1))
+            row.append(Fraction(1, factorial(e)) if e >= 0 else Fraction(0))
+        matrix.append(row)
+    value = factorial(size) * _det_fraction(matrix)
+    if value.denominator != 1:
+        raise ArithmeticError(f"determinant count is not integral for {outer}/{inner}")
+    return int(value)
 
 
 # Scalar samplers: one permutation at a time, as references for the

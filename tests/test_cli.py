@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from permfix.cli import main, parse_parts
+from permfix.cli import MAX_CELLS_BELOW_FIRST_ROW, main, parse_parts
 from permfix.errors import SizeMismatchError, ValidationError
 from permfix.moments import moment_commutator_fixed_closed
 
@@ -394,3 +394,28 @@ def test_cycle_type_of_the_wrong_size_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "has size 60000000, expected 5" in err
+
+
+@pytest.mark.parametrize(
+    "argv", (["mult", "--r", "1"], ["ratio", "--i", "2"]), ids=("mult", "ratio")
+)
+def test_lambda_cells_below_the_first_row_are_capped(capsys, argv):
+    # A column of limit + 1 cells has exactly the limit below its first row.
+    at_limit = f"1^{MAX_CELLS_BELOW_FIRST_ROW + 1}"
+    code, out, _ = run_cli(capsys, *argv, "--lambda", at_limit)
+    assert code == 0
+    assert json.loads(out)["schema_version"] == 2
+    for over in (f"1^{MAX_CELLS_BELOW_FIRST_ROW + 2}", f"7,2^{MAX_CELLS_BELOW_FIRST_ROW // 2}, 1"):
+        code, out, err = run_cli(capsys, *argv, "--lambda", over)
+        assert (code, out) == (2, "")
+        assert f"{MAX_CELLS_BELOW_FIRST_ROW + 1} cells below its first row" in err
+    code, out, _ = run_cli(capsys, *argv, "--lambda", "2^300000000")
+    assert (code, out) == (2, "")
+
+
+def test_parse_parts_counts_cells_below_the_first_row_before_expanding():
+    assert parse_parts("5,2^3", max_below_first_row=6) == (5, 2, 2, 2)
+    with pytest.raises(ValidationError):
+        parse_parts("5,2^3", max_below_first_row=5)
+    with pytest.raises(ValidationError):
+        parse_parts("1^1000000000", max_below_first_row=10)

@@ -1,13 +1,20 @@
-"""The factorial-moment engine against the per-order shape sums it replaced."""
+"""The factorial-moment engine against the shape sums it replaced.
+
+per_order_moment is the per-order sum the engine replaced first;
+factorial_moments_by_skew_counts is its former per-(shape, a) route to
+the factorial moments, which the lattice pass replaced.
+"""
 from fractions import Fraction
 
 import mpmath
 import pytest
 from mpmath import mp
-from oracles import per_order_moment
+from oracles import factorial_moments_by_skew_counts, per_order_moment
 
+from permfix import tableaux
 from permfix.characters import CycleType, char_ratio_icycle, character
 from permfix.moments import (
+    _factorial_moments,
     _ratio_power,
     commutator_fixed_moments,
     commutator_random_moments,
@@ -20,6 +27,7 @@ from permfix.moments import (
     moment_icycle_walk_exact,
 )
 from permfix.partitions import all_partitions, dim
+from permfix.setpartitions import stirling_row
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -74,3 +82,90 @@ def test_float_walk_engine_equals_per_order_sums_at_128_bits(n, i, c):
             expected = +guarded
         assert engine[r] == expected
         assert moment_icycle_walk(n, i, k, r) == expected
+
+
+def _both_random(lam):
+    return Fraction(1, dim(lam))
+
+
+@pytest.mark.parametrize("n", range(0, 15))
+def test_lattice_pass_equals_skew_count_route_for_both_random_weights(n):
+    expected = factorial_moments_by_skew_counts(n, n, _both_random)
+    # Every a_max, since the pass drops the shapes too short for (n - a_max).
+    for a_max in range(n + 1):
+        assert _factorial_moments(n, a_max, _both_random) == expected[: a_max + 1]
+
+
+@pytest.mark.parametrize("i", (2, 3))
+@pytest.mark.parametrize("n", range(3, 15))
+def test_lattice_pass_equals_skew_count_route_for_exact_walk_weights(n, i):
+    for k in range(7):
+
+        def weight(lam):
+            return dim(lam) * char_ratio_icycle(lam, i) ** k
+
+        assert _factorial_moments(n, n, weight) == factorial_moments_by_skew_counts(n, n, weight)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_lattice_pass_equals_skew_count_route_on_every_class(n):
+    for parts in all_partitions(n):
+        x = CycleType(parts)
+
+        def weight(lam):
+            return Fraction(character(lam, x) ** 2, dim(lam))
+
+        assert _factorial_moments(n, n, weight) == factorial_moments_by_skew_counts(n, n, weight)
+
+
+@pytest.mark.parametrize("c", (-0.5, 0.0, 1.0))
+@pytest.mark.parametrize("i", (2, 3))
+@pytest.mark.parametrize("n", (500, 2000, 16000))
+def test_float_walk_lattice_pass_equals_fsum_route_at_128_bits(n, i, c):
+    # The C11 grid (n = 500, 2000) and the exact-large-n benchmark's range
+    # (n up to 16000). The pass sums exactly and rounds once; the former
+    # route rounded every product and summed with fsum.
+    k = cutoff_steps(n, i, c)
+
+    def weight(lam):
+        return mpmath.mpf(dim(lam)) * _ratio_power(char_ratio_icycle(lam, i), k)
+
+    with mp.workprec(128 + 40):
+        factorial_moments = factorial_moments_by_skew_counts(n, 3, weight, mpmath.fsum)
+        guarded = [
+            mpmath.fsum([s * f for s, f in zip(stirling_row(r), factorial_moments)])
+            for r in range(4)
+        ]
+    with mp.workprec(128):
+        expected = [+v for v in guarded]
+    assert icycle_walk_moments(n, i, k, 3) == expected
+
+
+def test_empty_shape_carries_the_zeroth_factorial_moment():
+    # At n = 0 the one-row shape (n - 0) is the empty shape, not (0,).
+    assert commutator_fixed_moments(0, (), 3) == [1, 0, 0, 0]
+
+
+def test_engine_computes_no_skew_count():
+    tableaux._skew_count.cache_clear()
+    commutator_random_moments(12, 12)
+    commutator_fixed_moments(9, (3, 3, 2, 1), 9)
+    icycle_walk_moments_exact(10, 3, 4, 10)
+    icycle_walk_moments(2000, 2, cutoff_steps(2000, 2, 0.0), 3)
+    assert tableaux._skew_count.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("k, top", ((10**9, 2), (10**9 + 1, 0)))
+def test_float_walk_far_past_mixing_reaches_the_alternating_law(k, top):
+    # Here ratio^k spans about 10^8 binades, so all but the sign-like weights
+    # fall below the engine's 3p-bit floor. After that many transpositions
+    # the walk is uniform on A_12 or on its odd coset: F_a = 1 for a <= 10,
+    # and F_11 = F_12 = 12! * P(identity) = 2 or 0.
+    n, i = 12, 2
+
+    def weight(lam):
+        return mpmath.mpf(dim(lam)) * _ratio_power(char_ratio_icycle(lam, i), k)
+
+    with mp.workprec(128 + 40):
+        factorial_moments = _factorial_moments(n, n, weight)
+    assert factorial_moments == [1] * 11 + [top, top]

@@ -2,13 +2,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import count_syt
+from oracles import count_syt, skew_syt_count_determinant
 from permfix.errors import FirstRowGuardError
 from permfix.partitions import Partition, all_partitions, dim
 from permfix.tableaux import (
     SkewShape,
     skew_syt_count,
-    skew_syt_count_determinant,
     skew_syt_large_first_row,
 )
 from strategies import partitions
