@@ -4,7 +4,6 @@ i-cycle walks, together with their Poisson limits."""
 
 from .characters import (
     CycleType,
-    char_near_one_row,
     char_ratio_icycle,
     character,
     verify_ratio_asymptotics,
@@ -49,7 +48,6 @@ __all__ = [
     "SkewShape",
     "all_partitions",
     "bell",
-    "char_near_one_row",
     "char_ratio_icycle",
     "character",
     "conjugate",

@@ -1,18 +1,28 @@
 """Exact irreducible characters of S_n and character ratios on i-cycles.
 
-Character values are computed by the Murnaghan-Nakayama rule. Border
-strips are enumerated through beta-sets (first-column hook lengths):
-removing a strip of length L from a shape corresponds to lowering one
-beta number by L onto an unoccupied value, and the strip height is the
-number of beta numbers jumped over. Cycles are consumed largest first
-and values are memoized per (remaining cycles, shape).
+character takes one of two routes for a shape lam = (n - s, nu):
+
+* Character polynomials when s <= lam_1. Expanding the Jacobi-Trudi
+  determinant along its first row gives chi^lam(x) = sum_mu (-1)^j I_x(mu)
+  over the shapes mu that nu leaves after removing a vertical strip of j
+  cells, where I_x(mu) = sum_{rho |- |mu|} chi^mu(rho) prod_k
+  C(n_k(x), m_k(rho)) and n_k counts k-cycles. Only the rho made of cycles
+  of x contribute, so the work never depends on the number of cycles.
+* Murnaghan-Nakayama for the other shapes. Border strips are enumerated
+  through beta-sets (first-column hook lengths): removing a strip of
+  length L lowers one beta number by L onto an unoccupied value, and the
+  strip height is the number of beta numbers jumped over. Cycles are
+  consumed largest first and values are memoized per (remaining cycles,
+  shape).
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import cache, partial
+from math import comb, factorial
+from typing import Callable
 
 from .errors import SizeMismatchError, ValidationError
 from .partitions import Partition, bounded_partitions, dim
@@ -24,6 +34,8 @@ class CycleType(tuple):
     __slots__ = ()
 
     def __new__(cls, cycles=()):
+        if isinstance(cycles, CycleType):
+            return cycles
         cycles = tuple(sorted(cycles, reverse=True))
         if any(not isinstance(c, int) or c <= 0 for c in cycles):
             raise ValueError(f"cycle lengths must be positive integers: {cycles!r}")
@@ -134,40 +146,61 @@ def _char(parts: tuple, cycles: tuple) -> int:
     return top[parts]
 
 
+@cache
+def _vertical_strips(nu: tuple) -> list[tuple[tuple, int]]:
+    """(mu, j) for each mu that nu leaves after removing a vertical strip of j cells."""
+    strips = [((), 0)]
+    for part in reversed(nu):
+        strips = [((part, *shape), j) for shape, j in strips] + [
+            ((part - 1, *shape) if part > 1 else shape, j + 1)
+            for shape, j in strips
+            if part > (shape[0] if shape else 0)
+        ]
+    return strips
+
+
+def _sub_classes(counts: dict[int, int], size: int) -> list[tuple[tuple, int]]:
+    """Each multiset rho of size cells among the cycles of x, largest first, with its binomials."""
+    terms = [((), 0, 1)]
+    for k in sorted(k for k in counts if k <= size):
+        terms = [
+            ((k,) * m + rho, cells + k * m, ways * comb(counts[k], m))
+            for rho, cells, ways in terms
+            for m in range(min(counts[k], (size - cells) // k) + 1)
+        ]
+    return [(rho, ways) for rho, cells, ways in terms if cells == size]
+
+
+def _char_polynomial(counts: dict[int, int]) -> Callable[[tuple], int]:
+    """The map nu -> chi^(n - |nu|, nu)(x) for the class x of n cells with these cycle counts.
+
+    Each I_x(mu) is computed once per class and shared by every nu above mu.
+    """
+    sub_classes = cache(partial(_sub_classes, counts))
+
+    @cache
+    def induced_value(mu: tuple) -> int:
+        return sum(ways * _char(mu, rho) for rho, ways in sub_classes(sum(mu)))
+
+    return lambda nu: sum((-1) ** j * induced_value(mu) for mu, j in _vertical_strips(nu))
+
+
+@cache
+def class_character(mu: tuple) -> Callable[[tuple], int]:
+    """parts -> character at the class mu (largest cycle first); polynomial if 2 parts[0] >= n."""
+    polynomial = _char_polynomial(Counter(mu))
+    return lambda parts: (
+        polynomial(parts[1:]) if 2 * sum(parts[:1]) >= sum(parts) else _char(parts, mu)
+    )
+
+
 def character(lam, mu) -> int:
     """Exact character value of the irreducible lam at the class mu."""
     lam = Partition(lam)
     mu = CycleType(mu)
     if lam.n != mu.n:
         raise SizeMismatchError(f"|{lam!r}| = {lam.n} but |{mu!r}| = {mu.n}")
-    return _char(tuple(lam), tuple(mu))
-
-
-def _choose2(m: int) -> int:
-    """m(m-1)/2, defined for every integer so n_1 = 0 classes work."""
-    return m * (m - 1) // 2
-
-
-def char_near_one_row(lam, mu) -> int:
-    """Closed-form character for the three shapes closest to a single row.
-
-    Covers first part n-1 with one extra cell, and first part n-2 with
-    either a row or a column pair below; values depend only on the fixed
-    point and 2-cycle counts of the class.
-    """
-    lam = Partition(lam)
-    mu = CycleType(mu)
-    n = mu.n
-    if lam.n != n:
-        raise SizeMismatchError(f"|{lam!r}| = {lam.n} but |{mu!r}| = {n}")
-    n1, n2 = mu.n_1, mu.n_2
-    if n >= 2 and lam == (n - 1, 1):
-        return n1 - 1
-    if n >= 4 and lam == (n - 2, 2):
-        return _choose2(n1 - 1) + n2 - 1
-    if n >= 4 and lam == (n - 2, 1, 1):
-        return _choose2(n1 - 1) - n2
-    raise ValidationError(f"no closed form for {lam!r} at n = {n}")
+    return class_character(mu)(tuple(lam))
 
 
 def char_ratio_icycle(lam, i: int) -> Fraction:

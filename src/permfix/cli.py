@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from functools import cache
 
 from . import moments, reports, simulate
 from .characters import CycleType, char_ratio_icycle
@@ -48,6 +49,10 @@ MIN_PRECISION_BITS = 53
 # square of those cells. At this many, the slowest shape tried (a staircase
 # of 99 rows below a first row of 10^6) takes about 2 s for ratio.
 MAX_CELLS_BELOW_FIRST_ROW = 5000
+
+# mult reaches skew shapes lam/(n - a) of a <= min(r, n) cells. At 30, the
+# slowest case tried (--alg all, lam = (10^6, 7, 6, ..., 1)) takes about 4.3 s.
+MAX_MULT_SKEW_CELLS = 30
 
 
 def parse_parts(
@@ -109,6 +114,7 @@ def _default_threads() -> int:
         raise ValidationError(f"PERMFIX_THREADS must be an integer, got {text!r}") from None
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="permfix", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -207,6 +213,8 @@ def cmd_mult(args) -> int:
     lam = Partition(parse_parts(args.lam, max_below_first_row=MAX_CELLS_BELOW_FIRST_ROW))
     if args.r < 0:
         raise ValidationError("r must be nonnegative")
+    if min(args.r, lam.n) > MAX_MULT_SKEW_CELLS:
+        raise ValidationError(f"--r reaches more than the {MAX_MULT_SKEW_CELLS} cells accepted")
     if args.alg == "all":
         values = {"skew": mult_skew(lam, args.r), "updown": mult_updown(lam, args.r)}
         second = lam[1] if len(lam) > 1 else 0

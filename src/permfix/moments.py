@@ -28,7 +28,7 @@ from typing import Callable
 import mpmath
 from mpmath import mp
 
-from .characters import CycleType, _choose2, char_ratio_icycle, character
+from .characters import CycleType, char_ratio_icycle, character, class_character
 from .errors import EnumerationLimitError, SizeMismatchError, ValidationError
 from .partitions import Partition, all_partitions, dim, partitions_with_large_first_row
 from .setpartitions import poisson_moment, stirling_row
@@ -138,7 +138,8 @@ def commutator_fixed_moments(n: int, x, r_max: int) -> list[Fraction]:
         raise SizeMismatchError(f"cycle type {x!r} has size {x.n}, expected {n}")
     if r_max < 0:
         raise ValidationError("r must be nonnegative")
-    return _moments(n, r_max, lambda lam: Fraction(character(lam, x) ** 2, dim(lam)), sum)
+    chi = class_character(x)
+    return _moments(n, r_max, lambda lam: Fraction(chi(lam) ** 2, dim(lam)), sum)
 
 
 def moment_commutator_fixed(n: int, x, r: int) -> Fraction:
@@ -162,8 +163,8 @@ def moment_commutator_fixed_closed(n: int, x, r: int) -> Fraction:
         return (
             2
             + Fraction(3 * (n1 - 1) ** 2, n - 1)
-            + Fraction((_choose2(n1 - 1) + n2 - 1) ** 2, n * (n - 3) // 2)
-            + Fraction((_choose2(n1 - 1) - n2) ** 2, (n - 1) * (n - 2) // 2)
+            + Fraction(((n1 - 1) * (n1 - 2) // 2 + n2 - 1) ** 2, n * (n - 3) // 2)
+            + Fraction(((n1 - 1) * (n1 - 2) // 2 - n2) ** 2, (n - 1) * (n - 2) // 2)
         )
     raise ValidationError(f"closed forms cover r in {{1, 2}}, got {r}")
 
@@ -352,7 +353,7 @@ def commutator_random_report(n: int, r_max: int) -> MomentReport:
 def commutator_fixed_report(n: int, x, r_max: int) -> MomentReport:
     x = CycleType(x)
     values = commutator_fixed_moments(n, x, r_max)
-    return _report("commutator_fixed_x", {"n": n, "x": tuple(x)}, values, 1)
+    return _report("commutator_fixed_x", {"n": n, "x": x}, values, 1)
 
 
 def icycle_walk_report(

@@ -25,16 +25,14 @@ def _decimal_digits(precision_bits: int) -> int:
 
 def encode(obj, precision_bits: int = 128):
     """Recursively convert a value into JSON-safe structures."""
+    if isinstance(obj, (int, str)) or obj is None:
+        return obj
     if isinstance(obj, Fraction):
         return {"num": str(obj.numerator), "den": str(obj.denominator)}
     if isinstance(obj, mpmath.mpf):
         return mpmath.nstr(obj, _decimal_digits(precision_bits))
     if isinstance(obj, float):
         return repr(obj)
-    if isinstance(obj, bool) or isinstance(obj, int) or obj is None:
-        return obj
-    if isinstance(obj, str):
-        return obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
             f.name: encode(getattr(obj, f.name), precision_bits)
@@ -43,6 +41,8 @@ def encode(obj, precision_bits: int = 128):
     if isinstance(obj, dict):
         return {str(encode_key(k)): encode(v, precision_bits) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        if set(map(type, obj)) == {int}:
+            return list(obj)
         return [encode(v, precision_bits) for v in obj]
     raise TypeError(f"cannot encode {type(obj)!r}")
 
@@ -63,7 +63,28 @@ def build_report(command: str, config: dict, body: dict, precision_bits: int = 1
 
 
 def to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)
+    """json.dumps(report, indent=2, sort_keys=True), but lists of integers are laid out in C."""
+    return "".join(_layout(report, ""))
+
+
+def _layout(value, pad: str):
+    """Chunks of the value laid out as by json.dumps(indent=2, sort_keys=True), at indent pad."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        for opener, (key, item) in zip("{" + "," * len(value), sorted(value.items())):
+            yield f"{opener}\n{inner}{json.dumps(key)}: "
+            yield from _layout(item, inner)
+        yield f"\n{pad}}}"
+    elif isinstance(value, (list, tuple)) and value:
+        if set(map(type, value)) == {int}:
+            yield f"[\n{inner}" + json.dumps(value)[1:-1].replace(", ", ",\n" + inner)
+        else:
+            for opener, item in zip("[" + "," * len(value), value):
+                yield f"{opener}\n{inner}"
+                yield from _layout(item, inner)
+        yield f"\n{pad}]"
+    else:
+        yield json.dumps(value)
 
 
 def to_csv(report: dict, table_key: str = "table") -> str:

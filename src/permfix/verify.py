@@ -16,7 +16,7 @@ from math import factorial
 
 from .characters import (
     CycleType,
-    char_near_one_row,
+    _char,
     character,
     perm_cycle_type,
     verify_ratio_asymptotics,
@@ -91,18 +91,14 @@ def identities_suite() -> list[GateResult]:
     ok = all(poisson_moment(r, 1) == bell(r) for r in range(16))
     results.append(_gate("identities", "poisson-unit-moments-are-bell", ok))
 
-    bad = []
-    for n in range(4, 9):
-        templates = [
-            Partition((n - 1, 1)),
-            Partition((n - 2, 2)),
-            Partition((n - 2, 1, 1)),
-        ]
-        for mu_parts in all_partitions(n):
-            mu = CycleType(mu_parts)
-            for lam in templates:
-                if char_near_one_row(lam, mu) != character(lam, mu):
-                    bad.append((tuple(lam), tuple(mu)))
+    # Character polynomials against Murnaghan-Nakayama on every shape they serve.
+    bad = [
+        (tuple(lam), tuple(mu))
+        for n in range(4, 9)
+        for mu in all_partitions(n)
+        for lam in all_partitions(n)
+        if 2 * lam[0] >= n and character(lam, mu) != _char(tuple(lam), tuple(mu))
+    ]
     results.append(_gate("identities", "near-one-row-closed-forms", not bad, failures=bad))
 
     bad = []

@@ -3,16 +3,17 @@
 Everything here is deliberately independent of the package's production
 algorithms: tableaux are enumerated cell by cell, characters come from
 permutation-module fixed-point counts plus exact Gram-Schmidt, and the
-longest increasing subsequence uses dynamic programming. Four exceptions
+longest increasing subsequence uses dynamic programming. Five exceptions
 keep a production path's former form as the reference for its
 replacement: per_order_moment, the moment engines' per-order shape sum;
 factorial_moments_by_skew_counts, the engine's former per-shape route to
 the factorial moments; dim_hook_product, the uncancelled hook length
-formula; and character_recursive, the Murnaghan-Nakayama recursion with
-one call per cycle. skew_syt_count_determinant is an independent
-determinant evaluation of the skew tableau counts. The scalar samplers
-draw one permutation at a time with plain Python loops, as references for
-the vectorized kernels.
+formula; character_recursive, the Murnaghan-Nakayama recursion with one
+call per cycle; and char_near_one_row, the closed forms that character
+polynomials replaced for the three shapes nearest one row.
+skew_syt_count_determinant is an independent determinant evaluation of
+the skew tableau counts. The scalar samplers draw one permutation at a
+time with plain Python loops, as references for the vectorized kernels.
 """
 from __future__ import annotations
 
@@ -132,6 +133,33 @@ def character_recursive(parts: tuple, cycles: tuple) -> int:
         value = character_recursive(shape, cycles[1:])
         total += -value if height % 2 else value
     return total
+
+
+def _choose2(m: int) -> int:
+    """m(m-1)/2, defined for every integer so n_1 = 0 classes work."""
+    return m * (m - 1) // 2
+
+
+def char_near_one_row(lam, mu) -> int:
+    """Closed-form character for the three shapes closest to a single row.
+
+    Covers first part n-1 with one extra cell, and first part n-2 with
+    either a row or a column pair below; values depend only on the fixed
+    point and 2-cycle counts of the class.
+    """
+    lam = Partition(lam)
+    mu = CycleType(mu)
+    n = mu.n
+    if lam.n != n:
+        raise SizeMismatchError(f"|{lam!r}| = {lam.n} but |{mu!r}| = {n}")
+    n1, n2 = mu.n_1, mu.n_2
+    if n >= 2 and lam == (n - 1, 1):
+        return n1 - 1
+    if n >= 4 and lam == (n - 2, 2):
+        return _choose2(n1 - 1) + n2 - 1
+    if n >= 4 and lam == (n - 2, 1, 1):
+        return _choose2(n1 - 1) - n2
+    raise ValidationError(f"no closed form for {lam!r} at n = {n}")
 
 
 def set_partitions(items: tuple):

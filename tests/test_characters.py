@@ -1,12 +1,15 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 
-from oracles import brute_character_table, character_recursive
+from oracles import brute_character_table, char_near_one_row, character_recursive
 from permfix.characters import (
     CycleType,
-    char_near_one_row,
+    _char,
+    _char_polynomial,
     char_ratio_icycle,
     character,
     perm_cycle_type,
@@ -88,6 +91,31 @@ def test_many_cycle_classes_match_closed_forms():
         assert character((n,), x) == 1
         for lam in ((n - 1, 1), (n - 2, 2), (n - 2, 1, 1)):
             assert character(lam, x) == char_near_one_row(lam, x)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_character_polynomial_equals_murnaghan_nakayama_on_every_shape(n):
+    # The polynomial holds for short first rows too, which character leaves
+    # to Murnaghan-Nakayama.
+    for mu in classes_of(n):
+        polynomial = _char_polynomial(Counter(mu))
+        for lam in all_partitions(n):
+            assert polynomial(lam[1:]) == _char(tuple(lam), tuple(mu)), (lam, mu)
+
+
+def test_character_polynomial_on_long_first_rows_up_to_n_300():
+    rng = random.Random(2009)
+    for n in (20, 58, 150, 300):
+        classes = [perm_cycle_type(rng.sample(range(n), n)) for _ in range(3)]
+        classes.append(CycleType((2,) * (n // 2)))
+        for mu in classes:
+            polynomial = _char_polynomial(Counter(mu))
+            for s in range(7):
+                shapes = list(all_partitions(s))
+                for nu in rng.sample(shapes, min(4, len(shapes))):
+                    lam = (n - s, *nu)
+                    assert polynomial(tuple(nu)) == _char(lam, tuple(mu)), (lam, mu)
+                    assert character(lam, mu) == _char(lam, tuple(mu))
 
 
 def test_size_mismatch_raises():

@@ -1,12 +1,28 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from permfix.cli import MAX_CELLS_BELOW_FIRST_ROW, main, parse_parts
+from permfix import reports
+from permfix.cli import (
+    MAX_CELLS_BELOW_FIRST_ROW,
+    MAX_MULT_SKEW_CELLS,
+    build_parser,
+    main,
+    parse_parts,
+)
 from permfix.errors import SizeMismatchError, ValidationError
 from permfix.moments import moment_commutator_fixed_closed
+from permfix.multiplicity import mult_skew
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -419,3 +435,104 @@ def test_parse_parts_counts_cells_below_the_first_row_before_expanding():
         parse_parts("5,2^3", max_below_first_row=5)
     with pytest.raises(ValidationError):
         parse_parts("1^1000000000", max_below_first_row=10)
+
+
+# Every subcommand, interleaved, with an argparse error, a validation error,
+# a CSV report and a simulation among them.
+INTERLEAVED_ARGV = [
+    ("moments", "commutator-fixed", "--n", "8", "--x", "3,2^2,1", "--r-max", "3"),
+    ("mult", "--nope"),
+    ("simulate", "--model", "commutator", "--n", "6", "--samples", "2000", "--seed", "4",
+     "--threads", "1"),
+    ("moments", "walk", "--n", "100", "--i", "2", "--r-max", "1"),
+    ("mult", "--lambda", "4,1", "--r", "2", "--alg", "all"),
+    ("moments", "walk", "--n", "10", "--i", "2", "--k", "3", "--r-max", "2", "--format", "csv"),
+    ("ratio", "--lambda", "5,2", "--i", "3"),
+    ("verify", "--suite", "asymptotics"),
+    ("dist", "walk", "--n", "5", "--i", "2", "--k", "3"),
+    ("moments", "commutator-random", "--n", "9", "--r-max", "4"),
+    ("dist", "commutator", "--n", "4", "--x", "2,2", "--format", "csv"),
+    ("simulate", "--model", "walk", "--n", "8", "--i", "3", "--k", "2", "--samples", "1000",
+     "--threads", "1", "--seed", "9"),
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def test_one_parser_serves_every_main_call(capsys):
+    build_parser.cache_clear()
+    shared = [_outcome(capsys, argv) for argv in INTERLEAVED_ARGV]
+    assert build_parser.cache_info().misses == 1
+    assert {code for code, _ in shared} == {0, 2}
+    for argv, outcome in zip(INTERLEAVED_ARGV, shared):
+        build_parser.cache_clear()
+        assert _outcome(capsys, argv) == outcome, argv
+
+
+@pytest.mark.parametrize("lam, r", [("1000000", "20"), ("1000000", str(MAX_MULT_SKEW_CELLS)),
+                                    ("4,1", "100"), (str(MAX_MULT_SKEW_CELLS), "1000")])
+def test_mult_r_within_the_skew_cell_limit_runs(capsys, lam, r):
+    code, out, err = run_cli(capsys, "mult", "--lambda", lam, "--r", r)
+    assert code == 0, err
+    assert json.loads(out)["multiplicity"] == mult_skew(parse_parts(lam), int(r))
+
+
+@pytest.mark.parametrize("lam, r", [("1000000", str(MAX_MULT_SKEW_CELLS + 1)),
+                                    ("1000000,1^4000", "5000"),
+                                    (str(MAX_MULT_SKEW_CELLS + 1), "1000")])
+@pytest.mark.parametrize("alg", ("skew", "updown", "all"))
+def test_mult_r_beyond_the_skew_cell_limit_exits_2(capsys, lam, r, alg):
+    code, out, err = run_cli(capsys, "mult", "--lambda", lam, "--r", r, "--alg", alg)
+    assert (code, out) == (2, "")
+    assert f"more than the {MAX_MULT_SKEW_CELLS} cells accepted" in err
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=50)
+@given(_json_values)
+def test_to_json_lays_out_as_json_dumps(value):
+    assert reports.to_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+# Runs permfix as python -m permfix would, then prints the peak resident set
+# of its own address space (VmHWM). ru_maxrss would also count the memory of
+# the forking test process, which exec carries into the child's figure.
+_PEAK_REPORTING_MAIN = """
+import runpy, sys
+sys.argv[0] = "permfix"
+try:
+    runpy.run_module("permfix", run_name="__main__")
+finally:
+    with open("/proc/self/status") as status:
+        sys.stderr.write(next(line for line in status if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_commutator_fixed_at_a_million_points_as_a_subprocess():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    argv = ["moments", "commutator-fixed", "--n", "1000000", "--x", "2^500000", "--r-max", "4"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_REPORTING_MAIN, *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak_kib = int(proc.stderr.split()[-2])
+    assert peak_kib < 60 * 1024
+    rows = json.loads(proc.stdout)["table"]
+    x = (2,) * 500000
+    for row in rows[:2]:
+        assert as_fraction(row["moment"]) == moment_commutator_fixed_closed(10**6, x, row["r"])

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -5,9 +6,11 @@ import mpmath
 import pytest
 from mpmath import mp
 
+from permfix import characters
 from permfix.characters import CycleType
 from permfix.errors import EnumerationLimitError, SizeMismatchError, ValidationError
 from permfix.moments import (
+    commutator_fixed_moments,
     commutator_fixed_report,
     commutator_random_report,
     cutoff_steps,
@@ -101,6 +104,29 @@ def test_closed_forms_match_engine_on_all_classes():
             assert moment_commutator_fixed_closed(n, x, 2) == moment_commutator_fixed(
                 n, x, 2
             )
+
+
+@pytest.mark.parametrize(
+    "x", [(2,) * 500000, (3,) * 333333 + (1,)], ids=("2^500000", "3^333333,1")
+)
+def test_closed_forms_match_engine_at_a_million_points(x):
+    n = 10**6
+    values = commutator_fixed_moments(n, x, 2)
+    assert values[1:] == [moment_commutator_fixed_closed(n, x, r) for r in (1, 2)]
+
+
+def test_commutator_fixed_memory_does_not_grow_with_the_cycle_count():
+    # Murnaghan-Nakayama keyed its memo by every suffix of the 5000 cycles,
+    # which peaked at about 106 MB traced for this call.
+    characters._char_memo.clear()
+    characters.class_character.cache_clear()
+    tracemalloc.start()
+    try:
+        commutator_fixed_moments(10000, (2,) * 5000, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 def test_closed_form_identity_class_second_moment():
