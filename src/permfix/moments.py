@@ -353,7 +353,9 @@ def commutator_random_report(n: int, r_max: int) -> MomentReport:
 def commutator_fixed_report(n: int, x, r_max: int) -> MomentReport:
     x = CycleType(x)
     values = commutator_fixed_moments(n, x, r_max)
-    return _report("commutator_fixed_x", {"n": n, "x": x}, values, 1)
+    # x by its cycle counts {length: count}: a class of n fixed points is
+    # one entry, not n.
+    return _report("commutator_fixed_x", {"n": n, "x": x.multiplicities()}, values, 1)
 
 
 def icycle_walk_report(

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import mpmath
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def _decimal_digits(precision_bits: int) -> int:

@@ -28,8 +28,10 @@ from .partitions import Partition, all_partitions, dim
 
 # Version of the seeded sample streams: a histogram is reproducible from
 # its seed and parameters at one stream version. Version 2 sizes chunks
-# from n, which changes the histograms of n > 128 only.
-STREAM_VERSION = 2
+# from n, which changes the histograms of n > 128 only. Version 3 draws
+# the walk's i-cycles without rejection, which changes every walk
+# histogram and no other.
+STREAM_VERSION = 3
 
 # A chunk of samples holds min(2^17, 2^24 // n) rows, so every n <= 128
 # keeps the 2^17-row chunks of version 1 and a chunk's point arrays stay
@@ -202,34 +204,43 @@ def _commutator_fix_counts(n, count, rng, params) -> np.ndarray:
 
 
 def _distinct_tuples(n, i, count, rng, dtype) -> np.ndarray:
-    """Uniform ordered i-tuples of distinct points, by vectorized rejection."""
-    points = rng.integers(0, n, size=(count, i), dtype=dtype)
-    while True:
-        clash = np.zeros(count, dtype=bool)
-        for a in range(i):
-            for b in range(a + 1, i):
-                clash |= points[:, a] == points[:, b]
-        bad = int(clash.sum())
-        if not bad:
-            return points
-        points[clash] = rng.integers(0, n, size=(bad, i), dtype=dtype)
+    """Uniform ordered i-tuples of distinct points, as an (i, count) array.
+
+    Column c is a partial Fisher-Yates shuffle of 0..n-1: swap j exchanges
+    positions j and t_j, with t_j uniform on j..n-1, and point j is the
+    value that swaps 0..j-1 left at position t_j. Tracing that position
+    back through swaps m = j-1, ..., 0 turns it into m where it equals
+    t_m (it stays above m, so it never equals m itself); the position
+    reached is the value. Pass m applies swap m to every row j > m at
+    once, while row m still holds t_m. No draw is rejected: the tuples
+    take exactly i * count integers.
+    """
+    points = np.empty((i, count), dtype=dtype)
+    for j in range(i):
+        points[j] = rng.integers(j, n, size=count, dtype=dtype)
+    for m in range(i - 2, -1, -1):
+        later = points[m + 1 :]
+        later -= (later - m) * (later == points[m])
+    return points
 
 
 def _walk_fix_counts(n, count, rng, params) -> np.ndarray:
     # Track the inverse one-line form: left-multiplying by the cycle
     # p_1 -> ... -> p_i only moves the i entries at those values, so one
-    # step costs O(i) per sample instead of O(n). Fixed points agree
-    # with those of the permutation itself.
-    # The draw dtype stays as in stream version 1: rng.integers draws
-    # depend on it.
+    # step costs O(i) per sample instead of O(n), plus the O(i^2) draw.
+    # Fixed points agree with those of the permutation itself.
+    # rng.integers draws depend on their dtype, so the int16 draws below
+    # 2^15 points are part of the stream version.
     i, k = params["i"], params["k"]
     dtype = np.int16 if n < 2 ** 15 else np.int64
     h = np.tile(np.arange(n, dtype=_point_dtype(n)), (count, 1))
     flat = h.reshape(-1)
-    offsets = np.arange(0, count * n, n)[:, None]
+    offsets = np.arange(0, count * n, n)
     for _ in range(k):
         cells = offsets + _distinct_tuples(n, i, count, rng, dtype)
-        flat[np.roll(cells, -1, axis=1)] = flat[cells]
+        moved = flat[cells]
+        flat[cells[1:]] = moved[:-1]
+        flat[cells[0]] = moved[-1]
     return (h == np.arange(n, dtype=h.dtype)).sum(axis=1)
 
 

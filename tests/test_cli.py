@@ -52,7 +52,7 @@ def test_mult_all_agree(capsys):
     code, out, _ = run_cli(capsys, "mult", "--lambda", "4,1", "--r", "1", "--alg", "all")
     assert code == 0
     report = json.loads(out)
-    assert report["schema_version"] == 2
+    assert report["schema_version"] == 3
     assert report["multiplicity"] == 1
     assert report["agree"] is True
     assert set(report["by_algorithm"]) == {"skew", "updown", "first-row", "oracle"}
@@ -141,7 +141,7 @@ def test_moments_rows_hold_moment_reference_and_difference(capsys, argv):
     code, out, _ = run_cli(capsys, "moments", *argv, "--r-max", "2")
     assert code == 0
     report = json.loads(out)
-    assert report["schema_version"] == 2
+    assert report["schema_version"] == 3
     assert [set(row) for row in report["table"]] == [
         {"r", "moment", "poisson_reference", "difference"}
     ] * 2
@@ -386,7 +386,16 @@ def test_simulate_report_carries_the_stream_version(capsys):
         capsys, "simulate", "--model", "uniform", "--n", "5", "--samples", "100", "--seed", "1"
     )
     assert code == 0
-    assert json.loads(out)["stream_version"] == 2
+    assert json.loads(out)["stream_version"] == 3
+
+
+def test_commutator_fixed_report_gives_the_class_by_cycle_counts(capsys):
+    code, out, err = run_cli(
+        capsys, "moments", "commutator-fixed", "--n", "1000000", "--x", "1^1000000"
+    )
+    assert code == 0, err
+    assert len(out.encode()) < 4096
+    assert json.loads(out)["params"]["x"] == {"1": 1000000}
 
 
 def test_parse_parts_checks_the_size_before_expanding():
@@ -420,7 +429,7 @@ def test_lambda_cells_below_the_first_row_are_capped(capsys, argv):
     at_limit = f"1^{MAX_CELLS_BELOW_FIRST_ROW + 1}"
     code, out, _ = run_cli(capsys, *argv, "--lambda", at_limit)
     assert code == 0
-    assert json.loads(out)["schema_version"] == 2
+    assert json.loads(out)["schema_version"] == 3
     for over in (f"1^{MAX_CELLS_BELOW_FIRST_ROW + 2}", f"7,2^{MAX_CELLS_BELOW_FIRST_ROW // 2}, 1"):
         code, out, err = run_cli(capsys, *argv, "--lambda", over)
         assert (code, out) == (2, "")

@@ -397,8 +397,8 @@ def test_fixed_point_histogram_validation():
 
 
 # Histograms of stream version 1, before chunks were sized from n: every
-# n <= 128 keeps its 2^17-row chunks, so these must not move. Each run
-# spans a full chunk and part of a second.
+# n <= 128 keeps its 2^17-row chunks, so the uniform and commutator ones
+# must not move. Each run spans a full chunk and part of a second.
 PINNED_SAMPLES = (1 << 17) + 5000
 PINNED_HISTOGRAMS = [
     (
@@ -414,11 +414,12 @@ PINNED_HISTOGRAMS = [
         {0: 49762, 1: 48845, 2: 25166, 3: 8948, 4: 2575, 5: 614, 6: 131, 7: 22, 8: 7, 9: 1,
          12: 1},
     ),
+    # The walk's draws changed in stream version 3; this is its version 3 histogram.
     (
         ("walk", 50, 64, {"i": 3, "k": 10}),
-        {20: 4, 21: 78, 22: 547, 23: 2518, 24: 7956, 25: 16757, 26: 25645, 27: 28624,
-         28: 24596, 29: 15931, 30: 8271, 31: 3461, 32: 1244, 33: 333, 34: 93, 35: 9, 36: 3,
-         37: 1, 38: 1},
+        {20: 4, 21: 61, 22: 548, 23: 2576, 24: 7961, 25: 16689, 26: 25584, 27: 28693,
+         28: 24535, 29: 16144, 30: 8253, 31: 3457, 32: 1152, 33: 327, 34: 76, 35: 8, 36: 3,
+         37: 1},
     ),
 ]
 
@@ -428,7 +429,7 @@ def test_seeded_histograms_at_small_n_are_pinned(run, histogram):
     model, n, seed, kwargs = run
     dist = fixed_point_histogram(model, n, PINNED_SAMPLES, seed=seed, **kwargs)
     assert dist.histogram == histogram
-    assert dist.stream_version == 2
+    assert dist.stream_version == 3
 
 
 def test_chunks_shrink_only_beyond_n_128():
@@ -449,6 +450,78 @@ def test_sub_batch_size_changes_no_histogram(monkeypatch, sub_cells):
     monkeypatch.setattr(simulate, "_SUB_CELLS", sub_cells)
     for (model, n, kwargs), histogram in zip(runs, expected):
         assert fixed_point_histogram(model, n, 3000, seed=5, **kwargs).histogram == histogram
+
+
+def test_walk_threads_do_not_change_result_over_many_chunks(monkeypatch):
+    monkeypatch.setattr(simulate, "_CHUNK_ROWS", 100)
+    a = fixed_point_histogram("walk", 9, 2950, seed=8, i=4, k=3, threads=1)
+    b = fixed_point_histogram("walk", 9, 2950, seed=8, i=4, k=3, threads=3)
+    assert a.histogram == b.histogram
+    assert sum(a.histogram.values()) == 2950
+
+
+def _chi_square_bound(cells: int) -> float:
+    # Mean plus 5 standard deviations of a chi-square law with cells - 1
+    # degrees of freedom.
+    return cells - 1 + 5 * (2 * (cells - 1)) ** 0.5
+
+
+@pytest.mark.parametrize("n, i", [(5, 3), (7, 2), (4, 4), (6, 6)])
+def test_distinct_tuples_hit_every_ordered_tuple_uniformly(n, i):
+    import numpy as np
+    from math import perm
+
+    samples = 200_000
+    points = simulate._distinct_tuples(n, i, samples, make_rng(100 * n + i), np.int16)
+    assert points.shape == (i, samples)
+    codes = (n ** np.arange(i)) @ points.astype(np.int64)
+    observed = np.bincount(codes, minlength=n ** i)
+    legal = np.zeros(n ** i, dtype=bool)
+    for t in permutations(range(n), i):
+        legal[sum(v * n ** j for j, v in enumerate(t))] = True
+    assert observed[~legal].sum() == 0
+    cells = perm(n, i)
+    expected = samples / cells
+    chi_sq = float(((observed[legal] - expected) ** 2).sum() / expected)
+    assert chi_sq < _chi_square_bound(cells), chi_sq
+
+
+@pytest.mark.parametrize(
+    "n, i, dtype_name", [(40, 40, "int16"), ((1 << 15) - 1, 6, "int16"), ((1 << 15) + 3, 6, "int64")]
+)
+def test_distinct_tuples_are_distinct_and_in_range(n, i, dtype_name):
+    import numpy as np
+
+    dtype = getattr(np, dtype_name)
+    points = simulate._distinct_tuples(n, i, 5000, make_rng(n), dtype)
+    assert points.dtype == dtype
+    assert points.min() >= 0 and points.max() < n
+    ordered = np.sort(points, axis=0)
+    assert (ordered[1:] != ordered[:-1]).all()
+
+
+def test_walk_draws_past_the_int16_range():
+    n = (1 << 15) + 3
+    dist = fixed_point_histogram("walk", n, 300, seed=6, i=3, k=2)
+    assert sum(dist.histogram.values()) == 300
+    assert all(n - 6 <= j <= n for j in dist.histogram)
+
+
+def test_walk_with_i_equal_n_matches_exact_distribution():
+    dist = fixed_point_histogram("walk", 6, 200_000, seed=25, i=6, k=3)
+    exact = walk_exact_distribution(6, 6, 3)
+    assert set(dist.histogram) <= {j for j, p in exact.items() if p > 0}
+    for j, p in exact.items():
+        observed = dist.histogram.get(j, 0)
+        sigma = (float(p) * (1 - float(p)) * dist.samples) ** 0.5
+        assert abs(observed - float(p) * dist.samples) <= 5 * sigma
+
+
+def test_walk_of_one_full_cycle_at_n_12_completes():
+    # A rejection draw accepted an n = i = 12 tuple with probability
+    # 12!/12^12 = 5.4e-5 and never finished this run.
+    dist = fixed_point_histogram("walk", 12, 100_000, seed=26, i=12, k=1)
+    assert dist.histogram == {0: 100_000}
 
 
 def test_many_chunks_in_flight_do_not_change_result(monkeypatch):
