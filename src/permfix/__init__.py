@@ -34,8 +34,6 @@ from .simulate import (
     EmpiricalDistribution,
     enumerate_commutator_distribution,
     fixed_point_histogram,
-    rsk_shape,
-    top_to_random_shape_check,
     tv_to_poisson,
 )
 from .tableaux import SkewShape, skew_syt_count, skew_syt_large_first_row
@@ -68,11 +66,9 @@ __all__ = [
     "occupancy_probability",
     "partitions_with_large_first_row",
     "poisson_moment",
-    "rsk_shape",
     "skew_syt_count",
     "skew_syt_large_first_row",
     "stirling",
-    "top_to_random_shape_check",
     "tv_to_poisson",
     "verify_ratio_asymptotics",
     "walk_cutoff_comparison",

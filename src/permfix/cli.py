@@ -32,7 +32,7 @@ from .simulate import (
     moment_z_score,
     tv_to_poisson,
 )
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -159,9 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
 
     p = sub.add_parser("verify", help="run self-check gate suites")
-    p.add_argument(
-        "--suite", choices=("identities", "oracles", "asymptotics", "all"), default="all"
-    )
+    p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     _common_flags(p)
 
     p = sub.add_parser("ratio", help="character ratio on an i-cycle")

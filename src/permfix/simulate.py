@@ -1,4 +1,5 @@
-"""Random permutation sampling, RSK shapes, and small-n exhaustive oracles.
+"""Random permutation sampling, the top-to-random shape law, and small-n
+exhaustive oracles.
 
 Randomness contract: every sampler draws from a numpy PCG64 generator.
 A run is identified by a 64-bit master seed; one stream per chunk is
@@ -10,13 +11,11 @@ applies q first.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations
 from math import comb, exp, factorial, sqrt
 
 import numpy as np
@@ -59,10 +58,6 @@ def spawn_rngs(root: np.random.SeedSequence, count: int) -> list[np.random.Gener
     return [np.random.Generator(np.random.PCG64(s)) for s in root.spawn(count)]
 
 
-def identity_perm(n: int) -> tuple[int, ...]:
-    return tuple(range(n))
-
-
 def compose(p, q) -> tuple[int, ...]:
     """The permutation applying q first and then p."""
     return tuple(p[q[j]] for j in range(len(p)))
@@ -93,28 +88,6 @@ def perm_from_cycle_type(ct) -> tuple[int, ...]:
         out.extend(list(range(start + 1, start + length)) + [start])
         start += length
     return tuple(out)
-
-
-def rsk_shape(word) -> Partition:
-    """Common shape of the RSK insertion pair of a sequence of distinct values."""
-    rows: list[list[int]] = []
-    for value in word:
-        for row in rows:
-            idx = bisect_left(row, value)
-            if idx == len(row):
-                row.append(value)
-                value = None
-                break
-            row[idx], value = value, row[idx]
-        if value is not None:
-            rows.append([value])
-    return Partition(tuple(len(row) for row in rows))
-
-
-def top_to_random_step(deck: tuple[int, ...], position: int) -> tuple[int, ...]:
-    """Remove the top card and insert it at the given position (0 = back on top)."""
-    rest = deck[1:]
-    return rest[:position] + (deck[0],) + rest[position:]
 
 
 # ---------------------------------------------------------------------------
@@ -323,32 +296,7 @@ def fixed_point_histogram(
 
 
 # ---------------------------------------------------------------------------
-# Top-to-random shuffles and RSK shape statistics
-
-
-@lru_cache(maxsize=None)
-def _deck_after(n: int, positions: tuple[int, ...]) -> tuple[int, ...]:
-    deck = identity_perm(n)
-    for pos in positions:
-        deck = top_to_random_step(deck, pos)
-    return deck
-
-
-@lru_cache(maxsize=None)
-def _shape_index_table(n: int, r: int) -> tuple[tuple[Partition, ...], np.ndarray]:
-    """RSK shape of the deck after every insertion sequence of length r."""
-    shapes = tuple(all_partitions(n))
-    index = {shape: s for s, shape in enumerate(shapes)}
-    table = np.empty(n ** r, dtype=np.int64)
-    shape_of_deck: dict[tuple[int, ...], int] = {}
-    for code, seq in enumerate(product(range(n), repeat=r)):
-        deck = _deck_after(n, seq)
-        s = shape_of_deck.get(deck)
-        if s is None:
-            s = index[rsk_shape(deck)]
-            shape_of_deck[deck] = s
-        table[code] = s
-    return shapes, table
+# The RSK shape law of top-to-random shuffles
 
 
 def exact_shape_distribution(n: int, r: int) -> dict[Partition, Fraction]:
@@ -359,68 +307,6 @@ def exact_shape_distribution(n: int, r: int) -> dict[Partition, Fraction]:
         lam: Fraction(mult_skew(lam, r) * dim(lam), n ** r)
         for lam in all_partitions(n)
     }
-
-
-@dataclass(frozen=True)
-class ShapeCheckRow:
-    shape: Partition
-    probability: Fraction
-    expected: float
-    observed: int
-    z: float | None
-
-
-@dataclass(frozen=True)
-class ShapeCheckReport:
-    n: int
-    r: int
-    samples: int
-    seed: int
-    chi_square: float
-    rows: tuple[ShapeCheckRow, ...]
-
-
-def top_to_random_shape_check(n: int, r: int, samples: int, seed: int) -> ShapeCheckReport:
-    """Sampled shape frequencies against the exact law, with z and chi-square.
-
-    Insertion positions are drawn uniformly per shuffle; decks for every
-    position sequence are tabulated once by actually performing the
-    shuffles, so sampling reduces to indexing that table.
-    """
-    if n > 8 or r > 6:
-        raise EnumerationLimitError("shape check limited to n <= 8 and r <= 6")
-    exact = exact_shape_distribution(n, r)
-    shapes, table = _shape_index_table(n, r)
-    rng = make_rng(seed)
-    draws = rng.integers(0, n, size=(samples, max(r, 1)))
-    if r == 0:
-        codes = np.zeros(samples, dtype=np.int64)
-    else:
-        weights = n ** np.arange(r - 1, -1, -1, dtype=np.int64)
-        codes = draws[:, :r] @ weights
-    observed = np.bincount(table[codes], minlength=len(shapes))
-    return _assemble_shape_report(n, r, samples, seed, exact, shapes, observed)
-
-
-def _assemble_shape_report(n, r, samples, seed, exact, shapes, observed):
-    rows = []
-    chi_sq = 0.0
-    for s, shape in enumerate(shapes):
-        p = exact[shape]
-        exp = float(p) * samples
-        obs = int(observed[s])
-        if 0 < p < 1:
-            z = (obs - exp) / sqrt(float(p) * (1 - float(p)) * samples)
-        else:
-            z = None
-        if p > 0:
-            chi_sq += (obs - exp) ** 2 / exp
-        rows.append(
-            ShapeCheckRow(shape=shape, probability=p, expected=exp, observed=obs, z=z)
-        )
-    return ShapeCheckReport(
-        n=n, r=r, samples=samples, seed=seed, chi_square=chi_sq, rows=tuple(rows)
-    )
 
 
 # ---------------------------------------------------------------------------

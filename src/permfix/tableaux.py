@@ -36,12 +36,6 @@ class SkewShape:
         return skew_syt_count(self.outer, self.inner)
 
 
-def _contains(outer: tuple, inner: tuple) -> bool:
-    if len(inner) > len(outer):
-        return False
-    return all(inner[i] <= outer[i] for i in range(len(inner)))
-
-
 def _corner_removals(parts: tuple):
     """Partitions obtained by deleting one removable corner cell."""
     out = []
@@ -56,13 +50,13 @@ def _corner_removals(parts: tuple):
 
 @lru_cache(maxsize=None)
 def _skew_count(outer: tuple, inner: tuple) -> int:
-    if not _contains(outer, inner):
+    if not Partition.contains(outer, inner):
         return 0
     if sum(outer) == sum(inner):
         return 1
     total = 0
     for smaller in _corner_removals(outer):
-        if _contains(smaller, inner):
+        if Partition.contains(smaller, inner):
             total += _skew_count(smaller, inner)
     return total
 

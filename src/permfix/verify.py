@@ -1,18 +1,22 @@
 """Self-check gates grouped into suites, surfaced through the CLI.
 
-Each gate returns a GateResult with a machine-readable detail payload.
-The identities suite checks exact algebraic identities, the oracles
-suite compares engines against exhaustive enumeration, and the
-asymptotics suite records convergence sequences and checks that they
-move the right way (no universal constants are asserted: the limits
-carry no explicit rates).
+GATES is the registry: one Gate per self-check, holding its suite, its
+name, a check written once and the grid `permfix verify` runs it on; the
+acceptance tests run the same checks on larger grids. A check takes its
+grid as keyword arguments and returns (passed, detail), detail being a
+machine-readable payload. The identities suite checks exact algebraic
+identities, the oracles suite compares engines against exhaustive
+enumeration, and the asymptotics suite records convergence sequences and
+checks that they move the right way (the limits carry no explicit rates).
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
+from typing import Callable
 
 from .characters import (
     CycleType,
@@ -25,6 +29,7 @@ from .moments import (
     commutator_fixed_moments,
     commutator_random_moments,
     icycle_walk_moments_exact,
+    moment_commutator_random,
     walk_cutoff_comparison,
     walk_exact_distribution,
     walk_term_at_cutoff,
@@ -37,7 +42,12 @@ from .simulate import (
     enumerate_commutator_distribution,
     exact_moment,
     exact_shape_distribution,
+    perm_from_cycle_type,
 )
+
+# Largest scaled deviation max |ratio - limit| * n accepted at the first
+# n of a ratio-decay grid.
+RATIO_CONSTANT_BOUND = 50
 
 
 @dataclass(frozen=True)
@@ -48,221 +58,222 @@ class GateResult:
     detail: dict
 
 
-def _gate(suite, gate, passed, **detail) -> GateResult:
-    return GateResult(suite=suite, gate=gate, passed=bool(passed), detail=detail)
+@dataclass(frozen=True)
+class Gate:
+    suite: str
+    name: str
+    check: Callable[..., tuple[bool, dict]]
+    grid: dict
+
+    def run(self, grid: dict | None = None) -> GateResult:
+        """The check on the given grid, or on the pinned verify grid."""
+        passed, detail = self.check(**(self.grid if grid is None else grid))
+        return GateResult(suite=self.suite, gate=self.name, passed=bool(passed), detail=detail)
 
 
-def identities_suite() -> list[GateResult]:
-    results = []
+GATES: dict[str, Gate] = {}
 
-    ok = all(
-        sum(dim(lam) ** 2 for lam in all_partitions(n)) == factorial(n)
-        for n in range(0, 10)
-    )
-    results.append(_gate("identities", "dimension-squares-sum-to-factorial", ok, n_max=9))
 
+def _gate(suite: str, name: str, **grid):
+    """Register the decorated check as a gate that `permfix verify` runs on grid."""
+    def register(check):
+        GATES[name] = Gate(suite, name, check, grid)
+        return check
+    return register
+
+
+@_gate("identities", "dimension-squares-sum-to-factorial", ns=range(10))
+def _dimension_squares(ns):
+    ok = all(sum(dim(lam) ** 2 for lam in all_partitions(n)) == factorial(n) for n in ns)
+    return ok, {"n_max": max(ns)}
+
+
+@_gate("identities", "tensor-dimension-identity", ns=range(1, 8), rs=range(6))
+def _tensor_dimension(ns, rs):
     bad = [
         (n, r)
-        for n in range(1, 8)
-        for r in range(0, 6)
+        for n in ns
+        for r in rs
         if sum(mult_skew(lam, r) * dim(lam) for lam in all_partitions(n)) != n ** r
     ]
-    results.append(_gate("identities", "tensor-dimension-identity", not bad, failures=bad))
+    return not bad, {"failures": bad}
 
+
+@_gate("identities", "multiplicity-cross-agreement", ns=range(1, 6), rs=range(5))
+def _multiplicity_agreement(ns, rs):
     bad = []
-    for n in range(1, 6):
+    for n in ns:
         for lam in all_partitions(n):
             second = lam[1] if len(lam) > 1 else 0
-            for r in range(0, 5):
+            for r in rs:
                 ms = mult_skew(lam, r)
                 if ms != mult_updown(lam, r) or ms != mult_oracle(lam, r):
                     bad.append((tuple(lam), r))
                 elif 1 <= r <= n - second and ms != mult_large_first_row(lam, r):
                     bad.append((tuple(lam), r, "first-row"))
-    results.append(_gate("identities", "multiplicity-cross-agreement", not bad, failures=bad))
+    return not bad, {"failures": bad}
 
-    ok = all(
-        sum(occupancy_probability(a, r, n) for a in range(min(r, n) + 1)) == 1
-        for r in range(0, 11)
-        for n in range(1, 11)
-    )
-    results.append(_gate("identities", "occupancy-normalization", ok))
 
-    ok = all(poisson_moment(r, 1) == bell(r) for r in range(16))
-    results.append(_gate("identities", "poisson-unit-moments-are-bell", ok))
+@_gate("identities", "occupancy-normalization", ns=range(1, 11), rs=range(11))
+def _occupancy_normalization(ns, rs):
+    ok = all(sum(occupancy_probability(a, r, n) for a in range(min(r, n) + 1)) == 1
+             for r in rs for n in ns)
+    return ok, {}
 
+
+@_gate("identities", "poisson-unit-moments-are-bell", rs=range(16))
+def _poisson_unit_moments(rs):
+    return all(poisson_moment(r, 1) == bell(r) for r in rs), {}
+
+
+@_gate("identities", "near-one-row-closed-forms", ns=range(4, 9))
+def _near_one_row(ns):
     # Character polynomials against Murnaghan-Nakayama on every shape they serve.
     bad = [
         (tuple(lam), tuple(mu))
-        for n in range(4, 9)
+        for n in ns
         for mu in all_partitions(n)
         for lam in all_partitions(n)
         if 2 * lam[0] >= n and character(lam, mu) != _char(tuple(lam), tuple(mu))
     ]
-    results.append(_gate("identities", "near-one-row-closed-forms", not bad, failures=bad))
+    return not bad, {"failures": bad}
 
+
+@_gate("identities", "single-cycle-hook-support", ns=range(2, 9))
+def _single_cycle_hooks(ns):
+    # |chi(n-cycle)| is 1 on hooks, whose parts below the first are all 1, and 0 elsewhere.
+    bad = [
+        tuple(lam)
+        for n in ns
+        for lam in all_partitions(n)
+        if abs(character(lam, (n,))) != (set(lam[1:]) <= {1})
+    ]
+    return not bad, {"failures": bad}
+
+
+@_gate("oracles", "commutator-random-vs-enumeration",
+       ns=range(2, 6), rs=range(1, 4), bell_points=())
+def _commutator_random_enumeration(ns, rs, bell_points):
+    """Engine against enumeration on ns x rs, and the engine's Bell lower
+    bound at each (n, r) of bell_points, r <= n, where the one-row shape
+    supplies it."""
     bad = []
-    for n in range(2, 9):
-        hooks = {Partition((n - j, *(1,) * j)) for j in range(n)}
-        for lam in all_partitions(n):
-            value = character(lam, (n,))
-            if lam in hooks:
-                if abs(value) != 1:
-                    bad.append(tuple(lam))
-            elif value != 0:
-                bad.append(tuple(lam))
-    results.append(_gate("identities", "single-cycle-hook-support", not bad, failures=bad))
-
-    return results
-
-
-def oracles_suite() -> list[GateResult]:
-    results = []
-
-    bad = []
-    for n in range(2, 6):
+    for n in ns:
         dist = enumerate_commutator_distribution(n)
-        engine = commutator_random_moments(n, 3)
-        for r in range(1, 4):
-            if exact_moment(dist, r) != engine[r]:
-                bad.append((n, r))
-    results.append(
-        _gate("oracles", "commutator-random-vs-enumeration", not bad, failures=bad)
-    )
+        engine = commutator_random_moments(n, max(rs))
+        bad += [(n, r) for r in rs if exact_moment(dist, r) != engine[r]]
+    for n, r in bell_points:
+        if moment_commutator_random(n, r) < bell(r):
+            bad.append((n, r, "bell"))
+    return not bad, {"failures": bad}
 
+
+@_gate("oracles", "commutator-fixed-vs-enumeration", ns=range(2, 6), rs=range(1, 4))
+def _commutator_fixed_enumeration(ns, rs):
     bad = []
-    for n in range(2, 6):
+    for n in ns:
         for x_parts in all_partitions(n):
             x = CycleType(x_parts)
             dist = enumerate_commutator_distribution(n, x)
-            engine = commutator_fixed_moments(n, x, 3)
-            for r in range(1, 4):
-                if exact_moment(dist, r) != engine[r]:
-                    bad.append((n, tuple(x), r))
-    results.append(
-        _gate("oracles", "commutator-fixed-vs-enumeration", not bad, failures=bad)
-    )
+            engine = commutator_fixed_moments(n, x, max(rs))
+            bad += [(n, tuple(x), r) for r in rs if exact_moment(dist, r) != engine[r]]
+    return not bad, {"failures": bad}
 
+
+@_gate("oracles", "conjugation-average-functional-equation",
+       points=[(n, perm_from_cycle_type(x)) for n in range(2, 5) for x in all_partitions(n)])
+def _conjugation_average(points):
+    """E_g chi(g^-1 x^-1 g x) = chi(x)^2 / dim by enumerating g, at each (n, x)."""
     bad = []
-    for n in range(2, 5):
-        perms = list(permutations(range(n)))
-        reps = {}
-        for x in perms:
-            reps.setdefault(perm_cycle_type(x), x)
-        for x_ct, x in reps.items():
-            hist = {}
-            for g in perms:
-                ct = perm_cycle_type(commutator_perm(g, x))
-                hist[ct] = hist.get(ct, 0) + 1
-            for lam in all_partitions(n):
-                lhs = Fraction(
-                    sum(count * character(lam, ct) for ct, count in hist.items()),
-                    factorial(n),
-                )
-                rhs = Fraction(character(lam, x_ct) ** 2, dim(lam))
-                if lhs != rhs:
-                    bad.append((tuple(lam), tuple(x_ct)))
-    results.append(
-        _gate("oracles", "conjugation-average-functional-equation", not bad, failures=bad)
-    )
-
-    bad = []
-    for n in range(3, 7):
-        for i in (2, 3):
-            if i > n:
-                continue
-            for k in range(0, 9):
-                dist = walk_exact_distribution(n, i, k)
-                engine = icycle_walk_moments_exact(n, i, k, 2)
-                for r in range(1, 3):
-                    if exact_moment(dist, r) != engine[r]:
-                        bad.append((n, i, k, r))
-    results.append(_gate("oracles", "walk-moments-vs-class-inversion", not bad, failures=bad))
-
-    bad = []
-    for n in range(2, 6):
-        for r in range(0, 4):
-            dist = exact_shape_distribution(n, r)
-            if sum(dist.values()) != 1:
-                bad.append((n, r))
-    results.append(
-        _gate("oracles", "shuffle-shape-law-normalization", not bad, failures=bad)
-    )
-
-    return results
-
-
-def asymptotics_suite(precision_bits: int = 128) -> list[GateResult]:
-    results = []
-
-    for i, t in ((2, 1), (2, 2), (3, 1)):
-        report = verify_ratio_asymptotics(i, t, [100, 200, 400])
-        seq = [row.max_scaled_error for row in report.rows]
-        ok = all(seq[j] >= seq[j + 1] for j in range(len(seq) - 1))
-        results.append(
-            _gate(
-                "asymptotics",
-                f"icycle-ratio-decay-i{i}-t{t}",
-                ok,
-                scaled_errors=[float(v) for v in seq],
-                n_grid=[100, 200, 400],
+    for n, x in points:
+        hist = Counter(perm_cycle_type(commutator_perm(g, x)) for g in permutations(range(n)))
+        x_ct = perm_cycle_type(x)
+        for lam in all_partitions(n):
+            lhs = Fraction(
+                sum(count * character(lam, ct) for ct, count in hist.items()), factorial(n)
             )
-        )
+            if lhs != Fraction(character(lam, x_ct) ** 2, dim(lam)):
+                bad.append((tuple(lam), tuple(x_ct)))
+    return not bad, {"failures": bad}
 
+
+@_gate("oracles", "walk-moments-vs-class-inversion",
+       points=[(n, i, k) for n in range(3, 7) for i in (2, 3) for k in range(9)], rs=range(1, 3))
+def _walk_class_inversion(points, rs):
+    """At each (n, i, k): the class-inversion law is a probability law and
+    its moments equal the engine's."""
+    bad = []
+    for n, i, k in points:
+        dist = walk_exact_distribution(n, i, k)
+        if sum(dist.values()) != 1 or min(dist.values()) < 0:
+            bad.append((n, i, k, "law"))
+        engine = icycle_walk_moments_exact(n, i, k, max(rs))
+        bad += [(n, i, k, r) for r in rs if exact_moment(dist, r) != engine[r]]
+    return not bad, {"failures": bad}
+
+
+@_gate("oracles", "shuffle-shape-law-normalization", ns=range(2, 6), rs=range(4))
+def _shape_law_normalization(ns, rs):
+    bad = [(n, r) for n in ns for r in rs if sum(exact_shape_distribution(n, r).values()) != 1]
+    return not bad, {"failures": bad}
+
+
+def _ratio_decay(i, t, ns):
+    """Scaled ratio deviations along ns: bounded at the first n, then non-increasing."""
+    seq = [row.max_scaled_error for row in verify_ratio_asymptotics(i, t, ns).rows]
+    ok = seq[0] < RATIO_CONSTANT_BOUND and all(a >= b for a, b in zip(seq, seq[1:]))
+    return ok, {"scaled_errors": [float(v) for v in seq], "n_grid": list(ns)}
+
+
+for _i, _t in ((2, 1), (2, 2), (3, 1)):
+    _gate("asymptotics", f"icycle-ratio-decay-i{_i}-t{_t}",
+          i=_i, t=_t, ns=[100, 200, 400])(_ratio_decay)
+
+
+@_gate("asymptotics", "walk-term-approaches-limit",
+       tails=((), (1,), (2,)), ns=(200, 400), precision_bits=128)
+def _walk_term_limit(tails, ns, precision_bits):
+    """The walk's cutoff term of (n - |tail|, *tail) approaches its limit along ns."""
     bad = []
     records = []
-    for lam_tail, t in (((), 0), ((1,), 1), ((2,), 2)):
+    for tail in tails:
+        t = sum(tail)
         gaps = []
-        for n in (200, 400):
-            lam = Partition((n - t, *lam_tail))
-            term = walk_term_at_cutoff(lam, 2, 0.0, n, precision_bits)
+        for n in ns:
+            term = walk_term_at_cutoff(Partition((n - t, *tail)), 2, 0.0, n, precision_bits)
             gaps.append(abs(float(term.term - term.limit)))
         records.append({"t": t, "gaps": gaps})
-        if gaps[1] > gaps[0] + 1e-12:
+        if any(b > a + 1e-12 for a, b in zip(gaps, gaps[1:])):
             bad.append(t)
-    results.append(
-        _gate("asymptotics", "walk-term-approaches-limit", not bad, records=records)
-    )
+    return not bad, {"records": records}
 
-    engine = {n: commutator_random_moments(n, 3) for n in (20, 40, 80)}
+
+@_gate("asymptotics", "commutator-moment-poisson-rate", ns=(20, 40, 80), rs=range(1, 4))
+def _poisson_rate(ns, rs):
+    """(E fix^r - Bell(r)) * n along ns: positive at the first n, then
+    non-increasing and nonnegative, so the gap is at most its first
+    value over n."""
+    engine = {n: commutator_random_moments(n, max(rs)) for n in ns}
     records = []
     ok = True
-    for r in range(1, 4):
-        seq = [float((engine[n][r] - bell(r)) * n) for n in (20, 40, 80)]
-        records.append({"r": r, "scaled_gaps": seq})
-        ok = ok and seq[0] >= seq[1] >= seq[2] >= 0
-    results.append(
-        _gate("asymptotics", "commutator-moment-poisson-rate", ok, records=records)
-    )
+    for r in rs:
+        seq = [(engine[n][r] - bell(r)) * n for n in ns]
+        records.append({"r": r, "scaled_gaps": [float(v) for v in seq]})
+        ok = ok and seq[0] > 0 and seq[-1] >= 0 and all(a >= b for a, b in zip(seq, seq[1:]))
+    return ok, {"records": records}
 
-    n, i, c = 300, 2, 0.0
+
+@_gate("asymptotics", "walk-cutoff-mean-near-poisson", n=300, i=2, c=0.0, precision_bits=128)
+def _walk_cutoff_mean(n, i, c, precision_bits):
     report = walk_cutoff_comparison(n, i, c, 1, precision_bits)
     gap = abs(float(report.difference[0]))
-    results.append(
-        _gate(
-            "asymptotics",
-            "walk-cutoff-mean-near-poisson",
-            gap < 0.1,
-            n=n, i=i, c=c, steps=report.params["k"], gap=gap,
-        )
-    )
-
-    return results
+    return gap < 0.1, {"n": n, "i": i, "c": c, "steps": report.params["k"], "gap": gap}
 
 
-SUITES = {
-    "identities": identities_suite,
-    "oracles": oracles_suite,
-    "asymptotics": asymptotics_suite,
-}
+SUITES = ("identities", "oracles", "asymptotics")
 
 
 def run_suite(name: str) -> list[GateResult]:
-    if name == "all":
-        out = []
-        for fn in SUITES.values():
-            out.extend(fn())
-        return out
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return SUITES[name]()
+    return [gate.run() for gate in GATES.values() if name in ("all", gate.suite)]

@@ -14,18 +14,22 @@ polynomials replaced for the three shapes nearest one row.
 skew_syt_count_determinant is an independent determinant evaluation of
 the skew tableau counts. The scalar samplers draw one permutation at a
 time with plain Python loops, as references for the vectorized kernels.
+The top-to-random sampler performs the shuffles and RSK insertion, to
+check the package's exact shape law against sampled frequencies.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
-from math import factorial
+from itertools import combinations, permutations, product
+from math import factorial, sqrt
 
 import numpy as np
 
 from permfix.characters import CycleType, perm_cycle_type
-from permfix.errors import SizeMismatchError, ValidationError
+from permfix.errors import EnumerationLimitError, SizeMismatchError, ValidationError
 from permfix.multiplicity import mult_skew
 from permfix.partitions import (
     Partition,
@@ -33,7 +37,7 @@ from permfix.partitions import (
     hook_lengths,
     partitions_with_large_first_row,
 )
-from permfix.simulate import commutator_perm, compose, identity_perm
+from permfix.simulate import commutator_perm, compose, exact_shape_distribution, make_rng
 from permfix.tableaux import skew_syt_count
 
 
@@ -340,6 +344,10 @@ def skew_syt_count_determinant(outer, inner=()) -> int:
 # vectorized kernels of permfix.simulate.
 
 
+def identity_perm(n: int) -> tuple[int, ...]:
+    return tuple(range(n))
+
+
 def sample_uniform(n: int, rng: np.random.Generator) -> tuple[int, ...]:
     """Uniform permutation via the generator's unbiased shuffle."""
     if n < 1:
@@ -384,3 +392,115 @@ def sample_icycle_walk(n: int, i: int, k: int, rng: np.random.Generator) -> tupl
     for _ in range(k):
         g = compose(sample_icycle(n, i, rng), g)
     return g
+
+
+# Top-to-random shuffles and RSK shapes
+
+
+def rsk_shape(word) -> Partition:
+    """Common shape of the RSK insertion pair of a sequence of distinct values."""
+    rows: list[list[int]] = []
+    for value in word:
+        for row in rows:
+            idx = bisect_left(row, value)
+            if idx == len(row):
+                row.append(value)
+                value = None
+                break
+            row[idx], value = value, row[idx]
+        if value is not None:
+            rows.append([value])
+    return Partition(tuple(len(row) for row in rows))
+
+
+def top_to_random_step(deck: tuple[int, ...], position: int) -> tuple[int, ...]:
+    """Remove the top card and insert it at the given position (0 = back on top)."""
+    rest = deck[1:]
+    return rest[:position] + (deck[0],) + rest[position:]
+
+
+@lru_cache(maxsize=None)
+def _deck_after(n: int, positions: tuple[int, ...]) -> tuple[int, ...]:
+    deck = identity_perm(n)
+    for pos in positions:
+        deck = top_to_random_step(deck, pos)
+    return deck
+
+
+@lru_cache(maxsize=None)
+def _shape_index_table(n: int, r: int) -> tuple[tuple[Partition, ...], np.ndarray]:
+    """RSK shape of the deck after every insertion sequence of length r."""
+    shapes = tuple(all_partitions(n))
+    index = {shape: s for s, shape in enumerate(shapes)}
+    table = np.empty(n ** r, dtype=np.int64)
+    shape_of_deck: dict[tuple[int, ...], int] = {}
+    for code, seq in enumerate(product(range(n), repeat=r)):
+        deck = _deck_after(n, seq)
+        s = shape_of_deck.get(deck)
+        if s is None:
+            s = index[rsk_shape(deck)]
+            shape_of_deck[deck] = s
+        table[code] = s
+    return shapes, table
+
+
+@dataclass(frozen=True)
+class ShapeCheckRow:
+    shape: Partition
+    probability: Fraction
+    expected: float
+    observed: int
+    z: float | None
+
+
+@dataclass(frozen=True)
+class ShapeCheckReport:
+    n: int
+    r: int
+    samples: int
+    seed: int
+    chi_square: float
+    rows: tuple[ShapeCheckRow, ...]
+
+
+def top_to_random_shape_check(n: int, r: int, samples: int, seed: int) -> ShapeCheckReport:
+    """Sampled shape frequencies against the exact law, with z and chi-square.
+
+    Insertion positions are drawn uniformly per shuffle; decks for every
+    position sequence are tabulated once by actually performing the
+    shuffles, so sampling reduces to indexing that table.
+    """
+    if n > 8 or r > 6:
+        raise EnumerationLimitError("shape check limited to n <= 8 and r <= 6")
+    exact = exact_shape_distribution(n, r)
+    shapes, table = _shape_index_table(n, r)
+    rng = make_rng(seed)
+    draws = rng.integers(0, n, size=(samples, max(r, 1)))
+    if r == 0:
+        codes = np.zeros(samples, dtype=np.int64)
+    else:
+        weights = n ** np.arange(r - 1, -1, -1, dtype=np.int64)
+        codes = draws[:, :r] @ weights
+    observed = np.bincount(table[codes], minlength=len(shapes))
+    return _assemble_shape_report(n, r, samples, seed, exact, shapes, observed)
+
+
+def _assemble_shape_report(n, r, samples, seed, exact, shapes, observed):
+    rows = []
+    chi_sq = 0.0
+    for s, shape in enumerate(shapes):
+        p = exact[shape]
+        exp = float(p) * samples
+        obs = int(observed[s])
+        if 0 < p < 1:
+            z = (obs - exp) / sqrt(float(p) * (1 - float(p)) * samples)
+        else:
+            z = None
+        if p > 0:
+            chi_sq += (obs - exp) ** 2 / exp
+        rows.append(
+            ShapeCheckRow(shape=shape, probability=p, expected=exp, observed=obs, z=z)
+        )
+    return ShapeCheckReport(
+        n=n, r=r, samples=samples, seed=seed, chi_square=chi_sq, rows=tuple(rows)
+    )

@@ -1,16 +1,21 @@
-"""Acceptance gates, one test per criterion, each printing a pass line.
+"""Acceptance criteria C01-C13, each printing a pass line.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines. Every tolerance is pinned here; exact claims use exact arithmetic.
+A criterion that a `permfix verify` gate also checks runs that gate's own
+check from the registry in permfix.verify, on the larger grid in TIER1;
+its test id is the criterion label and the gate name, so `pytest
+tests/test_acceptance.py -v -k C05` selects one criterion. The other
+criteria are plain tests. Run with `pytest tests/test_acceptance.py
+-v -s` to see the pass lines. Every tolerance is pinned once, here or in
+the gate's check; exact claims use exact arithmetic.
 """
-from fractions import Fraction
 from itertools import permutations
-from math import factorial
 
 import mpmath
+import pytest
 from mpmath import mp
+from oracles import top_to_random_shape_check
 
-from permfix.characters import CycleType, character, perm_cycle_type, verify_ratio_asymptotics
+from permfix.characters import CycleType
 from permfix.moments import (
     cutoff_steps,
     moment_commutator_fixed,
@@ -18,31 +23,69 @@ from permfix.moments import (
     moment_commutator_random,
     moment_icycle_walk,
     moment_icycle_walk_exact,
-    walk_exact_distribution,
 )
-from permfix.multiplicity import (
-    mult_large_first_row,
-    mult_oracle,
-    mult_skew,
-    mult_updown,
-)
-from permfix.partitions import all_partitions, dim
+from permfix.multiplicity import mult_skew
+from permfix.partitions import all_partitions
 from permfix.setpartitions import bell, poisson_moment
-from permfix.simulate import (
-    commutator_perm,
-    enumerate_commutator_distribution,
-    exact_moment,
-    exact_shape_distribution,
-    fixed_point_histogram,
-    moment_z_score,
-    top_to_random_shape_check,
-)
+from permfix.simulate import fixed_point_histogram, moment_z_score
+from permfix.verify import GATES, run_suite
 
 SEED = 20250809
+
+C10_NS = [200, 400, 800, 1600, 3200]
+RATIO_GATED_PAIRS = ((2, 1), (2, 2), (3, 1))
+
+# Every registry gate in `permfix verify` order. A gate that a criterion
+# checks too carries the criterion's label and grid, where its check must
+# pass; None marks a gate that no criterion widens. Tier-1 also runs every
+# gate on its verify grid.
+TIER1 = [
+    ("dimension-squares-sum-to-factorial", None),
+    ("tensor-dimension-identity", ("C03", {"ns": range(1, 9), "rs": range(7)})),
+    ("multiplicity-cross-agreement", ("C02", {"ns": range(1, 7), "rs": range(6)})),
+    ("occupancy-normalization", None),
+    ("poisson-unit-moments-are-bell", None),
+    ("near-one-row-closed-forms", None),
+    ("single-cycle-hook-support", None),
+    ("commutator-random-vs-enumeration", ("C05", {
+        "ns": range(2, 6), "rs": range(5),
+        "bell_points": [(n, r) for n in range(1, 31) for r in range(min(n, 6) + 1)]})),
+    ("commutator-fixed-vs-enumeration", ("C05", {"ns": range(2, 7), "rs": range(5)})),
+    ("conjugation-average-functional-equation", ("C04", {
+        "points": [(n, x) for n in range(1, 6) for x in permutations(range(n))]})),
+    ("walk-moments-vs-class-inversion", ("C08", {
+        "points": [(n, i, k) for n in range(2, 8) for i in (2, 3) if i <= n for k in range(21)]
+        + [(8, i, k) for i in (2, 3) for k in (0, 7, 20)],
+        "rs": range(4)})),
+    ("shuffle-shape-law-normalization", ("C12", {"ns": range(1, 7), "rs": range(5)})),
+    *(
+        (f"icycle-ratio-decay-i{i}-t{t}", ("C10", {"i": i, "t": t, "ns": C10_NS}))
+        for i, t in RATIO_GATED_PAIRS
+    ),
+    ("walk-term-approaches-limit", None),
+    ("commutator-moment-poisson-rate", ("C07", {"ns": (20, 40, 80, 160), "rs": range(1, 5)})),
+    ("walk-cutoff-mean-near-poisson", None),
+]
 
 
 def _ok(label: str) -> None:
     print(f"[PASS] {label}")
+
+
+def test_verify_runs_every_gate_of_tier1_in_order_and_each_passes():
+    results = run_suite("all")
+    assert [g.gate for g in results] == [gate for gate, _ in TIER1]
+    assert [g.gate for g in results if not g.passed] == []
+
+
+@pytest.mark.parametrize(
+    "gate, label, grid",
+    [pytest.param(gate, *row, id=f"{row[0]}-{gate}") for gate, row in TIER1 if row],
+)
+def test_criterion(gate, label, grid):
+    result = GATES[gate].run(grid)
+    assert result.passed, result.detail
+    _ok(f"{label} {gate} on its acceptance grid")
 
 
 def test_c01_small_power_multiplicity_tables():
@@ -56,67 +99,6 @@ def test_c01_small_power_multiplicity_tables():
     _ok("C01 multiplicity table at r = 1, 2 for n = 5..9")
 
 
-def test_c02_cross_algorithm_agreement():
-    for n in range(1, 7):
-        for lam in all_partitions(n):
-            second = lam[1] if len(lam) > 1 else 0
-            for r in range(0, 6):
-                value = mult_skew(lam, r)
-                assert value == mult_updown(lam, r), (tuple(lam), r)
-                assert value == mult_oracle(lam, r), (tuple(lam), r)
-                if 1 <= r <= n - second:
-                    assert value == mult_large_first_row(lam, r), (tuple(lam), r)
-    _ok("C02 four multiplicity algorithms agree (n <= 6, r <= 5)")
-
-
-def test_c03_dimension_identity():
-    for n in range(1, 9):
-        for r in range(0, 7):
-            total = sum(mult_skew(lam, r) * dim(lam) for lam in all_partitions(n))
-            assert total == n ** r, (n, r)
-    _ok("C03 sum of multiplicity times dimension equals n^r (n <= 8, r <= 6)")
-
-
-def test_c04_functional_equation_by_enumeration():
-    for n in range(1, 6):
-        perms = list(permutations(range(n)))
-        shapes = list(all_partitions(n))
-        for x in perms:
-            histogram: dict = {}
-            for g in perms:
-                ct = perm_cycle_type(commutator_perm(g, x))
-                histogram[ct] = histogram.get(ct, 0) + 1
-            x_ct = perm_cycle_type(x)
-            for lam in shapes:
-                lhs = Fraction(
-                    sum(count * character(lam, ct) for ct, count in histogram.items()),
-                    factorial(n),
-                )
-                assert lhs == Fraction(character(lam, x_ct) ** 2, dim(lam)), (
-                    tuple(lam),
-                    x,
-                )
-    _ok("C04 conjugation-average functional equation, every x in S_n, n <= 5")
-
-
-def test_c05_commutator_moments_vs_enumeration_and_bell_bound():
-    for n in range(2, 6):
-        dist = enumerate_commutator_distribution(n)
-        for r in range(0, 5):
-            assert exact_moment(dist, r) == moment_commutator_random(n, r), (n, r)
-    for n in range(2, 7):
-        for x_parts in all_partitions(n):
-            x = CycleType(x_parts)
-            dist = enumerate_commutator_distribution(n, x)
-            for r in range(0, 5):
-                assert exact_moment(dist, r) == moment_commutator_fixed(n, x, r)
-    # Bell lower bound, on the domain where the one-row term supplies it.
-    for n in range(1, 31):
-        for r in range(0, min(n, 6) + 1):
-            assert moment_commutator_random(n, r) >= bell(r), (n, r)
-    _ok("C05 commutator moments equal enumeration; Bell bound holds (r <= n <= 30)")
-
-
 def test_c06_closed_forms_on_every_class():
     for n in range(4, 10):
         for x_parts in all_partitions(n):
@@ -128,32 +110,13 @@ def test_c06_closed_forms_on_every_class():
     _ok("C06 mean/second-moment closed forms on every class of S_4..S_9")
 
 
-def test_c07_poisson_trend_and_ncycle_squeeze():
-    for r in range(1, 5):
-        c_r = (moment_commutator_random(20, r) - bell(r)) * 20
-        assert c_r > 0
-        for n in (40, 80, 160):
-            gap = moment_commutator_random(n, r) - bell(r)
-            assert 0 <= gap <= Fraction(c_r, n), (r, n)
+def test_c07_ncycle_squeeze():
     for n in range(2, 161):
         for r in range(1, 5):
             fixed = moment_commutator_fixed(n, (n,), r)
             both = moment_commutator_random(n, r)
             assert bell(r) <= fixed <= both, (n, r)
-    _ok("C07 1/n Poisson trend (fit at n=20) and full-cycle moment squeeze to n=160")
-
-
-def test_c08_walk_exactness_small_n():
-    for n in range(2, 8):
-        for i in (2, 3):
-            if i > n:
-                continue
-            for k in range(0, 21):
-                dist = walk_exact_distribution(n, i, k)
-                assert sum(dist.values()) == 1
-                for r in range(0, 4):
-                    assert exact_moment(dist, r) == moment_icycle_walk_exact(n, i, k, r)
-    _ok("C08 walk moments equal class-inversion distribution (n <= 7, k <= 20)")
+    _ok("C07 full-cycle moment squeeze to n=160")
 
 
 def test_c09_walk_deterministic_sanity():
@@ -165,22 +128,15 @@ def test_c09_walk_deterministic_sanity():
 
 
 def test_c10_ratio_asymptotics_bounded_and_non_increasing():
-    grid = [200, 400, 800, 1600, 3200]
-    recorded_constants = {}
+    # The ratio-decay gates' check, on the criterion's (i, t) pairs that
+    # name no gate.
+    check = GATES["icycle-ratio-decay-i2-t1"].check
     for i in (2, 3, 5):
         for t in (1, 2, 3):
-            report = verify_ratio_asymptotics(i, t, grid)
-            errors = [row.max_scaled_error for row in report.rows]
-            assert all(
-                errors[j] >= errors[j + 1] for j in range(len(errors) - 1)
-            ), (i, t, [float(e) for e in errors])
-            recorded_constants[(i, t)] = float(errors[0])
-            assert all(e <= errors[0] for e in errors)
-    assert max(recorded_constants.values()) < 50
-    _ok(
-        "C10 scaled ratio deviations non-increasing n=200..3200; "
-        f"largest recorded constant {max(recorded_constants.values()):.3f}"
-    )
+            if (i, t) not in RATIO_GATED_PAIRS:
+                passed, detail = check(i=i, t=t, ns=C10_NS)
+                assert passed, (i, t, detail)
+    _ok("C10 scaled ratio deviations bounded and non-increasing n=200..3200")
 
 
 def test_c11_walk_cutoff_poisson_at_desk_scale():
@@ -205,8 +161,6 @@ def test_c11_walk_cutoff_poisson_at_desk_scale():
 def test_c12_shuffle_shape_law_and_simulation():
     for n in range(1, 7):
         for r in range(0, 5):
-            exact = exact_shape_distribution(n, r)
-            assert sum(exact.values()) == 1
             report = top_to_random_shape_check(
                 n, r, 1_000_000, seed=SEED + 100 * n + r
             )
@@ -216,7 +170,7 @@ def test_c12_shuffle_shape_law_and_simulation():
                         assert row.observed == 0
                 else:
                     assert abs(row.z) < 5, (n, r, tuple(row.shape), row.z)
-    _ok("C12 shuffle shape law sums to 1 and matches 10^6-sample runs within 5 sigma")
+    _ok("C12 shuffle shape law matches 10^6-sample runs within 5 sigma")
 
 
 def test_c13_monte_carlo_vs_exact_engines():

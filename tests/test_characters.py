@@ -17,6 +17,7 @@ from permfix.characters import (
 )
 from permfix.errors import SizeMismatchError, ValidationError
 from permfix.partitions import Partition, all_partitions, dim
+from permfix.verify import GATES
 from strategies import partitions
 
 
@@ -180,14 +181,8 @@ def test_ratio_hooks_on_full_cycle():
 
 
 def test_full_cycle_character_supported_on_hooks():
-    for n in range(2, 10):
-        hooks = {Partition((n - j, *(1,) * j)) for j in range(n)}
-        for lam in all_partitions(n):
-            value = character(lam, (n,))
-            if lam in hooks:
-                assert abs(value) == 1
-            else:
-                assert value == 0
+    result = GATES["single-cycle-hook-support"].run({"ns": range(2, 10)})
+    assert result.passed, result.detail
 
 
 @given(partitions(min_n=2, max_n=9))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from permfix import reports
@@ -21,6 +21,7 @@ from permfix.cli import (
 from permfix.errors import SizeMismatchError, ValidationError
 from permfix.moments import moment_commutator_fixed_closed
 from permfix.multiplicity import mult_skew
+from strategies import partitions
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -545,3 +546,66 @@ def test_commutator_fixed_at_a_million_points_as_a_subprocess():
     x = (2,) * 500000
     for row in rows[:2]:
         assert as_fraction(row["moment"]) == moment_commutator_fixed_closed(10**6, x, row["r"])
+
+
+_JUNK = st.sampled_from(("", " ", "x", "^", "2^", "^2", "2^^2", "1.5", "+2", "-0", "1_0", "٣"))
+
+
+@st.composite
+def _parts(draw, n=None):
+    """Partition grammar, with "^" runs, commas and whitespace, for a partition
+    of n (of any small size when n < 1 or absent); or junk."""
+    if draw(st.integers(0, 3)) == 0:
+        return ",".join(draw(st.lists(st.integers(-1, 6).map(str) | _JUNK, max_size=4)))
+    lam = draw(partitions(1, 8) if n is None or n < 1 else partitions(n, n))
+    runs = [(str(v), lam.count(v)) for v in sorted(set(lam), reverse=True)]
+    tokens = [draw(st.sampled_from((f"{v}^{m}", ",".join([v] * m)))) for v, m in runs]
+    return draw(st.sampled_from((",", " ,", "\t,"))).join(tokens)
+
+
+# Fuzzed command lines: X is partition grammar for the preceding --n, and
+# each other capital a value drawn from _VALUES, small enough to run fast.
+_COMMAND_LINES = (
+    "mult --lambda P --r N --alg A",
+    "moments commutator-random --n N --r-max N",
+    "moments commutator-fixed --n N --x X --r-max N",
+    "moments walk --n N --i N --k N --r-max N",
+    "moments walk --n N --i N --c C --r-max N",
+    "dist walk --n N --i N --k N",
+    "dist commutator --n D",
+    "dist commutator --n D --x X",
+    "ratio --lambda P --i N",
+    "simulate --model M --n N --i N --k N --samples S --r-max N --seed N --threads T",
+)
+_VALUES = {
+    "N": st.integers(-2, 12).map(str),
+    # Past 5 the commutator enumeration takes seconds; 8 exceeds its limit.
+    "D": st.sampled_from(("-1", "0", "1", "2", "3", "4", "5", "8")),
+    "C": st.floats(-5, 5).map(str) | st.sampled_from(("nan", "-inf", "1e300")),
+    "S": st.integers(-5, 3000).map(str) | st.sampled_from(("0.5", "1e3", "nan")),
+    "A": st.sampled_from(("skew", "updown", "first-row", "oracle", "all")),
+    "M": st.sampled_from(("uniform", "commutator", "walk")),
+    "T": st.sampled_from(("1", "2")),
+    "P": _parts(),
+}
+
+
+@st.composite
+def _argv(draw):
+    """A command line, with a junk token in about one case in ten."""
+    argv = []
+    for token in draw(st.sampled_from(_COMMAND_LINES)).split():
+        value = _parts(int(argv[-2])) if token == "X" else _VALUES.get(token, st.just(token))
+        argv.append(draw(value))
+    if draw(st.integers(0, 9)) == 0:
+        argv[draw(st.integers(1, len(argv) - 1))] = draw(_JUNK)
+    return argv + draw(st.sampled_from(([], ["--precision", "0"], ["--precision", "64"])))
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+def test_every_command_line_exits_with_a_documented_code(capsys, argv):
+    code, out = _outcome(capsys, argv)
+    assert code in (0, 2, 3, 4), argv
+    if code == 0:
+        json.loads(out)

@@ -12,6 +12,7 @@ from permfix.setpartitions import (
     stirling,
     stirling_row,
 )
+from permfix.verify import GATES
 
 
 def test_stirling_base_cases():
@@ -47,8 +48,7 @@ def test_bell_examples():
 
 
 def test_poisson_unit_moments_are_bell():
-    for r in range(0, 21):
-        assert poisson_moment(r, 1) == bell(r)
+    assert GATES["poisson-unit-moments-are-bell"].run({"rs": range(21)}).passed
 
 
 def test_poisson_moment_examples():
@@ -70,10 +70,7 @@ def test_occupancy_examples():
 
 
 def test_occupancy_normalization():
-    for r in range(0, 13):
-        for n in range(1, 13):
-            total = sum(occupancy_probability(a, r, n) for a in range(min(r, n) + 1))
-            assert total == 1
+    assert GATES["occupancy-normalization"].run({"ns": range(1, 13), "rs": range(13)}).passed
 
 
 def test_occupancy_by_direct_enumeration():

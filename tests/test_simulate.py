@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 
 from oracles import (
     lis_length,
+    rsk_shape,
     sample_commutator,
     sample_icycle,
     sample_icycle_walk,
     sample_uniform,
+    top_to_random_shape_check,
+    top_to_random_step,
     uniform_fixed_histogram_by_enumeration,
 )
 from permfix.characters import CycleType, perm_cycle_type
@@ -36,9 +39,6 @@ from permfix.simulate import (
     make_rng,
     moment_z_score,
     perm_from_cycle_type,
-    rsk_shape,
-    top_to_random_shape_check,
-    top_to_random_step,
     tv_to_poisson,
     uniform_fixed_distribution_exact,
 )
@@ -159,13 +159,6 @@ def test_top_to_random_step():
     assert top_to_random_step(deck, 0) == (0, 1, 2, 3)
     assert top_to_random_step(deck, 1) == (1, 0, 2, 3)
     assert top_to_random_step(deck, 3) == (1, 2, 3, 0)
-
-
-def test_exact_shape_distribution_normalizes():
-    for n in range(2, 7):
-        for r in range(0, 5):
-            dist = exact_shape_distribution(n, r)
-            assert sum(dist.values()) == 1
 
 
 def test_exact_shape_distribution_examples():
