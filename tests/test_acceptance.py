@@ -2,7 +2,8 @@
 
 A criterion that a `permfix verify` gate also checks runs that gate's own
 check from the registry in permfix.verify, on the larger grid in TIER1;
-its test id is the criterion label and the gate name, so `pytest
+its test is named after the criterion, or is test_criterion with the
+criterion label and the gate name as its id, so `pytest
 tests/test_acceptance.py -v -k C05` selects one criterion. The other
 criteria are plain tests. Run with `pytest tests/test_acceptance.py
 -v -s` to see the pass lines. Every tolerance is pinned once, here or in
@@ -78,14 +79,27 @@ def test_verify_runs_every_gate_of_tier1_in_order_and_each_passes():
     assert [g.gate for g in results if not g.passed] == []
 
 
-@pytest.mark.parametrize(
-    "gate, label, grid",
-    [pytest.param(gate, *row, id=f"{row[0]}-{gate}") for gate, row in TIER1 if row],
-)
-def test_criterion(gate, label, grid):
+def _run_criterion(gate: str) -> None:
+    label, grid = dict(TIER1)[gate]
     result = GATES[gate].run(grid)
     assert result.passed, result.detail
     _ok(f"{label} {gate} on its acceptance grid")
+
+
+# Gates whose criterion has a named test below; test_criterion runs the rest.
+NAMED = {
+    "multiplicity-cross-agreement",
+    "tensor-dimension-identity",
+    "commutator-random-vs-enumeration",
+    "walk-moments-vs-class-inversion",
+}
+
+
+@pytest.mark.parametrize(
+    "gate", [pytest.param(g, id=f"{row[0]}-{g}") for g, row in TIER1 if row and g not in NAMED]
+)
+def test_criterion(gate):
+    _run_criterion(gate)
 
 
 def test_c01_small_power_multiplicity_tables():
@@ -97,6 +111,19 @@ def test_c01_small_power_multiplicity_tables():
         assert mult_skew((n - 2, 2), 2) == 1
         assert mult_skew((n - 2, 1, 1), 2) == 1
     _ok("C01 multiplicity table at r = 1, 2 for n = 5..9")
+
+
+def test_c02_cross_algorithm_agreement():
+    _run_criterion("multiplicity-cross-agreement")
+
+
+def test_c03_dimension_identity():
+    _run_criterion("tensor-dimension-identity")
+
+
+def test_c05_commutator_moments_vs_enumeration_and_bell_bound():
+    # The fixed-factor half is test_criterion[C05-commutator-fixed-vs-enumeration].
+    _run_criterion("commutator-random-vs-enumeration")
 
 
 def test_c06_closed_forms_on_every_class():
@@ -117,6 +144,10 @@ def test_c07_ncycle_squeeze():
             both = moment_commutator_random(n, r)
             assert bell(r) <= fixed <= both, (n, r)
     _ok("C07 full-cycle moment squeeze to n=160")
+
+
+def test_c08_walk_exactness_small_n():
+    _run_criterion("walk-moments-vs-class-inversion")
 
 
 def test_c09_walk_deterministic_sanity():

@@ -27,6 +27,7 @@ from permfix.moments import (
 from permfix.multiplicity import mult_skew
 from permfix.partitions import all_partitions, dim
 from permfix.setpartitions import bell, poisson_moment
+from permfix.verify import GATES
 
 
 def test_commutator_random_tiny_group():
@@ -64,6 +65,14 @@ def test_commutator_random_truncation_matches_full_sum():
             assert moment_commutator_random(n, r) == full
 
 
+def test_commutator_random_bell_bound_on_valid_domain():
+    bell_points = [(n, r) for n in range(1, 21) for r in range(min(n, 6) + 1)]
+    passed, detail = GATES["commutator-random-vs-enumeration"].check(
+        ns=(), rs=(), bell_points=bell_points
+    )
+    assert passed, detail
+
+
 def test_commutator_fixed_identity_gives_powers():
     for n in range(2, 7):
         identity = (1,) * n
@@ -74,6 +83,14 @@ def test_commutator_fixed_identity_gives_powers():
 def test_commutator_fixed_mean_examples():
     assert moment_commutator_fixed(5, (5,), 1) == Fraction(5, 4)
     assert moment_commutator_fixed(6, (2, 2, 2), 1) == 1 + Fraction(1, 5)
+
+
+def test_closed_forms_match_engine_on_all_classes():
+    for n in range(4, 10):
+        for x_parts in all_partitions(n):
+            x = CycleType(x_parts)
+            assert moment_commutator_fixed_closed(n, x, 1) == moment_commutator_fixed(n, x, 1)
+            assert moment_commutator_fixed_closed(n, x, 2) == moment_commutator_fixed(n, x, 2)
 
 
 @pytest.mark.parametrize(
@@ -166,6 +183,24 @@ def test_walk_exact_distribution_one_transposition():
     assert walk_exact_distribution(3, 2, 1) == {1: Fraction(1)}
     dist = walk_exact_distribution(6, 2, 1)
     assert dist == {4: Fraction(1)}
+
+
+def _walk_check(ns, ks, rs):
+    points = [(n, i, k) for n in ns for i in (2, 3) for k in ks]
+    passed, detail = GATES["walk-moments-vs-class-inversion"].check(points=points, rs=rs)
+    assert passed, detail
+
+
+def test_walk_exact_distribution_normalizes():
+    _walk_check((4, 5, 6), (2, 3, 5), range(1))
+
+
+def test_walk_moments_match_distribution():
+    _walk_check((4, 5, 6), range(11), range(4))
+
+
+def test_walk_moments_match_distribution_at_limit_size():
+    _walk_check((8,), (0, 7, 20), range(4))
 
 
 def test_walk_enumeration_limit():

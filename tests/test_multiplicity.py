@@ -11,6 +11,7 @@ from permfix.multiplicity import (
 )
 from permfix.partitions import all_partitions
 from permfix.setpartitions import bell, stirling
+from permfix.verify import GATES
 from strategies import partitions
 
 
@@ -50,6 +51,12 @@ def test_updown_examples():
     assert mult_updown((4, 1, 1), 2) == 1
 
 
+def test_algorithms_agree_small():
+    # skew, up-down and the oracle on n <= 5, r <= 4: the gate's verify grid.
+    result = GATES["multiplicity-cross-agreement"].run()
+    assert result.passed, result.detail
+
+
 def test_skew_and_updown_agree_medium():
     for n in range(7, 9):
         for lam in all_partitions(n):
@@ -87,6 +94,12 @@ def test_oracle_examples():
 def test_oracle_size_limit():
     with pytest.raises(EnumerationLimitError):
         mult_oracle((8,), 1)
+
+
+def test_dimension_identity():
+    # n <= 7, r <= 5: the gate's verify grid.
+    result = GATES["tensor-dimension-identity"].run()
+    assert result.passed, result.detail
 
 
 @given(partitions(min_n=1, max_n=10), st.integers(min_value=0, max_value=6))
