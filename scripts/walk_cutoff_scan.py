@@ -8,7 +8,7 @@ convergence can be inspected directly.
 """
 import argparse
 
-from permfix import walk_cutoff_comparison
+from permfix.moments import cutoff_steps, icycle_walk_report
 
 
 def main() -> None:
@@ -22,7 +22,7 @@ def main() -> None:
     print(f"{'c':>6} {'n':>6} {'steps':>7} {'r':>3} {'moment':>14} {'poisson':>14} {'gap':>12}")
     for c in args.c:
         for n in args.n:
-            report = walk_cutoff_comparison(n, args.i, c, args.r_max)
+            report = icycle_walk_report(n, args.i, cutoff_steps(n, args.i, c), args.r_max, c=c)
             rows = zip(report.moments, report.reference, report.difference)
             for r, (moment, reference, difference) in enumerate(rows, start=1):
                 print(

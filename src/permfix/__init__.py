@@ -15,8 +15,6 @@ from .moments import (
     moment_commutator_fixed_closed,
     moment_commutator_random,
     moment_icycle_walk,
-    moment_icycle_walk_exact,
-    walk_cutoff_comparison,
     walk_exact_distribution,
     walk_term_at_cutoff,
 )
@@ -36,14 +34,13 @@ from .simulate import (
     fixed_point_histogram,
     tv_to_poisson,
 )
-from .tableaux import SkewShape, skew_syt_count, skew_syt_large_first_row
+from .tableaux import skew_syt_count, skew_syt_large_first_row
 
 __all__ = [
     "CycleType",
     "EmpiricalDistribution",
     "MomentReport",
     "Partition",
-    "SkewShape",
     "all_partitions",
     "bell",
     "char_ratio_icycle",
@@ -58,7 +55,6 @@ __all__ = [
     "moment_commutator_fixed_closed",
     "moment_commutator_random",
     "moment_icycle_walk",
-    "moment_icycle_walk_exact",
     "mult_large_first_row",
     "mult_oracle",
     "mult_skew",
@@ -71,7 +67,6 @@ __all__ = [
     "stirling",
     "tv_to_poisson",
     "verify_ratio_asymptotics",
-    "walk_cutoff_comparison",
     "walk_exact_distribution",
     "walk_term_at_cutoff",
 ]

@@ -20,7 +20,7 @@ import os
 import sys
 from functools import cache
 
-from . import moments, reports, simulate
+from . import moments, reports
 from .characters import CycleType, char_ratio_icycle
 from .errors import CrossCheckError, SizeMismatchError, ValidationError
 from .multiplicity import mult_large_first_row, mult_oracle, mult_skew, mult_updown
@@ -51,7 +51,7 @@ MIN_PRECISION_BITS = 53
 MAX_CELLS_BELOW_FIRST_ROW = 5000
 
 # mult reaches skew shapes lam/(n - a) of a <= min(r, n) cells. At 30, the
-# slowest case tried (--alg all, lam = (10^6, 7, 6, ..., 1)) takes about 4.3 s.
+# slowest case tried (--alg all, lam = (10^6, 7, 6, ..., 1)) takes about 2.6 s.
 MAX_MULT_SKEW_CELLS = 30
 
 
@@ -260,7 +260,7 @@ def cmd_simulate(args) -> int:
         raise ValidationError(f"--samples must be finite, got {args.samples}")
     samples = int(args.samples)
     args.samples = samples
-    x = CycleType(parse_parts(args.x, args.n)) if args.x else None
+    x = CycleType(parse_parts(args.x, args.n)) if args.x is not None else None
     dist = fixed_point_histogram(
         args.model,
         args.n,
@@ -303,8 +303,7 @@ def _exact_moments_for(args, x) -> list:
     """Exact moments r = 0..2*r_max of the simulated model."""
     r_max = 2 * args.r_max
     if args.model == "uniform":
-        dist = simulate.uniform_fixed_distribution_exact(args.n)
-        return [exact_moment(dist, r) for r in range(r_max + 1)]
+        return moments.uniform_moments(args.n, r_max)
     if args.model == "commutator":
         if x is None:
             return moments.commutator_random_moments(args.n, r_max)
@@ -338,7 +337,7 @@ def cmd_dist(args) -> int:
         dist = moments.walk_exact_distribution(args.n, args.i, args.k)
         params = {"n": args.n, "i": args.i, "k": args.k}
     else:
-        x = CycleType(parse_parts(args.x, args.n)) if args.x else None
+        x = CycleType(parse_parts(args.x, args.n)) if args.x is not None else None
         dist = enumerate_commutator_distribution(args.n, x)
         params = {"n": args.n, "x": list(x) if x else None}
     table = [

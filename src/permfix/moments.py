@@ -12,8 +12,10 @@ Models:
 One engine serves the three models, which differ only in the shape
 weight: the rth moment is sum_a S(r, a) * F_a, with factorial moments
 F_a = sum_lam weight(lam) * f^{lam/(n-a)} over the shapes whose first
-part is at least n - r. Every F_a comes from one pass down the Young
-lattice on integer numerators over a common denominator.
+part is at least n - r. Every F_a comes from one walk down the Young
+lattice (tableaux.single_row_sums) on integer numerators over a common
+denominator. The uniform permutation's weight is 1 on the one-row shape
+alone, so its F_a are 1 and need no walk.
 Commutator moments are exact rationals. The walk offers an exact
 rational path (small k) and a high-precision float path that powers
 ratios in log space, since |ratio| <= 1 and k can reach n log n.
@@ -32,7 +34,7 @@ from .characters import CycleType, char_ratio_icycle, character, class_character
 from .errors import EnumerationLimitError, SizeMismatchError, ValidationError
 from .partitions import Partition, all_partitions, dim, partitions_with_large_first_row
 from .setpartitions import poisson_moment, stirling_row
-from .tableaux import _corner_removals
+from .tableaux import single_row_sums
 
 DEFAULT_PRECISION_BITS = 128
 
@@ -70,38 +72,11 @@ def _over_common_denominator(weights: list) -> tuple[list[int], Callable[[int], 
     return numerators, lambda total: mpmath.mpf((total, e0))
 
 
-def _lattice_sums(n: int, a_max: int, top: dict[tuple, int]) -> list[int]:
-    """F_a = sum over shapes lam of size n of top[lam] * f^{lam/(n-a)}, for a = 0..a_max.
-
-    Walks the Young lattice down from level n: h(lam) = top[lam], and each
-    shape one level lower collects h of every shape it leaves by removing
-    one corner, so h(mu) = sum_lam top[lam] * f^{lam/mu}. F_a is h of the
-    one-row shape (n - a), read at level n - a. Shapes whose first row is
-    shorter than n - a_max contain none of those rows and are dropped.
-    """
-    shortest_first_row = n - a_max
-    level = top
-    sums = []
-    for a in range(a_max + 1):
-        sums.append(level.get((n - a,) if a < n else (), 0))
-        if a == a_max:
-            break
-        below: dict[tuple, int] = {}
-        for parts, h in level.items():
-            if not h:
-                continue
-            for smaller in _corner_removals(parts):
-                if (smaller[0] if smaller else 0) >= shortest_first_row:
-                    below[smaller] = below.get(smaller, 0) + h
-        level = below
-    return sums
-
-
 def _factorial_moments(n: int, a_max: int, weight) -> list:
     """F_a = sum over lam of size n of weight(lam) * f^{lam/(n-a)}, for a = 0..a_max."""
     shapes = [tuple(lam) for lam in partitions_with_large_first_row(n, a_max)]
     numerators, over_denominator = _over_common_denominator([weight(lam) for lam in shapes])
-    return [over_denominator(f) for f in _lattice_sums(n, a_max, dict(zip(shapes, numerators)))]
+    return [over_denominator(f) for f in single_row_sums(dict(zip(shapes, numerators)), n, a_max)]
 
 
 def _moments(n: int, r_max: int, weight, total) -> list:
@@ -117,6 +92,20 @@ def _moments(n: int, r_max: int, weight, total) -> list:
         total([s * f for s, f in zip(stirling_row(r), factorial_moments)])
         for r in range(r_max + 1)
     ]
+
+
+def uniform_moments(n: int, r_max: int) -> list[Fraction]:
+    """Moments r = 0..r_max of the fixed points of a uniform permutation.
+
+    In the engine's terms the shape weight is 1 on the one-row shape (n)
+    and 0 elsewhere, so F_a = f^{(n)/(n-a)} = 1 for every a <= n and the
+    rth moment is sum_{a <= min(r, n)} S(r, a). Nothing is enumerated:
+    the weight route would visit every shape with first part at least
+    n - r_max, only to multiply all but one of them by 0.
+    """
+    if n < 1 or r_max < 0:
+        raise ValidationError("need n >= 1 and r >= 0")
+    return [Fraction(sum(stirling_row(r)[: n + 1])) for r in range(r_max + 1)]
 
 
 def commutator_random_moments(n: int, r_max: int) -> list[Fraction]:
@@ -184,11 +173,6 @@ def icycle_walk_moments_exact(n: int, i: int, k: int, r_max: int) -> list[Fracti
     """
     _validate_walk(n, i, k, r_max)
     return _moments(n, r_max, lambda lam: dim(lam) * char_ratio_icycle(lam, i) ** k, sum)
-
-
-def moment_icycle_walk_exact(n: int, i: int, k: int, r: int) -> Fraction:
-    """Exact rational rth moment after k steps of the i-cycle walk."""
-    return icycle_walk_moments_exact(n, i, k, r)[r]
 
 
 def _ratio_power(ratio: Fraction, k: int) -> mpmath.mpf:
@@ -377,15 +361,3 @@ def icycle_walk_report(
     mean = walk_poisson_mean(i, c, precision_bits)
     return _report("icycle_walk", {"n": n, "i": i, "k": k, "c": c}, values, mean, precision_bits)
 
-
-def walk_cutoff_comparison(
-    n: int,
-    i: int,
-    c: float,
-    r_max: int,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-) -> MomentReport:
-    """Walk moments at the cutoff step count against their Poisson targets."""
-    return icycle_walk_report(
-        n, i, cutoff_steps(n, i, c), r_max, c=c, precision_bits=precision_bits
-    )

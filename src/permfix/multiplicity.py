@@ -3,11 +3,13 @@
 Four routes to the same number m(lam, r):
 
 * mult_skew: Stirling-weighted sum of skew tableau counts with single-row
-  inner shapes (the production algorithm, valid for every lam and r).
+  inner shapes, all read off one walk down Young's lattice from lam (the
+  production algorithm, valid for every lam and r).
 * mult_updown: expansion in box-removal/box-addition operators applied to
   the one-row shape, with path counts accumulated on weighted states.
-* mult_large_first_row: closed form through the shape below the first
-  row, valid only while r is at most n minus the second part.
+* mult_large_first_row: the same Stirling sum over the closed-form skew
+  counts of tableaux.skew_syt_large_first_row, valid only while r is at
+  most n minus the second part.
 * mult_oracle: the definitional character inner product of the rth power
   of the fixed-point count, by full group enumeration at small n.
 
@@ -17,31 +19,30 @@ moment engines total.
 from __future__ import annotations
 
 from itertools import permutations
-from math import comb, factorial
+from math import factorial
 
 from .characters import character, perm_cycle_type
 from .errors import EnumerationLimitError, FirstRowGuardError
-from .partitions import Partition, dim
+from .partitions import Partition
 from .setpartitions import stirling_row
-from .tableaux import skew_syt_count
-
-
-def _single_row(m: int) -> Partition:
-    return Partition((m,)) if m > 0 else Partition()
+from .tableaux import single_row_sums, skew_syt_large_first_row
 
 
 def mult_skew(lam, r: int) -> int:
-    """Stirling-weighted skew-count formula; total in lam and r."""
+    """Stirling-weighted skew-count formula; total in lam and r.
+
+    One lattice walk from lam down to the row (n - min(r, n)) gives the
+    skew count over every single-row inner shape on the way.
+    """
     lam = Partition(lam)
     if r < 0:
         raise ValueError("r must be nonnegative")
     n = lam.n
-    row = stirling_row(r)
-    total = 0
-    for a in range(min(r, n) + 1):
-        if row[a]:
-            total += row[a] * skew_syt_count(lam, _single_row(n - a))
-    return total
+    a_max = min(r, n)
+    if lam and lam[0] < n - a_max:
+        return 0  # lam contains none of the rows (n - a), a <= r
+    counts = single_row_sums({tuple(lam): 1}, n, a_max)
+    return sum(s * f for s, f in zip(stirling_row(r), counts))
 
 
 def _box_additions(parts: tuple) -> list[tuple]:
@@ -70,7 +71,7 @@ def mult_updown(lam, r: int) -> int:
     for a in range(min(r, n) + 1):
         if not row[a]:
             continue
-        state: dict[tuple, int] = {tuple(_single_row(n - a)): 1}
+        state: dict[tuple, int] = {(n - a,) if a < n else (): 1}
         for _ in range(a):
             grown: dict[tuple, int] = {}
             for parts, weight in state.items():
@@ -92,11 +93,8 @@ def mult_large_first_row(lam, r: int) -> int:
     second = lam[1] if len(lam) > 1 else 0
     if not 1 <= r <= n - second:
         raise FirstRowGuardError(f"closed form needs 1 <= r <= {n - second}, got {r}")
-    bar = lam.first_row_removed()
-    d_bar = dim(bar)
-    size_bar = bar.n
     row = stirling_row(r)
-    return d_bar * sum(row[a] * comb(a, size_bar) for a in range(r + 1))
+    return sum(row[a] * skew_syt_large_first_row(lam, a) for a in range(r + 1))
 
 
 def mult_oracle(lam, r: int) -> int:

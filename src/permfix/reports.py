@@ -63,28 +63,8 @@ def build_report(command: str, config: dict, body: dict, precision_bits: int = 1
 
 
 def to_json(report: dict) -> str:
-    """json.dumps(report, indent=2, sort_keys=True), but lists of integers are laid out in C."""
-    return "".join(_layout(report, ""))
-
-
-def _layout(value, pad: str):
-    """Chunks of the value laid out as by json.dumps(indent=2, sort_keys=True), at indent pad."""
-    inner = pad + "  "
-    if isinstance(value, dict) and value:
-        for opener, (key, item) in zip("{" + "," * len(value), sorted(value.items())):
-            yield f"{opener}\n{inner}{json.dumps(key)}: "
-            yield from _layout(item, inner)
-        yield f"\n{pad}}}"
-    elif isinstance(value, (list, tuple)) and value:
-        if set(map(type, value)) == {int}:
-            yield f"[\n{inner}" + json.dumps(value)[1:-1].replace(", ", ",\n" + inner)
-        else:
-            for opener, item in zip("[" + "," * len(value), value):
-                yield f"{opener}\n{inner}"
-                yield from _layout(item, inner)
-        yield f"\n{pad}]"
-    else:
-        yield json.dumps(value)
+    """The report as JSON text, keys sorted, indented by two spaces."""
+    return json.dumps(report, indent=2, sort_keys=True)
 
 
 def to_csv(report: dict, table_key: str = "table") -> str:

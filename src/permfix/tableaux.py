@@ -1,64 +1,56 @@
-"""Exact counts of standard Young tableaux of skew shape.
+"""Exact counts of standard Young tableaux of skew shape, by walking Young's lattice.
 
-Counts come from a memoized corner-peeling recursion; a closed form
-covers shapes whose inner part is a long single row. The moment engine
-counts no skew tableaux shape by shape: it walks the Young lattice with
-_corner_removals (moments.py).
+f^{lam/mu} counts the paths down Young's lattice from lam to mu, one
+corner at a time. lattice_walk walks every shape of a weighted level down
+at once, so one pass gives sum_lam top[lam] * f^{lam/mu} for every mu on
+the way; it serves skew_syt_count, mult_skew and the moment engine
+(single_row_sums). A closed form covers shapes whose inner part is a long
+single row.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 from .errors import FirstRowGuardError
 from .partitions import Partition, dim
 
 
-@dataclass(frozen=True)
-class SkewShape:
-    """Pair of nested partitions outer/inner."""
+def lattice_walk(top: dict[tuple, int], floor: tuple):
+    """Yield h(mu) = sum over lam of top[lam] * f^{lam/mu}, level by level.
 
-    outer: Partition
-    inner: Partition
-
-    def __post_init__(self):
-        object.__setattr__(self, "outer", Partition(self.outer))
-        object.__setattr__(self, "inner", Partition(self.inner))
-        if not self.outer.contains(self.inner):
-            raise ValueError(f"{self.inner!r} is not contained in {self.outer!r}")
-
-    @property
-    def size(self) -> int:
-        return self.outer.n - self.inner.n
-
-    def count(self) -> int:
-        return skew_syt_count(self.outer, self.inner)
-
-
-def _corner_removals(parts: tuple):
-    """Partitions obtained by deleting one removable corner cell."""
-    out = []
-    for i in range(len(parts)):
-        if i + 1 == len(parts) or parts[i] > parts[i + 1]:
-            if parts[i] == 1:
-                out.append(parts[:i] + parts[i + 1:])
-            else:
-                out.append(parts[:i] + (parts[i] - 1,) + parts[i + 1:])
-    return out
+    top maps shapes of one size to integer weights, and each of them must
+    contain floor. The levels run from that size down to the size of
+    floor, and each holds only the shapes that contain floor. Every child
+    keeps floor in the rows it does not change, so one comparison, on the
+    row it loses a cell from, decides whether it contains floor.
+    """
+    level = top
+    size = sum(next(iter(top), ()))
+    depth = max(map(len, top), default=0)
+    bound = tuple(floor) + (0,) * (depth - len(floor))
+    for _ in range(size - sum(floor)):
+        yield level
+        below: dict[tuple, int] = {}
+        for parts, h in level.items():
+            if not h:
+                continue
+            last = len(parts) - 1
+            for i, p in enumerate(parts):
+                if (i == last or p > parts[i + 1]) and p > bound[i]:
+                    smaller = parts[:i] + (p - 1,) + parts[i + 1:] if p > 1 else parts[:i]
+                    below[smaller] = below.get(smaller, 0) + h
+        level = below
+    yield level
 
 
-@lru_cache(maxsize=None)
-def _skew_count(outer: tuple, inner: tuple) -> int:
-    if not Partition.contains(outer, inner):
-        return 0
-    if sum(outer) == sum(inner):
-        return 1
-    total = 0
-    for smaller in _corner_removals(outer):
-        if Partition.contains(smaller, inner):
-            total += _skew_count(smaller, inner)
-    return total
+def single_row_sums(top: dict[tuple, int], n: int, a_max: int) -> list[int]:
+    """sum over lam of top[lam] * f^{lam/(n-a)}, for a = 0..a_max.
+
+    top maps shapes of size n, each with first part at least n - a_max,
+    to integer weights; the sum for a is read at level n - a of one walk.
+    """
+    levels = lattice_walk(top, (n - a_max,) if a_max < n else ())
+    return [level.get((n - a,) if a < n else (), 0) for a, level in enumerate(levels)]
 
 
 def skew_syt_count(outer, inner=()) -> int:
@@ -70,7 +62,10 @@ def skew_syt_count(outer, inner=()) -> int:
     """
     outer = Partition(outer)
     inner = Partition(inner)
-    return _skew_count(tuple(outer), tuple(inner))
+    if not outer.contains(inner):
+        return 0
+    *_, bottom = lattice_walk({tuple(outer): 1}, tuple(inner))
+    return bottom.get(tuple(inner), 0)
 
 
 def skew_syt_large_first_row(lam, a: int) -> int:

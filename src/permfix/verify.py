@@ -28,9 +28,10 @@ from .characters import (
 from .moments import (
     commutator_fixed_moments,
     commutator_random_moments,
+    cutoff_steps,
     icycle_walk_moments_exact,
+    icycle_walk_report,
     moment_commutator_random,
-    walk_cutoff_comparison,
     walk_exact_distribution,
     walk_term_at_cutoff,
 )
@@ -265,7 +266,7 @@ def _poisson_rate(ns, rs):
 
 @_gate("asymptotics", "walk-cutoff-mean-near-poisson", n=300, i=2, c=0.0, precision_bits=128)
 def _walk_cutoff_mean(n, i, c, precision_bits):
-    report = walk_cutoff_comparison(n, i, c, 1, precision_bits)
+    report = icycle_walk_report(n, i, cutoff_steps(n, i, c), 1, c=c, precision_bits=precision_bits)
     gap = abs(float(report.difference[0]))
     return gap < 0.1, {"n": n, "i": i, "c": c, "steps": report.params["k"], "gap": gap}
 

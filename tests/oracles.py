@@ -7,10 +7,12 @@ longest increasing subsequence uses dynamic programming. Five exceptions
 keep a production path's former form as the reference for its
 replacement: per_order_moment, the moment engines' per-order shape sum;
 factorial_moments_by_skew_counts, the engine's former per-shape route to
-the factorial moments; dim_hook_product, the uncancelled hook length
-formula; character_recursive, the Murnaghan-Nakayama recursion with one
-call per cycle; and char_near_one_row, the closed forms that character
-polynomials replaced for the three shapes nearest one row.
+the factorial moments, with its skew counts from the memoized
+corner-peeling recursion skew_count_by_corner_peeling; dim_hook_product,
+the uncancelled hook length formula; character_recursive, the
+Murnaghan-Nakayama recursion with one call per cycle; and
+char_near_one_row, the closed forms that character polynomials replaced
+for the three shapes nearest one row.
 skew_syt_count_determinant is an independent determinant evaluation of
 the skew tableau counts. The scalar samplers draw one permutation at a
 time with plain Python loops, as references for the vectorized kernels.
@@ -38,7 +40,6 @@ from permfix.partitions import (
     partitions_with_large_first_row,
 )
 from permfix.simulate import commutator_perm, compose, exact_shape_distribution, make_rng
-from permfix.tableaux import skew_syt_count
 
 
 def syt_fillings(outer, inner=()) -> list[tuple[tuple[int, ...], ...]]:
@@ -277,8 +278,23 @@ def per_order_moment(n: int, r: int, weight, total=sum):
     return total(terms)
 
 
+@lru_cache(maxsize=None)
+def skew_count_by_corner_peeling(outer: tuple, inner: tuple) -> int:
+    """f^{outer/inner}: the sum of the counts left after removing each corner of outer."""
+    if not Partition.contains(outer, inner):
+        return 0
+    if sum(outer) == sum(inner):
+        return 1
+    total = 0
+    for i, p in enumerate(outer):
+        if i + 1 == len(outer) or p > outer[i + 1]:
+            smaller = outer[:i] + (p - 1,) + outer[i + 1:] if p > 1 else outer[:i]
+            total += skew_count_by_corner_peeling(smaller, inner)
+    return total
+
+
 def factorial_moments_by_skew_counts(n: int, a_max: int, weight, total=sum) -> list:
-    """F_a = total of weight(lam) * skew_syt_count(lam, (n - a)), for a = 0..a_max.
+    """F_a = total of weight(lam) * f^{lam/(n-a)}, for a = 0..a_max.
 
     This is the route the moment engine took before its lattice pass: one
     product per (shape, a), each skew count a corner-peeling memo lookup.
@@ -289,7 +305,7 @@ def factorial_moments_by_skew_counts(n: int, a_max: int, weight, total=sum) -> l
     for lam in partitions_with_large_first_row(n, a_max):
         w = weight(lam)
         for a in range(n - lam[0] if lam else 0, a_max + 1):
-            terms[a].append(w * skew_syt_count(lam, (n - a,) if a < n else ()))
+            terms[a].append(w * skew_count_by_corner_peeling(tuple(lam), (n - a,) if a < n else ()))
     return [total(t) for t in terms]
 
 

@@ -19,11 +19,11 @@ from oracles import top_to_random_shape_check
 from permfix.characters import CycleType
 from permfix.moments import (
     cutoff_steps,
+    icycle_walk_moments_exact,
     moment_commutator_fixed,
     moment_commutator_fixed_closed,
     moment_commutator_random,
     moment_icycle_walk,
-    moment_icycle_walk_exact,
 )
 from permfix.multiplicity import mult_skew
 from permfix.partitions import all_partitions
@@ -152,9 +152,9 @@ def test_c08_walk_exactness_small_n():
 
 def test_c09_walk_deterministic_sanity():
     for n in (10, 100, 1000, 10_000):
-        assert moment_icycle_walk_exact(n, 2, 0, 1) == n
-        assert moment_icycle_walk_exact(n, 2, 1, 1) == n - 2
-    assert moment_icycle_walk_exact(6, 3, 0, 2) == 36
+        assert icycle_walk_moments_exact(n, 2, 0, 1)[1] == n
+        assert icycle_walk_moments_exact(n, 2, 1, 1)[1] == n - 2
+    assert icycle_walk_moments_exact(6, 3, 0, 2)[2] == 36
     _ok("C09 zero-step and one-transposition walk sanity up to n = 10^4")
 
 
@@ -215,12 +215,8 @@ def test_c13_monte_carlo_vs_exact_engines():
         )
         assert abs(z) < 4, (r, z)
     walk = fixed_point_histogram("walk", 6, 1_000_000, seed=SEED + 1, i=3, k=4)
+    exact = icycle_walk_moments_exact(6, 3, 4, 4)
     for r in (1, 2):
-        z = moment_z_score(
-            walk,
-            r,
-            moment_icycle_walk_exact(6, 3, 4, r),
-            moment_icycle_walk_exact(6, 3, 4, 2 * r),
-        )
+        z = moment_z_score(walk, r, exact[r], exact[2 * r])
         assert abs(z) < 4, (r, z)
     _ok("C13 10^6-sample Monte Carlo within 4 sigma of exact engines (fixed seed)")

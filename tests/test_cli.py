@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from permfix import reports
 from permfix.cli import (
     MAX_CELLS_BELOW_FIRST_ROW,
     MAX_MULT_SKEW_CELLS,
@@ -207,6 +207,19 @@ def test_simulate_uniform_reports_tv(capsys):
     assert code == 0
     report = json.loads(out)
     assert float(report["tv_to_poisson_reference"]) < 0.05
+
+
+def test_simulate_uniform_at_n_4000_finishes_in_seconds(capsys):
+    # Its exact moments come from F_a = 1; building the whole derangement law
+    # took over a minute at this n.
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "simulate", "--model", "uniform", "--n", "4000", "--samples", "100",
+        "--threads", "1",
+    )
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert [as_fraction(row["exact_moment"]) for row in json.loads(out)["table"]] == [1, 2]
 
 
 def test_simulate_rejects_bad_params(capsys):
@@ -423,6 +436,19 @@ def test_cycle_type_of_the_wrong_size_exits_2(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("dist", "commutator", "--n", "4"),
+        ("simulate", "--model", "commutator", "--n", "4", "--samples", "10"),
+    ],
+)
+def test_empty_cycle_type_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--x", "")
+    assert (code, out) == (2, "")
+    assert "empty partition string" in err
+
+
+@pytest.mark.parametrize(
     "argv", (["mult", "--r", "1"], ["ratio", "--i", "2"]), ids=("mult", "ratio")
 )
 def test_lambda_cells_below_the_first_row_are_capped(capsys, argv):
@@ -501,19 +527,6 @@ def test_mult_r_beyond_the_skew_cell_limit_exits_2(capsys, lam, r, alg):
     code, out, err = run_cli(capsys, "mult", "--lambda", lam, "--r", r, "--alg", alg)
     assert (code, out) == (2, "")
     assert f"more than the {MAX_MULT_SKEW_CELLS} cells accepted" in err
-
-
-_json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
-    max_leaves=20,
-)
-
-
-@settings(max_examples=50)
-@given(_json_values)
-def test_to_json_lays_out_as_json_dumps(value):
-    assert reports.to_json(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 # Runs permfix as python -m permfix would, then prints the peak resident set

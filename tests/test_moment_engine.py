@@ -11,7 +11,6 @@ import pytest
 from mpmath import mp
 from oracles import factorial_moments_by_skew_counts, per_order_moment
 
-from permfix import tableaux
 from permfix.characters import CycleType, char_ratio_icycle, character
 from permfix.moments import (
     _factorial_moments,
@@ -24,7 +23,6 @@ from permfix.moments import (
     moment_commutator_fixed,
     moment_commutator_random,
     moment_icycle_walk,
-    moment_icycle_walk_exact,
 )
 from permfix.partitions import all_partitions, dim
 from permfix.setpartitions import stirling_row
@@ -60,7 +58,6 @@ def test_exact_walk_engine_equals_per_order_sums(n, i):
 
         expected = [per_order_moment(n, r, weight) for r in range(7)]
         assert icycle_walk_moments_exact(n, i, k, 6) == expected
-        assert [moment_icycle_walk_exact(n, i, k, r) for r in range(7)] == expected
 
 
 @pytest.mark.parametrize("c", (-0.5, 0.0, 1.0))
@@ -144,15 +141,6 @@ def test_float_walk_lattice_pass_equals_fsum_route_at_128_bits(n, i, c):
 def test_empty_shape_carries_the_zeroth_factorial_moment():
     # At n = 0 the one-row shape (n - 0) is the empty shape, not (0,).
     assert commutator_fixed_moments(0, (), 3) == [1, 0, 0, 0]
-
-
-def test_engine_computes_no_skew_count():
-    tableaux._skew_count.cache_clear()
-    commutator_random_moments(12, 12)
-    commutator_fixed_moments(9, (3, 3, 2, 1), 9)
-    icycle_walk_moments_exact(10, 3, 4, 10)
-    icycle_walk_moments(2000, 2, cutoff_steps(2000, 2, 0.0), 3)
-    assert tableaux._skew_count.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("k, top", ((10**9, 2), (10**9 + 1, 0)))

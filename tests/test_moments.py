@@ -14,19 +14,20 @@ from permfix.moments import (
     commutator_fixed_report,
     commutator_random_report,
     cutoff_steps,
+    icycle_walk_moments_exact,
     icycle_walk_report,
     moment_commutator_fixed,
     moment_commutator_fixed_closed,
     moment_commutator_random,
     moment_icycle_walk,
-    moment_icycle_walk_exact,
-    walk_cutoff_comparison,
+    uniform_moments,
     walk_exact_distribution,
     walk_term_at_cutoff,
 )
 from permfix.multiplicity import mult_skew
 from permfix.partitions import all_partitions, dim
 from permfix.setpartitions import bell, poisson_moment
+from permfix.simulate import exact_moment, uniform_fixed_distribution_exact
 from permfix.verify import GATES
 
 
@@ -159,19 +160,25 @@ def test_half_mean_trend_for_two_cycles():
     assert all(gaps[j] > gaps[j + 1] for j in range(len(gaps) - 1))
 
 
+def test_uniform_moments_equal_those_of_the_derangement_law():
+    for n in range(1, 25):
+        law = uniform_fixed_distribution_exact(n)
+        assert uniform_moments(n, 2 * n + 2) == [exact_moment(law, r) for r in range(2 * n + 3)]
+
+
 def test_walk_zero_steps_is_identity():
     for n in (5, 10, 100):
-        assert moment_icycle_walk_exact(n, 2, 0, 1) == n
-        assert moment_icycle_walk_exact(n, 2, 0, 2) == n ** 2
+        assert icycle_walk_moments_exact(n, 2, 0, 1)[1] == n
+        assert icycle_walk_moments_exact(n, 2, 0, 2)[2] == n ** 2
 
 
 def test_walk_one_transposition_mean():
     for n in (3, 10, 47, 1000):
-        assert moment_icycle_walk_exact(n, 2, 1, 1) == n - 2
+        assert icycle_walk_moments_exact(n, 2, 1, 1)[1] == n - 2
 
 
 def test_walk_zeroth_moment_is_one():
-    assert moment_icycle_walk_exact(6, 3, 4, 0) == 1
+    assert icycle_walk_moments_exact(6, 3, 4, 0)[0] == 1
 
 
 def test_walk_exact_distribution_point_mass_at_start():
@@ -210,7 +217,7 @@ def test_walk_enumeration_limit():
 
 def test_walk_float_path_matches_exact():
     for n, i, k, r in ((6, 2, 5, 2), (7, 3, 9, 3), (12, 2, 14, 2)):
-        exact = moment_icycle_walk_exact(n, i, k, r)
+        exact = icycle_walk_moments_exact(n, i, k, r)[r]
         approx = moment_icycle_walk(n, i, k, r, precision_bits=160)
         with mp.workprec(200):
             gap = abs(approx - mpmath.mpf(exact.numerator) / exact.denominator)
@@ -225,11 +232,11 @@ def test_walk_float_path_is_deterministic():
 
 def test_walk_validates_inputs():
     with pytest.raises(ValidationError):
-        moment_icycle_walk_exact(4, 5, 1, 1)
+        icycle_walk_moments_exact(4, 5, 1, 1)
     with pytest.raises(ValidationError):
-        moment_icycle_walk_exact(4, 1, 1, 1)
+        icycle_walk_moments_exact(4, 1, 1, 1)
     with pytest.raises(ValidationError):
-        moment_icycle_walk_exact(4, 2, -1, 1)
+        icycle_walk_moments_exact(4, 2, -1, 1)
 
 
 def test_cutoff_steps_rounding():
@@ -239,7 +246,7 @@ def test_cutoff_steps_rounding():
 
 
 def test_walk_cutoff_report_near_poisson():
-    report = walk_cutoff_comparison(400, 2, 0.0, 2)
+    report = icycle_walk_report(400, 2, cutoff_steps(400, 2, 0.0), 2, c=0.0)
     assert report.params["k"] == cutoff_steps(400, 2, 0.0)
     assert float(report.poisson_mean) == pytest.approx(2.0)
     assert abs(float(report.difference[0])) < 0.1
@@ -247,7 +254,7 @@ def test_walk_cutoff_report_near_poisson():
 
 
 def test_walk_cutoff_large_c_approaches_unit_mean():
-    report = walk_cutoff_comparison(200, 2, 8.0, 1)
+    report = icycle_walk_report(200, 2, cutoff_steps(200, 2, 8.0), 1, c=8.0)
     assert float(report.poisson_mean) == pytest.approx(1.0, abs=1e-6)
     assert abs(float(report.moments[0]) - 1.0) < 0.05
 
@@ -305,7 +312,7 @@ def test_commutator_moment_against_group_identity():
 
 
 def test_walk_cutoff_moments_at_a_million():
-    report = walk_cutoff_comparison(10**6, 2, 0.0, 3)
+    report = icycle_walk_report(10**6, 2, cutoff_steps(10**6, 2, 0.0), 3, c=0.0)
     assert report.params["k"] == 6907755
     for moment, target in zip(report.moments, (2, 6, 22)):
         assert abs(moment - target) < 1e-3 * target

@@ -21,7 +21,6 @@ from permfix.characters import CycleType, perm_cycle_type
 from permfix.errors import EnumerationLimitError, ValidationError
 from permfix.moments import (
     moment_commutator_random,
-    moment_icycle_walk_exact,
     walk_exact_distribution,
 )
 from permfix import simulate

@@ -2,14 +2,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import count_syt, skew_syt_count_determinant
+from oracles import count_syt, skew_count_by_corner_peeling, skew_syt_count_determinant
 from permfix.errors import FirstRowGuardError
 from permfix.partitions import Partition, all_partitions, dim
-from permfix.tableaux import (
-    SkewShape,
-    skew_syt_count,
-    skew_syt_large_first_row,
-)
+from permfix.tableaux import lattice_walk, skew_syt_count, skew_syt_large_first_row
 from strategies import partitions
 
 
@@ -68,6 +64,23 @@ def test_branching_consistency():
                 assert total == skew_syt_count(outer, inner)
 
 
+def test_lattice_walk_levels_are_weighted_skew_counts_on_the_shapes_over_the_floor():
+    for n in range(1, 8):
+        for m in range(n + 1):
+            for floor in all_partitions(m):
+                top = {tuple(lam): j + 1 for j, lam in enumerate(all_partitions(n)) if lam.contains(floor)}
+                levels = list(lattice_walk(top, tuple(floor)))
+                assert len(levels) == n - m + 1
+                for size, level in zip(range(n, m - 1, -1), levels):
+                    assert all(Partition(mu).contains(floor) for mu in level)
+                    expected = {
+                        tuple(mu): sum(w * skew_count_by_corner_peeling(lam, tuple(mu)) for lam, w in top.items())
+                        for mu in all_partitions(size)
+                        if mu.contains(floor)
+                    }
+                    assert {mu: level.get(mu, 0) for mu in expected} == expected
+
+
 def test_determinant_agrees_with_branching():
     for n in range(0, 10):
         for outer in all_partitions(n):
@@ -75,14 +88,6 @@ def test_determinant_agrees_with_branching():
                 assert skew_syt_count_determinant(outer, inner) == skew_syt_count(
                     outer, inner
                 )
-
-
-def test_skew_shape_validates_containment():
-    shape = SkewShape(Partition((3, 1)), Partition((2,)))
-    assert shape.size == 2
-    assert shape.count() == 2
-    with pytest.raises(ValueError):
-        SkewShape(Partition((1, 1)), Partition((2,)))
 
 
 def test_large_first_row_examples():
