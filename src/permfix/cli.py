@@ -23,7 +23,7 @@ from functools import cache
 from . import moments, reports
 from .characters import CycleType, char_ratio_icycle
 from .errors import CrossCheckError, SizeMismatchError, ValidationError
-from .multiplicity import mult_large_first_row, mult_oracle, mult_skew, mult_updown
+from .multiplicity import ROUTES as MULT_ROUTES, mult_by_route
 from .partitions import Partition
 from .simulate import (
     enumerate_commutator_distribution,
@@ -42,6 +42,11 @@ EXIT_CROSS_CHECK = 4
 # Below a double's 53 bits, mpmath would still compute, and print wrong
 # digits: at -5 bits a walk moment of 8 comes out as 4.
 MIN_PRECISION_BITS = 53
+
+# At this cap moments walk --n 10 --i 2 --c 0, and the same at --n 2000
+# --r-max 3, take 0.9 s (4.6 s at 65536 bits); the slowest case tried,
+# --n 2000 --r-max 10, takes 8 s (0.4 s at 128 bits).
+MAX_PRECISION_BITS = 16384
 
 
 # A --lambda shape's cost grows with its cells below the first row: ratio
@@ -97,7 +102,7 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--precision", type=int, default=128, help=f"bits, at least {MIN_PRECISION_BITS}"
+        "--precision", type=int, default=128, help=f"bits, {MIN_PRECISION_BITS}..{MAX_PRECISION_BITS}"
     )
     parser.add_argument(
         "--threads", type=int, default=None, help="default: PERMFIX_THREADS or the core count"
@@ -122,11 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mult", help="tensor-power multiplicities")
     p.add_argument("--lambda", dest="lam", required=True, metavar="PARTS")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument(
-        "--alg",
-        choices=("skew", "updown", "first-row", "oracle", "all"),
-        default="skew",
-    )
+    p.add_argument("--alg", choices=(*MULT_ROUTES, "all"), default="skew")
     _common_flags(p)
 
     p = sub.add_parser("moments", help="exact moment engines")
@@ -199,14 +200,6 @@ def _emit(args, command: str, body: dict) -> None:
         sys.stdout.write(reports.to_json(rep) + "\n")
 
 
-_MULT_ALGORITHMS = {
-    "skew": mult_skew,
-    "updown": mult_updown,
-    "first-row": mult_large_first_row,
-    "oracle": mult_oracle,
-}
-
-
 def cmd_mult(args) -> int:
     lam = Partition(parse_parts(args.lam, max_below_first_row=MAX_CELLS_BELOW_FIRST_ROW))
     if args.r < 0:
@@ -214,17 +207,12 @@ def cmd_mult(args) -> int:
     if min(args.r, lam.n) > MAX_MULT_SKEW_CELLS:
         raise ValidationError(f"--r reaches more than the {MAX_MULT_SKEW_CELLS} cells accepted")
     if args.alg == "all":
-        values = {"skew": mult_skew(lam, args.r), "updown": mult_updown(lam, args.r)}
-        second = lam[1] if len(lam) > 1 else 0
-        if 1 <= args.r <= lam.n - second:
-            values["first-row"] = mult_large_first_row(lam, args.r)
-        if lam.n <= 7:
-            values["oracle"] = mult_oracle(lam, args.r)
+        values = mult_by_route(lam, args.r)
         if len(set(values.values())) != 1:
             raise CrossCheckError(f"algorithms disagree: {values}")
         body = {"multiplicity": values["skew"], "by_algorithm": values, "agree": True}
     else:
-        body = {"multiplicity": _MULT_ALGORITHMS[args.alg](lam, args.r)}
+        body = {"multiplicity": MULT_ROUTES[args.alg](lam, args.r)}
     _emit(args, "mult", body)
     return EXIT_OK
 
@@ -369,16 +357,14 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "r_max", 0) < 0:
             raise ValidationError(f"--r-max must be nonnegative, got {args.r_max}")
-        if args.precision < MIN_PRECISION_BITS:
+        if not MIN_PRECISION_BITS <= args.precision <= MAX_PRECISION_BITS:
             raise ValidationError(
-                f"--precision must be at least {MIN_PRECISION_BITS} bits, got {args.precision}"
+                f"--precision must be at least {MIN_PRECISION_BITS} bits and at most "
+                f"{MAX_PRECISION_BITS}, got {args.precision}"
             )
         if args.threads is None:
             args.threads = _default_threads()
         return _COMMANDS[args.command](args)
-    except ValidationError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_VALIDATION
     except CrossCheckError as exc:
         sys.stderr.write(f"cross-check failure: {exc}\n")
         return EXIT_CROSS_CHECK

@@ -118,3 +118,18 @@ def mult_oracle(lam, r: int) -> int:
     if rem:
         raise ArithmeticError("inner product is not an integer")
     return q
+
+
+ROUTES = {"skew": mult_skew, "updown": mult_updown,
+          "first-row": mult_large_first_row, "oracle": mult_oracle}
+
+
+def mult_by_route(lam, r: int) -> dict[str, int]:
+    """m(lam, r) by each route of ROUTES whose guard admits (lam, r)."""
+    values = {}
+    for name, route in ROUTES.items():
+        try:
+            values[name] = route(lam, r)
+        except (FirstRowGuardError, EnumerationLimitError):
+            pass
+    return values

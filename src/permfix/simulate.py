@@ -4,7 +4,8 @@ exhaustive oracles.
 Randomness contract: every sampler draws from a numpy PCG64 generator.
 A run is identified by a 64-bit master seed; one stream per chunk is
 derived with SeedSequence(seed).spawn, so threaded runs produce the same
-histogram as a sequential run with the same seed and stream version.
+histogram as a sequential run with the same seed and stream version;
+a random x factor comes from the chunk's generator jumped ahead.
 
 Permutations are tuples in one-line form over 0..n-1. compose(p, q)
 applies q first.
@@ -29,13 +30,14 @@ from .partitions import Partition, all_partitions, dim
 # its seed and parameters at one stream version. Version 2 sizes chunks
 # from n, which changes the histograms of n > 128 only. Version 3 draws
 # the walk's i-cycles without rejection, which changes every walk
-# histogram and no other.
-STREAM_VERSION = 3
+# histogram and no other. Version 4 draws a random x factor from a child
+# of the chunk's generator, which changes only both-random commutators.
+STREAM_VERSION = 4
 
 # A chunk of samples holds min(2^17, 2^24 // n) rows, so every n <= 128
-# keeps the 2^17-row chunks of version 1 and a chunk's point arrays stay
-# near 2^24 entries. Kernels shuffle and compare _SUB_CELLS entries at a
-# time; that size changes no result.
+# keeps the 2^17-row chunks of version 1; only the walk holds a chunk's
+# points, near 2^24 entries. The uniform and commutator kernels shuffle
+# and compare _SUB_CELLS entries at a time; that size changes no result.
 _CHUNK_ROWS = 1 << 17
 _CHUNK_CELLS = 1 << 24
 _SUB_CELLS = 1 << 16
@@ -122,57 +124,38 @@ def _point_dtype(n: int):
     return np.int64
 
 
-def _sub_rows(n: int) -> int:
-    return max(1, _SUB_CELLS // n)
+def _shuffled(rows, rng) -> np.ndarray:
+    rows[:] = np.arange(rows.shape[1])
+    return rng.permuted(rows, axis=1, out=rows)
 
 
-def _shuffled_batches(n, count, rng):
-    """(start, rows): count uniform permutations of 0..n-1, one per row,
-    in consecutive int64 sub-batches that share one buffer.
-
-    numpy shuffles int64 rows faster than narrow ones, and shuffling
-    consecutive sub-batches from one generator draws the same rows as one
-    shuffle of all of them, so the sub-batch size changes no result.
+def _shuffle_fix_counts(n, count, rng, params) -> np.ndarray:
+    """Fixed points of count uniform permutations g or, with "x" in params,
+    of g^-1 x^-1 g x: the points where g.x and x.g agree, x being the row
+    params["x"], or uniform where that is None. g and x are each shuffled
+    from one generator (x from a child jumped from rng) in int64 sub-batches,
+    numpy's fast path; those draw what one shuffle of all rows would, so the
+    sub-batch size changes no result.
     """
-    buf = np.empty((min(count, _sub_rows(n)), n), dtype=np.int64)
-    for start in range(0, count, len(buf)):
-        rows = buf[: count - start]
-        rows[:] = np.arange(n)
-        rng.permuted(rows, axis=1, out=rows)
-        yield start, rows
-
-
-def _uniform_fix_counts(n, count, rng, params) -> np.ndarray:
+    dtype, x_row = _point_dtype(n), params.get("x")
+    g = np.empty((min(count, max(1, _SUB_CELLS // n)), n), dtype=np.int64)
+    if "x" in params and x_row is None:
+        x_rng = np.random.Generator(rng.bit_generator.jumped())
+        x = np.empty_like(g)
     fix = np.empty(count, dtype=np.int64)
-    for start, g in _shuffled_batches(n, count, rng):
-        fix[start : start + len(g)] = (g == np.arange(n)).sum(axis=1)
-    return fix
-
-
-def _shuffled_rows(n, count, rng) -> np.ndarray:
-    out = np.empty((count, n), dtype=_point_dtype(n))
-    for start, rows in _shuffled_batches(n, count, rng):
-        out[start : start + len(rows)] = rows
-    return out
-
-
-def _commutator_fix_counts(n, count, rng, params) -> np.ndarray:
-    # fix(g^-1 x^-1 g x) counts the points where g.x and x.g agree. All g
-    # rows are drawn before any x row, as in stream version 1.
-    g = _shuffled_rows(n, count, rng)
-    x_row = params.get("x_row")
-    x = _shuffled_rows(n, count, rng) if x_row is None else None
-    fix = np.empty(count, dtype=np.int64)
-    step = _sub_rows(n)
-    for start in range(0, count, step):
-        gs = g[start : start + step]
-        if x is None:
-            gx, xg = gs[:, x_row], x_row[gs]
+    for start in range(0, count, len(g)):
+        gs = _shuffled(g[: count - start], rng)
+        if "x" not in params:
+            same = gs == np.arange(n)
+        elif x_row is None:
+            xs = _shuffled(x[: count - start], x_rng)
+            # Flat gathers from narrow copies beat take_along_axis.
+            cells = np.arange(0, xs.size, n)[:, None]
+            narrow_g, narrow_x = gs.astype(dtype).ravel(), xs.astype(dtype).ravel()
+            same = narrow_g[xs + cells] == narrow_x[gs + cells]
         else:
-            xs = x[start : start + step]
-            gx = np.take_along_axis(gs, xs, axis=1)
-            xg = np.take_along_axis(xs, gs, axis=1)
-        fix[start : start + len(gs)] = (gx == xg).sum(axis=1)
+            same = gs.astype(dtype)[:, x_row] == x_row[gs]
+        fix[start : start + len(gs)] = same.sum(axis=1)
     return fix
 
 
@@ -218,8 +201,8 @@ def _walk_fix_counts(n, count, rng, params) -> np.ndarray:
 
 
 _KERNELS = {
-    "uniform": _uniform_fix_counts,
-    "commutator": _commutator_fix_counts,
+    "uniform": _shuffle_fix_counts,
+    "commutator": _shuffle_fix_counts,
     "walk": _walk_fix_counts,
 }
 
@@ -257,12 +240,14 @@ def fixed_point_histogram(
             raise ValidationError("k must be nonnegative")
         params.update(i=i, k=k)
         report_params.update(i=i, k=k)
-    elif model == "commutator" and x is not None:
-        x = CycleType(x)
-        if x.n != n:
-            raise SizeMismatchError(f"cycle type {x!r} has size {x.n}, expected {n}")
-        params["x_row"] = np.array(perm_from_cycle_type(x), dtype=_point_dtype(n))
-        report_params["x"] = tuple(x)
+    elif model == "commutator":
+        params["x"] = x
+        if x is not None:
+            x = CycleType(x)
+            if x.n != n:
+                raise SizeMismatchError(f"cycle type {x!r} has size {x.n}, expected {n}")
+            params["x"] = np.array(perm_from_cycle_type(x), dtype=_point_dtype(n))
+            report_params["x"] = tuple(x)
 
     kernel = _KERNELS[model]
     rows = _chunk_rows(n)
@@ -316,33 +301,30 @@ def exact_shape_distribution(n: int, r: int) -> dict[Partition, Fraction]:
 def enumerate_commutator_distribution(n: int, x=None) -> dict[int, Fraction]:
     """Exact fixed-point law of the commutator by full enumeration.
 
-    With x given, g runs over the whole group; with x absent both factors
-    do. fix(g^-1 x^-1 g x) equals the number of points where g.x and x.g
-    agree, so no inverses are formed in the inner loop.
+    With x given, g runs over the whole group; fix(g^-1 x^-1 g x) equals
+    the number of points where g.x and x.g agree, so no inverses are formed
+    in the inner loop. With x absent the law is the average of the fixed-x
+    laws over the classes C, weighted by |C| / n!.
     """
-    if x is not None:
-        x = CycleType(x)
-        if x.n != n:
-            raise SizeMismatchError(f"cycle type {x!r} has size {x.n}, expected {n}")
-        if n > 7:
-            raise EnumerationLimitError("fixed-x enumeration limited to n <= 7")
-        xp = perm_from_cycle_type(x)
-        counts: Counter = Counter()
-        for g in permutations(range(n)):
-            fix = sum(1 for j in range(n) if g[xp[j]] == xp[g[j]])
-            counts[fix] += 1
-        denom = factorial(n)
-    else:
+    if x is None:
         if n > 6:
             raise EnumerationLimitError("both-random enumeration limited to n <= 6")
-        perms = list(permutations(range(n)))
-        counts = Counter()
-        for g in perms:
-            for xq in perms:
-                fix = sum(1 for j in range(n) if g[xq[j]] == xq[g[j]])
-                counts[fix] += 1
-        denom = factorial(n) ** 2
-    return {j: Fraction(c, denom) for j, c in sorted(counts.items())}
+        law: Counter = Counter()
+        for parts in all_partitions(n):
+            size = CycleType(parts).class_size()
+            for j, p in enumerate_commutator_distribution(n, parts).items():
+                law[j] += p * size / factorial(n)
+        return dict(sorted(law.items()))
+    x = CycleType(x)
+    if x.n != n:
+        raise SizeMismatchError(f"cycle type {x!r} has size {x.n}, expected {n}")
+    if n > 7:
+        raise EnumerationLimitError("fixed-x enumeration limited to n <= 7")
+    xp = perm_from_cycle_type(x)
+    counts = Counter(
+        sum(1 for j in range(n) if g[xp[j]] == xp[g[j]]) for g in permutations(range(n))
+    )
+    return {j: Fraction(c, factorial(n)) for j, c in sorted(counts.items())}
 
 
 def _subfactorial(m: int) -> int:

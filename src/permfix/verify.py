@@ -35,7 +35,7 @@ from .moments import (
     walk_exact_distribution,
     walk_term_at_cutoff,
 )
-from .multiplicity import mult_large_first_row, mult_oracle, mult_skew, mult_updown
+from .multiplicity import mult_by_route, mult_skew
 from .partitions import Partition, all_partitions, dim
 from .setpartitions import bell, occupancy_probability, poisson_moment
 from .simulate import (
@@ -102,16 +102,13 @@ def _tensor_dimension(ns, rs):
 
 @_gate("identities", "multiplicity-cross-agreement", ns=range(1, 6), rs=range(5))
 def _multiplicity_agreement(ns, rs):
-    bad = []
-    for n in ns:
-        for lam in all_partitions(n):
-            second = lam[1] if len(lam) > 1 else 0
-            for r in rs:
-                ms = mult_skew(lam, r)
-                if ms != mult_updown(lam, r) or ms != mult_oracle(lam, r):
-                    bad.append((tuple(lam), r))
-                elif 1 <= r <= n - second and ms != mult_large_first_row(lam, r):
-                    bad.append((tuple(lam), r, "first-row"))
+    bad = [
+        (tuple(lam), r)
+        for n in ns
+        for lam in all_partitions(n)
+        for r in rs
+        if len(set(mult_by_route(lam, r).values())) != 1
+    ]
     return not bad, {"failures": bad}
 
 

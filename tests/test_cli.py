@@ -308,9 +308,9 @@ def test_gate_failure_exits_3(capsys, monkeypatch):
 
 
 def test_cross_check_disagreement_exits_4(capsys, monkeypatch):
-    import permfix.cli as cli_mod
+    from permfix import multiplicity
 
-    monkeypatch.setattr(cli_mod, "mult_updown", lambda lam, r: 999)
+    monkeypatch.setitem(multiplicity.ROUTES, "updown", lambda lam, r: 999)
     code, _, err = run_cli(capsys, "mult", "--lambda", "4,1", "--r", "1", "--alg", "all")
     assert code == 4
     assert "disagree" in err
@@ -383,6 +383,25 @@ def test_precision_at_its_floor_is_accepted(capsys):
     assert json.loads(out)["config"]["precision"] == 53
 
 
+@pytest.mark.parametrize("precision", ("16385", "1000000"))
+def test_precision_above_its_cap_exits_2(capsys, precision):
+    code, out, err = run_cli(
+        capsys, "moments", "walk", "--n", "10", "--i", "2", "--c", "0", "--precision", precision
+    )
+    assert code == 2
+    assert out == ""
+    assert "at most 16384, got" in err
+
+
+def test_precision_at_its_cap_is_accepted(capsys):
+    code, out, err = run_cli(
+        capsys, "moments", "walk", "--n", "10", "--i", "2", "--k", "3", "--r-max", "1",
+        "--precision", "16384",
+    )
+    assert code == 0, err
+    assert json.loads(out)["config"]["precision"] == 16384
+
+
 def test_non_integer_permfix_threads_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("PERMFIX_THREADS", "abc")
     argv = ("simulate", "--model", "uniform", "--n", "5", "--samples", "100")
@@ -400,7 +419,7 @@ def test_simulate_report_carries_the_stream_version(capsys):
         capsys, "simulate", "--model", "uniform", "--n", "5", "--samples", "100", "--seed", "1"
     )
     assert code == 0
-    assert json.loads(out)["stream_version"] == 3
+    assert json.loads(out)["stream_version"] == 4
 
 
 def test_commutator_fixed_report_gives_the_class_by_cycle_counts(capsys):
@@ -592,8 +611,8 @@ _COMMAND_LINES = (
 )
 _VALUES = {
     "N": st.integers(-2, 12).map(str),
-    # Past 5 the commutator enumeration takes seconds; 8 exceeds its limit.
-    "D": st.sampled_from(("-1", "0", "1", "2", "3", "4", "5", "8")),
+    # 7 exceeds the both-random enumeration's limit, 8 the fixed-x one's.
+    "D": st.sampled_from(("-1", "0", "1", "2", "3", "4", "5", "6", "7", "8")),
     "C": st.floats(-5, 5).map(str) | st.sampled_from(("nan", "-inf", "1e300")),
     "S": st.integers(-5, 3000).map(str) | st.sampled_from(("0.5", "1e3", "nan")),
     "A": st.sampled_from(("skew", "updown", "first-row", "oracle", "all")),
@@ -612,7 +631,9 @@ def _argv(draw):
         argv.append(draw(value))
     if draw(st.integers(0, 9)) == 0:
         argv[draw(st.integers(1, len(argv) - 1))] = draw(_JUNK)
-    return argv + draw(st.sampled_from(([], ["--precision", "0"], ["--precision", "64"])))
+    precision = st.sampled_from(([], ["--precision", "0"], ["--precision", "64"],
+                                 ["--precision", "1000000"]))
+    return argv + draw(precision)
 
 
 @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -277,6 +277,17 @@ def test_commutator_histogram_matches_engine():
     assert abs(z) < 5
 
 
+def test_commutator_histogram_matches_enumerated_law():
+    dist = fixed_point_histogram("commutator", 6, 200_000, seed=27)
+    exact = enumerate_commutator_distribution(6)
+    assert set(dist.histogram) <= set(exact)
+    chi_sq = sum(
+        (dist.histogram.get(j, 0) - float(p) * dist.samples) ** 2 / (float(p) * dist.samples)
+        for j, p in exact.items()
+    )
+    assert chi_sq < _chi_square_bound(len(exact)), chi_sq
+
+
 def test_commutator_fixed_histogram_matches_enumeration():
     x = (3, 2)
     dist = fixed_point_histogram("commutator", 5, 200_000, seed=23, x=x)
@@ -389,17 +400,19 @@ def test_fixed_point_histogram_validation():
 
 
 # Histograms of stream version 1, before chunks were sized from n: every
-# n <= 128 keeps its 2^17-row chunks, so the uniform and commutator ones
-# must not move. Each run spans a full chunk and part of a second.
+# n <= 128 keeps its 2^17-row chunks, so the uniform and fixed-x ones must
+# not move. Each run spans a full chunk and part of a second.
 PINNED_SAMPLES = (1 << 17) + 5000
 PINNED_HISTOGRAMS = [
     (
         ("uniform", 64, 61, {}),
         {0: 50097, 1: 49836, 2: 25133, 3: 8419, 4: 2073, 5: 439, 6: 60, 7: 11, 8: 4},
     ),
+    # Both-random x rows come from a child stream since version 4; this is
+    # its version 4 histogram.
     (
         ("commutator", 32, 62, {}),
-        {0: 48620, 1: 50171, 2: 25633, 3: 8839, 4: 2198, 5: 506, 6: 88, 7: 11, 8: 6},
+        {0: 48365, 1: 50051, 2: 25958, 3: 8851, 4: 2280, 5: 469, 6: 81, 7: 16, 8: 1},
     ),
     (
         ("commutator", 32, 63, {"x": (5, 4, 3, 3, 3, 3, 3, 2, 2, 2, 2)}),
@@ -421,7 +434,7 @@ def test_seeded_histograms_at_small_n_are_pinned(run, histogram):
     model, n, seed, kwargs = run
     dist = fixed_point_histogram(model, n, PINNED_SAMPLES, seed=seed, **kwargs)
     assert dist.histogram == histogram
-    assert dist.stream_version == 3
+    assert dist.stream_version == 4
 
 
 def test_chunks_shrink_only_beyond_n_128():
@@ -524,15 +537,17 @@ def test_many_chunks_in_flight_do_not_change_result(monkeypatch):
     assert sum(a.histogram.values()) == 2950
 
 
-def test_commutator_memory_is_bounded_by_narrow_points():
-    # 2000 commutators at n = 3000. One int64 copy of the chunk is
-    # 2000 * 3000 * 8 bytes = 48 MB; the int64 kernels of stream version 1
-    # peaked at about four of them (199 MB). Version 2 holds g and x as
-    # int16 (24 MB) plus sub-batch buffers.
+@pytest.mark.parametrize("x", [None, (2,) * 1500], ids=["both-random", "fixed-x"])
+def test_commutator_memory_is_bounded_by_the_sub_batch(x):
+    # 2000 commutators at n = 3000. One int16 copy of the chunk is 12 MB;
+    # stream version 3 held g, and x when random, as such copies and peaked
+    # at 24 MB (both random) and 12 MB (fixed x). The kernel now holds only
+    # int64 sub-batch buffers of 2^16 entries (0.5 MB each) and their
+    # temporaries.
     tracemalloc.start()
     try:
-        fixed_point_histogram("commutator", 3000, 2000, seed=1)
+        fixed_point_histogram("commutator", 3000, 2000, seed=1, x=x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2000 * 3000 * 8
+    assert peak < 6_000_000, peak
