@@ -12,7 +12,8 @@ Three monitored sequences:
 import argparse
 from fractions import Fraction
 
-from permfix import bell, moment_commutator_fixed, moment_commutator_random, poisson_moment
+from permfix import bell, poisson_moment
+from permfix.moments import commutator_fixed_moments, commutator_random_moments
 
 
 def main() -> None:
@@ -24,7 +25,7 @@ def main() -> None:
 
     print(f"both-random, r={r}: n * (moment - Bell)")
     for n in range(max(r, 4), args.n_max + 1, 4):
-        gap = moment_commutator_random(n, r) - bell(r)
+        gap = commutator_random_moments(n, r)[r] - bell(r)
         print(f"  n={n:>3}  {float(gap * n):.6f}")
 
     for k in (3, 4):
@@ -32,7 +33,7 @@ def main() -> None:
         n = k * max(2, (max(r, 4) + k - 1) // k)
         while n <= args.n_max:
             x = (k,) * (n // k)
-            gap = moment_commutator_fixed(n, x, r) - bell(r)
+            gap = commutator_fixed_moments(n, x, r)[r] - bell(r)
             print(f"  n={n:>3}  {float(gap):.6f}")
             n += k
 
@@ -40,7 +41,7 @@ def main() -> None:
     print(f"fixed x of type (2^(n/2)), r={r}: moment - {float(target):g}")
     for n in range(max(r, 4) + max(r, 4) % 2, args.n_max + 1, 2):
         x = (2,) * (n // 2)
-        gap = moment_commutator_fixed(n, x, r) - target
+        gap = commutator_fixed_moments(n, x, r)[r] - target
         print(f"  n={n:>3}  {float(gap):+.6f}")
 
 

@@ -243,23 +243,14 @@ def perm_cycle_type(perm) -> CycleType:
 class RatioDecayRow:
     n: int
     max_scaled_error: Fraction
-    worst_shape: Partition
-    per_shape: tuple[tuple[Partition, Fraction], ...]
 
 
-@dataclass(frozen=True)
-class RatioDecayReport:
-    i: int
-    t: int
-    rows: tuple[RatioDecayRow, ...]
-
-
-def verify_ratio_asymptotics(i: int, t: int, n_list) -> RatioDecayReport:
+def verify_ratio_asymptotics(i: int, t: int, n_list) -> list[RatioDecayRow]:
     """Scaled deviation of i-cycle ratios from 1 - i*t/n across shapes.
 
-    For each n and each shape with first part n - t, records
-    |ratio - (1 - i*t/n)| * n^2 exactly. The maxima are reported for
-    monitoring; no universal constant is asserted here.
+    For each n, records the maximum of |ratio - (1 - i*t/n)| * n^2 over
+    the shapes with first part n - t, exactly, for monitoring; no
+    universal constant is asserted here.
     """
     if i < 2 or t < 0:
         raise ValidationError("need i >= 2 and t >= 0")
@@ -267,19 +258,9 @@ def verify_ratio_asymptotics(i: int, t: int, n_list) -> RatioDecayReport:
     for n in n_list:
         if n < t + i + 2:
             raise ValidationError(f"n = {n} too small for t = {t}, i = {i}")
-        per_shape = []
-        for rest in bounded_partitions(t, n - t):
-            lam = Partition((n - t, *rest))
-            ratio = char_ratio_icycle(lam, i)
-            err = abs(ratio - Fraction(n - i * t, n)) * n * n
-            per_shape.append((lam, err))
-        worst = max(per_shape, key=lambda item: item[1])
-        rows.append(
-            RatioDecayRow(
-                n=n,
-                max_scaled_error=worst[1],
-                worst_shape=worst[0],
-                per_shape=tuple(per_shape),
-            )
+        worst = max(
+            abs(char_ratio_icycle(Partition((n - t, *rest)), i) - Fraction(n - i * t, n)) * n * n
+            for rest in bounded_partitions(t, n - t)
         )
-    return RatioDecayReport(i=i, t=t, rows=tuple(rows))
+        rows.append(RatioDecayRow(n=n, max_scaled_error=worst))
+    return rows

@@ -19,12 +19,13 @@ import math
 import os
 import sys
 from functools import cache
+from itertools import accumulate
 
 from . import moments, reports
 from .characters import CycleType, char_ratio_icycle
 from .errors import CrossCheckError, SizeMismatchError, ValidationError
 from .multiplicity import ROUTES as MULT_ROUTES, mult_by_route
-from .partitions import Partition
+from .partitions import Partition, stratum_sizes
 from .simulate import (
     enumerate_commutator_distribution,
     exact_moment,
@@ -58,6 +59,19 @@ MAX_CELLS_BELOW_FIRST_ROW = 5000
 # mult reaches skew shapes lam/(n - a) of a <= min(r, n) cells. At 30, the
 # slowest case tried (--alg all, lam = (10^6, 7, 6, ..., 1)) takes about 2.6 s.
 MAX_MULT_SKEW_CELLS = 30
+
+# The moment engines visit every shape whose first part is at least
+# n - min(r_max, n); simulate's exact references go to 2 * r_max. The cap
+# admits all 37338 partitions of 40 and, at large n, r_max <= 31 (35471
+# shapes). There moments walk --n 2000 --i 2 --c 0 takes 8.6 s at 128 bits
+# and commutator-fixed --n 1000 --x 2^500 17 s and 610 MB, the slowest
+# cases tried but one: a class of many short cycles of several lengths
+# costs far more per shape (--n 100 --x 5^4,4^5,3^6,2^10,1^22: 32 s at
+# r_max 24, still running after 4 minutes at 31).
+MAX_ENGINE_SHAPES = 40000
+
+# The options simulate reads for each model, besides those every model reads.
+_SIMULATE_OPTIONS = {"uniform": (), "commutator": ("x",), "walk": ("i", "k")}
 
 
 def parse_parts(
@@ -98,25 +112,19 @@ def parse_parts(
     return tuple(sorted(parts, reverse=True))
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--precision", type=int, default=128, help=f"bits, {MIN_PRECISION_BITS}..{MAX_PRECISION_BITS}"
-    )
-    parser.add_argument(
-        "--threads", type=int, default=None, help="default: PERMFIX_THREADS or the core count"
-    )
-
-
-def _default_threads() -> int:
-    text = os.environ.get("PERMFIX_THREADS")
-    if text is None:
-        return os.cpu_count() or 1
-    try:
-        return int(text)
-    except ValueError:
-        raise ValidationError(f"PERMFIX_THREADS must be an integer, got {text!r}") from None
+def _leaf(sub, name: str, *flags: str, **kwargs) -> argparse.ArgumentParser:
+    """A command leaf with those of --format, --seed and --precision that it
+    reads, and --threads, which only simulate reads but every leaf takes."""
+    p = sub.add_parser(name, **kwargs)
+    if "format" in flags:
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+    if "seed" in flags:
+        p.add_argument("--seed", type=int, default=0)
+    if "precision" in flags:
+        p.add_argument("--precision", type=int, default=moments.DEFAULT_PRECISION_BITS,
+                       help=f"bits, {MIN_PRECISION_BITS}..{MAX_PRECISION_BITS}")
+    p.add_argument("--threads", type=int, default=os.cpu_count() or 1, help="default: core count")
+    return p
 
 
 @cache
@@ -124,61 +132,53 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="permfix", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("mult", help="tensor-power multiplicities")
+    p = _leaf(sub, "mult", "format", help="tensor-power multiplicities")
     p.add_argument("--lambda", dest="lam", required=True, metavar="PARTS")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--alg", choices=(*MULT_ROUTES, "all"), default="skew")
-    _common_flags(p)
 
     p = sub.add_parser("moments", help="exact moment engines")
     model_sub = p.add_subparsers(dest="model", required=True)
-    q = model_sub.add_parser("commutator-random")
+    q = _leaf(model_sub, "commutator-random", "format")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--r-max", type=int, default=3)
-    _common_flags(q)
-    q = model_sub.add_parser("commutator-fixed")
+    q = _leaf(model_sub, "commutator-fixed", "format")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--x", required=True, metavar="CYCLETYPE")
     q.add_argument("--r-max", type=int, default=3)
-    _common_flags(q)
-    q = model_sub.add_parser("walk")
+    q = _leaf(model_sub, "walk", "format", "precision")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--i", type=int, required=True)
     q.add_argument("--c", type=float, default=None)
     q.add_argument("--k", type=int, default=None)
     q.add_argument("--r-max", type=int, default=3)
-    _common_flags(q)
 
-    p = sub.add_parser("simulate", help="seeded Monte Carlo with exact references")
-    p.add_argument("--model", choices=("uniform", "commutator", "walk"), required=True)
+    p = _leaf(sub, "simulate", "format", "seed", "precision",
+              help="seeded Monte Carlo with exact references")
+    p.add_argument("--model", choices=tuple(_SIMULATE_OPTIONS), required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--i", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--x", default=None, metavar="CYCLETYPE")
+    p.add_argument("--i", type=int, default=None, help="walk only")
+    p.add_argument("--k", type=int, default=None, help="walk only")
+    p.add_argument("--x", default=None, metavar="CYCLETYPE", help="commutator only")
     p.add_argument("--samples", type=float, default=1e6)
     p.add_argument("--r-max", type=int, default=2)
-    _common_flags(p)
 
-    p = sub.add_parser("verify", help="run self-check gate suites")
+    p = _leaf(sub, "verify", help="run self-check gate suites")
     p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
-    _common_flags(p)
 
-    p = sub.add_parser("ratio", help="character ratio on an i-cycle")
+    p = _leaf(sub, "ratio", "format", help="character ratio on an i-cycle")
     p.add_argument("--lambda", dest="lam", required=True, metavar="PARTS")
     p.add_argument("--i", type=int, required=True)
-    _common_flags(p)
 
     p = sub.add_parser("dist", help="exact small-n distributions")
     dist_sub = p.add_subparsers(dest="dist_model", required=True)
-    q = dist_sub.add_parser("walk")
+    q = _leaf(dist_sub, "walk", "format")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--i", type=int, required=True)
     q.add_argument("--k", type=int, required=True)
-    _common_flags(q)
-    q = dist_sub.add_parser("commutator")
+    q = _leaf(dist_sub, "commutator", "format")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--x", default=None, metavar="CYCLETYPE")
-    _common_flags(q)
 
     return parser
 
@@ -191,9 +191,8 @@ def _resolved_config(args: argparse.Namespace) -> dict:
 
 
 def _emit(args, command: str, body: dict) -> None:
-    rep = reports.build_report(
-        command, _resolved_config(args), body, precision_bits=args.precision
-    )
+    precision = getattr(args, "precision", moments.DEFAULT_PRECISION_BITS)
+    rep = reports.build_report(command, _resolved_config(args), body, precision)
     if args.format == "csv":
         sys.stdout.write(reports.to_csv(rep))
     else:
@@ -217,7 +216,15 @@ def cmd_mult(args) -> int:
     return EXIT_OK
 
 
+def _check_engine_shapes(n: int, r_max: int) -> None:
+    """Exit 2 before any work if the engine would visit more than MAX_ENGINE_SHAPES shapes."""
+    if any(total > MAX_ENGINE_SHAPES for total in accumulate(stratum_sizes(n, r_max))):
+        raise ValidationError(f"moments to order {r_max} at n = {n} visit more than the "
+                              f"{MAX_ENGINE_SHAPES} shapes accepted; lower --r-max")
+
+
 def cmd_moments(args) -> int:
+    _check_engine_shapes(args.n, args.r_max)
     if args.model == "commutator-random":
         report = moments.commutator_random_report(args.n, args.r_max)
     elif args.model == "commutator-fixed":
@@ -248,7 +255,13 @@ def cmd_simulate(args) -> int:
         raise ValidationError(f"--samples must be finite, got {args.samples}")
     samples = int(args.samples)
     args.samples = samples
+    unread = [f"--{name}" for name in ("x", "i", "k")
+              if getattr(args, name) is not None and name not in _SIMULATE_OPTIONS[args.model]]
+    if unread:
+        raise ValidationError(f"--model {args.model} does not read {', '.join(unread)}")
     x = CycleType(parse_parts(args.x, args.n)) if args.x is not None else None
+    if args.model != "uniform":
+        _check_engine_shapes(args.n, 2 * args.r_max)
     dist = fixed_point_histogram(
         args.model,
         args.n,
@@ -303,7 +316,7 @@ def cmd_verify(args) -> int:
     results = run_suite(args.suite)
     failed = [g for g in results if not g.passed]
     for g in results:
-        line = reports.encode(dataclasses.asdict(g), args.precision)
+        line = reports.encode(dataclasses.asdict(g))
         sys.stdout.write(json.dumps(line, sort_keys=True) + "\n")
     sys.stderr.write(f"verify: {len(results) - len(failed)}/{len(results)} gates passed\n")
     if failed:
@@ -357,13 +370,12 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "r_max", 0) < 0:
             raise ValidationError(f"--r-max must be nonnegative, got {args.r_max}")
-        if not MIN_PRECISION_BITS <= args.precision <= MAX_PRECISION_BITS:
+        precision = getattr(args, "precision", MIN_PRECISION_BITS)
+        if not MIN_PRECISION_BITS <= precision <= MAX_PRECISION_BITS:
             raise ValidationError(
                 f"--precision must be at least {MIN_PRECISION_BITS} bits and at most "
                 f"{MAX_PRECISION_BITS}, got {args.precision}"
             )
-        if args.threads is None:
-            args.threads = _default_threads()
         return _COMMANDS[args.command](args)
     except CrossCheckError as exc:
         sys.stderr.write(f"cross-check failure: {exc}\n")

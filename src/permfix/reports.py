@@ -16,14 +16,16 @@ from fractions import Fraction
 
 import mpmath
 
-SCHEMA_VERSION = 3
+from .moments import DEFAULT_PRECISION_BITS
+
+SCHEMA_VERSION = 4
 
 
 def _decimal_digits(precision_bits: int) -> int:
     return max(1, int(precision_bits * 0.30103)) + 2
 
 
-def encode(obj, precision_bits: int = 128):
+def encode(obj, precision_bits: int = DEFAULT_PRECISION_BITS):
     """Recursively convert a value into JSON-safe structures."""
     if isinstance(obj, (int, str)) or obj is None:
         return obj
@@ -53,7 +55,9 @@ def encode_key(key) -> str:
     return str(key)
 
 
-def build_report(command: str, config: dict, body: dict, precision_bits: int = 128) -> dict:
+def build_report(
+    command: str, config: dict, body: dict, precision_bits: int = DEFAULT_PRECISION_BITS
+) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,

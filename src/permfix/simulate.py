@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import comb, exp, factorial, sqrt
@@ -100,20 +100,13 @@ def perm_from_cycle_type(ct) -> tuple[int, ...]:
 class EmpiricalDistribution:
     """Integer histogram of fixed-point counts from one seeded run."""
 
-    model: str
-    params: dict
-    seed: int
     samples: int
-    histogram: dict[int, int] = field(default_factory=dict)
+    histogram: dict[int, int]
     stream_version: int = STREAM_VERSION
 
     def moment(self, r: int) -> Fraction:
         total = sum(count * j ** r for j, count in self.histogram.items())
         return Fraction(total, self.samples)
-
-    @property
-    def mean(self) -> Fraction:
-        return self.moment(1)
 
 
 def _point_dtype(n: int):
@@ -230,7 +223,6 @@ def fixed_point_histogram(
     if n < 1 or samples < 1:
         raise ValidationError("need n >= 1 and samples >= 1")
     params: dict = {}
-    report_params: dict = {"n": n}
     if model == "walk":
         if i is None or k is None:
             raise ValidationError("walk model needs i and k")
@@ -239,7 +231,6 @@ def fixed_point_histogram(
         if k < 0:
             raise ValidationError("k must be nonnegative")
         params.update(i=i, k=k)
-        report_params.update(i=i, k=k)
     elif model == "commutator":
         params["x"] = x
         if x is not None:
@@ -247,7 +238,6 @@ def fixed_point_histogram(
             if x.n != n:
                 raise SizeMismatchError(f"cycle type {x!r} has size {x.n}, expected {n}")
             params["x"] = np.array(perm_from_cycle_type(x), dtype=_point_dtype(n))
-            report_params["x"] = tuple(x)
 
     kernel = _KERNELS[model]
     rows = _chunk_rows(n)
@@ -271,13 +261,7 @@ def fixed_point_histogram(
                 merged.update(pending.popleft().result())
         for future in pending:
             merged.update(future.result())
-    return EmpiricalDistribution(
-        model=model,
-        params=report_params,
-        seed=seed,
-        samples=samples,
-        histogram=dict(sorted(merged.items())),
-    )
+    return EmpiricalDistribution(samples, dict(sorted(merged.items())))
 
 
 # ---------------------------------------------------------------------------

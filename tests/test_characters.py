@@ -212,21 +212,21 @@ def test_perm_cycle_type():
 
 
 def test_ratio_asymptotics_trivial_stratum():
-    report = verify_ratio_asymptotics(2, 0, [50, 100])
-    assert all(row.max_scaled_error == 0 for row in report.rows)
+    rows = verify_ratio_asymptotics(2, 0, [50, 100])
+    assert all(row.max_scaled_error == 0 for row in rows)
 
 
 def test_ratio_asymptotics_standard_stratum():
-    report = verify_ratio_asymptotics(2, 1, [50, 100, 200, 400])
-    for row in report.rows:
+    rows = verify_ratio_asymptotics(2, 1, [50, 100, 200, 400])
+    for row in rows:
         assert row.max_scaled_error == Fraction(2 * row.n, row.n - 1)
-    errors = [row.max_scaled_error for row in report.rows]
+    errors = [row.max_scaled_error for row in rows]
     assert all(errors[j] > errors[j + 1] for j in range(len(errors) - 1))
 
 
 def test_ratio_asymptotics_deeper_stratum_is_finite():
-    report = verify_ratio_asymptotics(3, 2, [50, 100, 200])
-    assert all(row.max_scaled_error < 100 for row in report.rows)
+    rows = verify_ratio_asymptotics(3, 2, [50, 100, 200])
+    assert all(row.max_scaled_error < 100 for row in rows)
 
 
 def test_ratio_asymptotics_validates_inputs():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from permfix.cli import (
     MAX_CELLS_BELOW_FIRST_ROW,
+    MAX_ENGINE_SHAPES,
     MAX_MULT_SKEW_CELLS,
     build_parser,
     main,
@@ -21,6 +22,7 @@ from permfix.cli import (
 from permfix.errors import SizeMismatchError, ValidationError
 from permfix.moments import moment_commutator_fixed_closed
 from permfix.multiplicity import mult_skew
+from permfix.partitions import stratum_sizes
 from strategies import partitions
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,7 +55,7 @@ def test_mult_all_agree(capsys):
     code, out, _ = run_cli(capsys, "mult", "--lambda", "4,1", "--r", "1", "--alg", "all")
     assert code == 0
     report = json.loads(out)
-    assert report["schema_version"] == 3
+    assert report["schema_version"] == 4
     assert report["multiplicity"] == 1
     assert report["agree"] is True
     assert set(report["by_algorithm"]) == {"skew", "updown", "first-row", "oracle"}
@@ -142,7 +144,7 @@ def test_moments_rows_hold_moment_reference_and_difference(capsys, argv):
     code, out, _ = run_cli(capsys, "moments", *argv, "--r-max", "2")
     assert code == 0
     report = json.loads(out)
-    assert report["schema_version"] == 3
+    assert report["schema_version"] == 4
     assert [set(row) for row in report["table"]] == [
         {"r", "moment", "poisson_reference", "difference"}
     ] * 2
@@ -292,6 +294,69 @@ def test_unknown_flag_exits_2():
     assert excinfo.value.code == 2
 
 
+# Every leaf, a command line it accepts, and which of --format, --seed and
+# --precision it declares; every leaf declares --threads.
+LEAVES = [
+    (("mult", "--lambda", "4,1", "--r", "1"), ("format",)),
+    (("moments", "commutator-random", "--n", "5"), ("format",)),
+    (("moments", "commutator-fixed", "--n", "5", "--x", "3,2"), ("format",)),
+    (("moments", "walk", "--n", "5", "--i", "2", "--k", "3"), ("format", "precision")),
+    (("simulate", "--model", "uniform", "--n", "5", "--samples", "100"),
+     ("format", "seed", "precision")),
+    (("verify", "--suite", "identities"), ()),
+    (("ratio", "--lambda", "4,1", "--i", "2"), ("format",)),
+    (("dist", "walk", "--n", "4", "--i", "2", "--k", "2"), ("format",)),
+    (("dist", "commutator", "--n", "3"), ("format",)),
+]
+SHARED_VALUES = {"format": "json", "seed": "3", "precision": "64"}
+UNDECLARED = [(argv, flag) for argv, declared in LEAVES for flag in SHARED_VALUES
+              if flag not in declared]
+
+
+def _leaf_name(argv) -> str:
+    return " ".join(token for token in argv[:2] if not token.startswith("--"))
+
+
+@pytest.mark.parametrize(
+    "argv, flag", UNDECLARED, ids=[f"{_leaf_name(argv)} --{flag}" for argv, flag in UNDECLARED]
+)
+def test_each_leaf_rejects_the_options_it_does_not_declare(capsys, argv, flag):
+    assert _outcome(capsys, (*argv, f"--{flag}", SHARED_VALUES[flag])) == (2, "")
+
+
+@pytest.mark.parametrize("argv, declared", LEAVES, ids=[_leaf_name(argv) for argv, _ in LEAVES])
+def test_config_holds_only_declared_options(capsys, argv, declared):
+    shared = [token for flag in declared for token in (f"--{flag}", SHARED_VALUES[flag])]
+    code, out, err = run_cli(capsys, *argv, *shared, "--threads", "1")
+    assert code == 0, err
+    if argv[0] != "verify":  # verify prints gate lines, not a report
+        config = json.loads(out)["config"]
+        assert set(config) & {*SHARED_VALUES, "threads"} == set(declared)
+
+
+@pytest.mark.parametrize("model, option", [
+    ("uniform", "--x"), ("uniform", "--i"), ("uniform", "--k"),
+    ("commutator", "--i"), ("commutator", "--k"), ("walk", "--x"),
+])
+def test_simulate_rejects_an_option_its_model_does_not_read(capsys, model, option):
+    walk = ("--i", "2", "--k", "3") if model == "walk" else ()
+    value = "3,2" if option == "--x" else "2"
+    code, out, err = run_cli(
+        capsys, "simulate", "--model", model, "--n", "5", "--samples", "10", *walk, option, value
+    )
+    assert (code, out) == (2, "")
+    assert f"--model {model} does not read {option}" in err
+
+
+def test_every_readme_command_line_parses():
+    blocks = (ROOT / "README.md").read_text().split("```")[1::2]
+    lines = [line.split()[1:] for block in blocks for line in block.splitlines()
+             if line.startswith("permfix ")]
+    assert {_leaf_name(argv) for argv in lines} == {_leaf_name(argv) for argv, _ in LEAVES}
+    for argv in lines:
+        build_parser().parse_args(argv)
+
+
 def test_gate_failure_exits_3(capsys, monkeypatch):
     import permfix.cli as cli_mod
     from permfix.verify import GateResult
@@ -402,18 +467,6 @@ def test_precision_at_its_cap_is_accepted(capsys):
     assert json.loads(out)["config"]["precision"] == 16384
 
 
-def test_non_integer_permfix_threads_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("PERMFIX_THREADS", "abc")
-    argv = ("simulate", "--model", "uniform", "--n", "5", "--samples", "100")
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert "PERMFIX_THREADS must be an integer" in err
-    # An explicit --threads never reads the variable.
-    code, _, err = run_cli(capsys, *argv, "--threads", "1")
-    assert code == 0, err
-
-
 def test_simulate_report_carries_the_stream_version(capsys):
     code, out, _ = run_cli(
         capsys, "simulate", "--model", "uniform", "--n", "5", "--samples", "100", "--seed", "1"
@@ -475,7 +528,7 @@ def test_lambda_cells_below_the_first_row_are_capped(capsys, argv):
     at_limit = f"1^{MAX_CELLS_BELOW_FIRST_ROW + 1}"
     code, out, _ = run_cli(capsys, *argv, "--lambda", at_limit)
     assert code == 0
-    assert json.loads(out)["schema_version"] == 3
+    assert json.loads(out)["schema_version"] == 4
     for over in (f"1^{MAX_CELLS_BELOW_FIRST_ROW + 2}", f"7,2^{MAX_CELLS_BELOW_FIRST_ROW // 2}, 1"):
         code, out, err = run_cli(capsys, *argv, "--lambda", over)
         assert (code, out) == (2, "")
@@ -548,6 +601,40 @@ def test_mult_r_beyond_the_skew_cell_limit_exits_2(capsys, lam, r, alg):
     assert f"more than the {MAX_MULT_SKEW_CELLS} cells accepted" in err
 
 
+def test_engine_shape_cap_admits_every_partition_of_40():
+    assert sum(stratum_sizes(40, 40)) <= MAX_ENGINE_SHAPES < sum(stratum_sizes(10**6, 32))
+
+
+@pytest.mark.parametrize("argv", [
+    ("moments", "walk", "--n", "2000", "--i", "2", "--c", "0", "--r-max", "40"),
+    ("moments", "commutator-random", "--n", "1000000", "--r-max", "40"),
+    ("moments", "commutator-fixed", "--n", "1000", "--x", "2^500", "--r-max", "32"),
+    ("simulate", "--model", "commutator", "--n", "1000", "--samples", "10", "--r-max", "16"),
+    ("simulate", "--model", "walk", "--n", "1000", "--i", "2", "--k", "1", "--r-max", "16"),
+])
+def test_engine_shapes_beyond_the_cap_exit_2_before_any_work(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert f"more than the {MAX_ENGINE_SHAPES} shapes accepted" in err
+
+
+def test_engine_shapes_at_the_cap_are_accepted(capsys, monkeypatch):
+    # n = 20 and r_max = 20 reach all 627 partitions of 20, n = 21 all 792 of 21.
+    import permfix.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "MAX_ENGINE_SHAPES", 627)
+    code, _, err = run_cli(capsys, "moments", "commutator-random", "--n", "20", "--r-max", "20")
+    assert code == 0, err
+    code, out, _ = run_cli(capsys, "moments", "commutator-random", "--n", "21", "--r-max", "20")
+    assert (code, out) == (2, "")
+    # simulate checks 2 * r_max, except for the uniform model, which needs no shapes.
+    sim = ("simulate", "--n", "21", "--samples", "10", "--r-max", "10")
+    assert run_cli(capsys, *sim, "--model", "commutator")[:2] == (2, "")
+    assert run_cli(capsys, *sim, "--model", "uniform")[0] == 0
+
+
 # Runs permfix as python -m permfix would, then prints the peak resident set
 # of its own address space (VmHWM). ru_maxrss would also count the memory of
 # the forking test process, which exec carries into the child's figure.
@@ -607,8 +694,13 @@ _COMMAND_LINES = (
     "dist commutator --n D",
     "dist commutator --n D --x X",
     "ratio --lambda P --i N",
-    "simulate --model M --n N --i N --k N --samples S --r-max N --seed N --threads T",
+    "simulate --model uniform --n N --samples S --r-max N --seed N --threads T",
+    "simulate --model commutator --n N --samples S --r-max N --seed N --threads T",
+    "simulate --model commutator --n N --x X --samples S --r-max N --seed N --threads T",
+    "simulate --model walk --n N --i N --k N --samples S --r-max N --seed N --threads T",
 )
+# The command lines that declare --precision.
+_PRECISION_LINES = ("moments walk", "simulate")
 _VALUES = {
     "N": st.integers(-2, 12).map(str),
     # 7 exceeds the both-random enumeration's limit, 8 the fixed-x one's.
@@ -616,7 +708,6 @@ _VALUES = {
     "C": st.floats(-5, 5).map(str) | st.sampled_from(("nan", "-inf", "1e300")),
     "S": st.integers(-5, 3000).map(str) | st.sampled_from(("0.5", "1e3", "nan")),
     "A": st.sampled_from(("skew", "updown", "first-row", "oracle", "all")),
-    "M": st.sampled_from(("uniform", "commutator", "walk")),
     "T": st.sampled_from(("1", "2")),
     "P": _parts(),
 }
@@ -626,14 +717,16 @@ _VALUES = {
 def _argv(draw):
     """A command line, with a junk token in about one case in ten."""
     argv = []
-    for token in draw(st.sampled_from(_COMMAND_LINES)).split():
+    line = draw(st.sampled_from(_COMMAND_LINES))
+    for token in line.split():
         value = _parts(int(argv[-2])) if token == "X" else _VALUES.get(token, st.just(token))
         argv.append(draw(value))
     if draw(st.integers(0, 9)) == 0:
         argv[draw(st.integers(1, len(argv) - 1))] = draw(_JUNK)
-    precision = st.sampled_from(([], ["--precision", "0"], ["--precision", "64"],
-                                 ["--precision", "1000000"]))
-    return argv + draw(precision)
+    if line.startswith(_PRECISION_LINES):
+        argv += draw(st.sampled_from(([], ["--precision", "0"], ["--precision", "64"],
+                                      ["--precision", "1000000"])))
+    return argv
 
 
 @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -1,3 +1,4 @@
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -13,6 +14,7 @@ from permfix.partitions import (
     dim,
     frobenius,
     partitions_with_large_first_row,
+    stratum_sizes,
 )
 from strategies import partitions
 
@@ -159,3 +161,11 @@ def test_bounded_partitions_respects_cap():
     for cap in range(1, 6):
         for lam in bounded_partitions(6, cap):
             assert all(p <= cap for p in lam)
+
+
+def test_stratum_sizes_count_the_large_first_row_shapes():
+    for n in range(0, 13):
+        for t_max in range(-1, n + 2):
+            firsts = Counter(lam[0] if lam else 0 for lam in partitions_with_large_first_row(n, t_max))
+            assert list(stratum_sizes(n, t_max)) == [firsts[n - t] for t in range(len(firsts))]
+    assert sum(stratum_sizes(10**6, 40)) == 215308
