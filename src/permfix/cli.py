@@ -71,7 +71,18 @@ MAX_MULT_SKEW_CELLS = 30
 MAX_ENGINE_SHAPES = 40000
 
 # The options simulate reads for each model, besides those every model reads.
-_SIMULATE_OPTIONS = {"uniform": (), "commutator": ("x",), "walk": ("i", "k")}
+_SIMULATE_OPTIONS = {"uniform": (), "commutator": ("x",), "walk": ("i", "k", "precision")}
+
+
+class _SimulateModel(argparse.Action):
+    """Stores simulate's --model. The walk, the one model whose exact
+    references read --precision, gets its default here, so the parsed
+    arguments hold it wherever they are read."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        namespace.model = value
+        if value == "walk" and namespace.precision is None:
+            namespace.precision = moments.DEFAULT_PRECISION_BITS
 
 
 def parse_parts(
@@ -155,7 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _leaf(sub, "simulate", "format", "seed", "precision",
               help="seeded Monte Carlo with exact references")
-    p.add_argument("--model", choices=tuple(_SIMULATE_OPTIONS), required=True)
+    p.set_defaults(precision=None)  # --model walk sets the default
+    p.add_argument("--model", choices=tuple(_SIMULATE_OPTIONS), required=True,
+                   action=_SimulateModel)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--i", type=int, default=None, help="walk only")
     p.add_argument("--k", type=int, default=None, help="walk only")
@@ -191,7 +204,7 @@ def _resolved_config(args: argparse.Namespace) -> dict:
 
 
 def _emit(args, command: str, body: dict) -> None:
-    precision = getattr(args, "precision", moments.DEFAULT_PRECISION_BITS)
+    precision = getattr(args, "precision", None) or moments.DEFAULT_PRECISION_BITS
     rep = reports.build_report(command, _resolved_config(args), body, precision)
     if args.format == "csv":
         sys.stdout.write(reports.to_csv(rep))
@@ -255,7 +268,7 @@ def cmd_simulate(args) -> int:
         raise ValidationError(f"--samples must be finite, got {args.samples}")
     samples = int(args.samples)
     args.samples = samples
-    unread = [f"--{name}" for name in ("x", "i", "k")
+    unread = [f"--{name}" for name in ("x", "i", "k", "precision")
               if getattr(args, name) is not None and name not in _SIMULATE_OPTIONS[args.model]]
     if unread:
         raise ValidationError(f"--model {args.model} does not read {', '.join(unread)}")
@@ -370,8 +383,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "r_max", 0) < 0:
             raise ValidationError(f"--r-max must be nonnegative, got {args.r_max}")
-        precision = getattr(args, "precision", MIN_PRECISION_BITS)
-        if not MIN_PRECISION_BITS <= precision <= MAX_PRECISION_BITS:
+        precision = getattr(args, "precision", None)
+        if precision is not None and not MIN_PRECISION_BITS <= precision <= MAX_PRECISION_BITS:
             raise ValidationError(
                 f"--precision must be at least {MIN_PRECISION_BITS} bits and at most "
                 f"{MAX_PRECISION_BITS}, got {args.precision}"

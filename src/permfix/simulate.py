@@ -7,6 +7,10 @@ derived with SeedSequence(seed).spawn, so threaded runs produce the same
 histogram as a sequential run with the same seed and stream version;
 a random x factor comes from the chunk's generator jumped ahead.
 
+The uniform model builds no permutations: it draws each sample's cycle
+lengths (the Feller coupling), so a sample costs about H_n bounded
+integers. Only the commutator shuffles rows of n points.
+
 Permutations are tuples in one-line form over 0..n-1. compose(p, q)
 applies q first.
 """
@@ -32,12 +36,14 @@ from .partitions import Partition, all_partitions, dim
 # the walk's i-cycles without rejection, which changes every walk
 # histogram and no other. Version 4 draws a random x factor from a child
 # of the chunk's generator, which changes only both-random commutators.
-STREAM_VERSION = 4
+# Version 5 draws uniform samples by cycle lengths instead of shuffling
+# them, which changes every uniform histogram and no other.
+STREAM_VERSION = 5
 
 # A chunk of samples holds min(2^17, 2^24 // n) rows, so every n <= 128
 # keeps the 2^17-row chunks of version 1; only the walk holds a chunk's
-# points, near 2^24 entries. The uniform and commutator kernels shuffle
-# and compare _SUB_CELLS entries at a time; that size changes no result.
+# points, near 2^24 entries. The commutator kernel shuffles and compares
+# _SUB_CELLS entries at a time; that size changes no result.
 _CHUNK_ROWS = 1 << 17
 _CHUNK_CELLS = 1 << 24
 _SUB_CELLS = 1 << 16
@@ -122,25 +128,45 @@ def _shuffled(rows, rng) -> np.ndarray:
     return rng.permuted(rows, axis=1, out=rows)
 
 
-def _shuffle_fix_counts(n, count, rng, params) -> np.ndarray:
-    """Fixed points of count uniform permutations g or, with "x" in params,
-    of g^-1 x^-1 g x: the points where g.x and x.g agree, x being the row
-    params["x"], or uniform where that is None. g and x are each shuffled
-    from one generator (x from a child jumped from rng) in int64 sub-batches,
-    numpy's fast path; those draw what one shuffle of all rows would, so the
-    sub-batch size changes no result.
+def _uniform_fix_counts(n, count, rng, params) -> np.ndarray:
+    """Fixed points of count uniform permutations, from their cycle lengths.
+
+    The cycle through the lowest unplaced point of a uniform permutation
+    of `left` points has a length uniform on 1..left, and the other points
+    form a uniform permutation of left - length points; a fixed point is a
+    cycle of length 1. Each pass draws one length for every live sample
+    and drops the samples with no points left: a sample takes one draw per
+    cycle, about H_n = 1 + 1/2 + ... + 1/n, and no row of n points is built.
     """
-    dtype, x_row = _point_dtype(n), params.get("x")
+    fix = np.zeros(count, dtype=np.int64)
+    rows = np.arange(count)
+    left = np.full(count, n, dtype=np.int64)
+    while rows.size:
+        length = rng.integers(1, left, endpoint=True)
+        fix[rows] += length == 1
+        left -= length
+        live = left > 0
+        rows, left = rows[live], left[live]
+    return fix
+
+
+def _shuffle_fix_counts(n, count, rng, params) -> np.ndarray:
+    """Fixed points of count commutators g^-1 x^-1 g x of a uniform g: the
+    points where g.x and x.g agree, x being the row params["x"], or uniform
+    where that is None. g and x are each shuffled from one generator (x from
+    a child jumped from rng) in int64 sub-batches, numpy's fast path; those
+    draw what one shuffle of all rows would, so the sub-batch size changes
+    no result.
+    """
+    dtype, x_row = _point_dtype(n), params["x"]
     g = np.empty((min(count, max(1, _SUB_CELLS // n)), n), dtype=np.int64)
-    if "x" in params and x_row is None:
+    if x_row is None:
         x_rng = np.random.Generator(rng.bit_generator.jumped())
         x = np.empty_like(g)
     fix = np.empty(count, dtype=np.int64)
     for start in range(0, count, len(g)):
         gs = _shuffled(g[: count - start], rng)
-        if "x" not in params:
-            same = gs == np.arange(n)
-        elif x_row is None:
+        if x_row is None:
             xs = _shuffled(x[: count - start], x_rng)
             # Flat gathers from narrow copies beat take_along_axis.
             cells = np.arange(0, xs.size, n)[:, None]
@@ -194,7 +220,7 @@ def _walk_fix_counts(n, count, rng, params) -> np.ndarray:
 
 
 _KERNELS = {
-    "uniform": _shuffle_fix_counts,
+    "uniform": _uniform_fix_counts,
     "commutator": _shuffle_fix_counts,
     "walk": _walk_fix_counts,
 }

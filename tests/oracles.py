@@ -261,6 +261,21 @@ def uniform_fixed_histogram_by_enumeration(n: int) -> dict[int, Fraction]:
     return {j: Fraction(c, factorial(n)) for j, c in sorted(counts.items())}
 
 
+def stick_breaking_ones_laws(n_max: int) -> list[dict[int, Fraction]]:
+    """For each n <= n_max, the law of how many draws equal 1 when n is cut
+    by draws uniform on 1..left, left being what earlier draws left over,
+    until nothing is left: a recursion over left, with no permutations."""
+    laws = [{0: Fraction(1)}]
+    for left in range(1, n_max + 1):
+        law: dict[int, Fraction] = {}
+        for length in range(1, left + 1):
+            for j, p in laws[left - length].items():
+                key = j + (length == 1)
+                law[key] = law.get(key, Fraction(0)) + p / left
+        laws.append(dict(sorted(law.items())))
+    return laws
+
+
 def per_order_moment(n: int, r: int, weight, total=sum):
     """The rth moment as its own shape sum: total of weight(lam) * mult_skew(lam, r).
 

@@ -55,7 +55,7 @@ def test_mult_all_agree(capsys):
     code, out, _ = run_cli(capsys, "mult", "--lambda", "4,1", "--r", "1", "--alg", "all")
     assert code == 0
     report = json.loads(out)
-    assert report["schema_version"] == 4
+    assert report["schema_version"] == 5
     assert report["multiplicity"] == 1
     assert report["agree"] is True
     assert set(report["by_algorithm"]) == {"skew", "updown", "first-row", "oracle"}
@@ -144,7 +144,7 @@ def test_moments_rows_hold_moment_reference_and_difference(capsys, argv):
     code, out, _ = run_cli(capsys, "moments", *argv, "--r-max", "2")
     assert code == 0
     report = json.loads(out)
-    assert report["schema_version"] == 4
+    assert report["schema_version"] == 5
     assert [set(row) for row in report["table"]] == [
         {"r", "moment", "poisson_reference", "difference"}
     ] * 2
@@ -209,6 +209,30 @@ def test_simulate_uniform_reports_tv(capsys):
     assert code == 0
     report = json.loads(out)
     assert float(report["tv_to_poisson_reference"]) < 0.05
+
+
+def test_simulate_config_has_precision_for_the_walk_alone(capsys):
+    sim = ("simulate", "--n", "5", "--samples", "100", "--threads", "1")
+    configs = {model: json.loads(run_cli(capsys, *sim, "--model", model, *extra)[1])["config"]
+               for model, extra in (("uniform", ()), ("commutator", ()),
+                                    ("walk", ("--i", "2", "--k", "3")))}
+    assert "precision" not in configs["uniform"] and "precision" not in configs["commutator"]
+    assert configs["walk"]["precision"] == 128
+
+
+def test_simulate_uniform_at_a_million_points_as_a_subprocess():
+    # Each sample draws its cycle lengths, about 15 bounded integers at this
+    # n; shuffling a million points per sample took 45 s for 1000 samples.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    argv = ["simulate", "--model", "uniform", "--n", "1000000", "--samples", "10000",
+            "--threads", "1"]
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "permfix", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 0, proc.stderr
+    assert sum(json.loads(proc.stdout)["histogram"].values()) == 10000
 
 
 def test_simulate_uniform_at_n_4000_finishes_in_seconds(capsys):
@@ -295,13 +319,14 @@ def test_unknown_flag_exits_2():
 
 
 # Every leaf, a command line it accepts, and which of --format, --seed and
-# --precision it declares; every leaf declares --threads.
+# --precision it declares; every leaf declares --threads. simulate reads
+# --precision for the walk alone.
 LEAVES = [
     (("mult", "--lambda", "4,1", "--r", "1"), ("format",)),
     (("moments", "commutator-random", "--n", "5"), ("format",)),
     (("moments", "commutator-fixed", "--n", "5", "--x", "3,2"), ("format",)),
     (("moments", "walk", "--n", "5", "--i", "2", "--k", "3"), ("format", "precision")),
-    (("simulate", "--model", "uniform", "--n", "5", "--samples", "100"),
+    (("simulate", "--model", "walk", "--n", "5", "--i", "2", "--k", "3", "--samples", "100"),
      ("format", "seed", "precision")),
     (("verify", "--suite", "identities"), ()),
     (("ratio", "--lambda", "4,1", "--i", "2"), ("format",)),
@@ -335,12 +360,12 @@ def test_config_holds_only_declared_options(capsys, argv, declared):
 
 
 @pytest.mark.parametrize("model, option", [
-    ("uniform", "--x"), ("uniform", "--i"), ("uniform", "--k"),
-    ("commutator", "--i"), ("commutator", "--k"), ("walk", "--x"),
+    ("uniform", "--x"), ("uniform", "--i"), ("uniform", "--k"), ("uniform", "--precision"),
+    ("commutator", "--i"), ("commutator", "--k"), ("commutator", "--precision"), ("walk", "--x"),
 ])
 def test_simulate_rejects_an_option_its_model_does_not_read(capsys, model, option):
     walk = ("--i", "2", "--k", "3") if model == "walk" else ()
-    value = "3,2" if option == "--x" else "2"
+    value = {"--x": "3,2", "--precision": "128"}.get(option, "2")
     code, out, err = run_cli(
         capsys, "simulate", "--model", model, "--n", "5", "--samples", "10", *walk, option, value
     )
@@ -472,7 +497,7 @@ def test_simulate_report_carries_the_stream_version(capsys):
         capsys, "simulate", "--model", "uniform", "--n", "5", "--samples", "100", "--seed", "1"
     )
     assert code == 0
-    assert json.loads(out)["stream_version"] == 4
+    assert json.loads(out)["stream_version"] == 5
 
 
 def test_commutator_fixed_report_gives_the_class_by_cycle_counts(capsys):
@@ -528,7 +553,7 @@ def test_lambda_cells_below_the_first_row_are_capped(capsys, argv):
     at_limit = f"1^{MAX_CELLS_BELOW_FIRST_ROW + 1}"
     code, out, _ = run_cli(capsys, *argv, "--lambda", at_limit)
     assert code == 0
-    assert json.loads(out)["schema_version"] == 4
+    assert json.loads(out)["schema_version"] == 5
     for over in (f"1^{MAX_CELLS_BELOW_FIRST_ROW + 2}", f"7,2^{MAX_CELLS_BELOW_FIRST_ROW // 2}, 1"):
         code, out, err = run_cli(capsys, *argv, "--lambda", over)
         assert (code, out) == (2, "")

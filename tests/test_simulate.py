@@ -13,6 +13,7 @@ from oracles import (
     sample_icycle,
     sample_icycle_walk,
     sample_uniform,
+    stick_breaking_ones_laws,
     top_to_random_shape_check,
     top_to_random_step,
     uniform_fixed_histogram_by_enumeration,
@@ -227,6 +228,12 @@ def test_uniform_fixed_distribution_exact_vs_enumeration():
         assert uniform_fixed_distribution_exact(n) == uniform_fixed_histogram_by_enumeration(n)
 
 
+def test_stick_breaking_draws_the_derangement_law():
+    laws = stick_breaking_ones_laws(30)
+    for n in range(1, 31):
+        assert laws[n] == uniform_fixed_distribution_exact(n), n
+
+
 def test_empirical_distribution_moments_are_exact_fractions():
     dist = EmpiricalDistribution(samples=4, histogram={0: 1, 1: 2, 3: 1})
     assert dist.moment(1) == Fraction(5, 4)
@@ -354,11 +361,12 @@ def test_commutator_class_frequencies_match_enumeration():
 
 
 def test_uniform_sampler_hits_every_permutation_uniformly():
+    # The shuffle behind the commutator's uniform g.
     import numpy as np
 
     n, samples = 4, 120_000
     rng = make_rng(27)
-    g = rng.permuted(np.tile(np.arange(n), (samples, 1)), axis=1)
+    g = simulate._shuffled(np.empty((samples, n), dtype=np.int64), rng)
     codes = g @ (n ** np.arange(n - 1, -1, -1))
     counts = np.unique(codes, return_counts=True)[1]
     assert len(counts) == 24
@@ -396,13 +404,15 @@ def test_fixed_point_histogram_validation():
 
 
 # Histograms of stream version 1, before chunks were sized from n: every
-# n <= 128 keeps its 2^17-row chunks, so the uniform and fixed-x ones must
-# not move. Each run spans a full chunk and part of a second.
+# n <= 128 keeps its 2^17-row chunks, so the fixed-x one must not move.
+# Each run spans a full chunk and part of a second.
 PINNED_SAMPLES = (1 << 17) + 5000
 PINNED_HISTOGRAMS = [
+    # Uniform samples are drawn by cycle lengths since version 5; this is
+    # its version 5 histogram.
     (
         ("uniform", 64, 61, {}),
-        {0: 50097, 1: 49836, 2: 25133, 3: 8419, 4: 2073, 5: 439, 6: 60, 7: 11, 8: 4},
+        {0: 50046, 1: 50197, 2: 24932, 3: 8392, 4: 2063, 5: 361, 6: 76, 7: 3, 8: 1, 9: 1},
     ),
     # Both-random x rows come from a child stream since version 4; this is
     # its version 4 histogram.
@@ -430,7 +440,7 @@ def test_seeded_histograms_at_small_n_are_pinned(run, histogram):
     model, n, seed, kwargs = run
     dist = fixed_point_histogram(model, n, PINNED_SAMPLES, seed=seed, **kwargs)
     assert dist.histogram == histogram
-    assert dist.stream_version == 4
+    assert dist.stream_version == 5
 
 
 def test_chunks_shrink_only_beyond_n_128():
@@ -461,10 +471,35 @@ def test_walk_threads_do_not_change_result_over_many_chunks(monkeypatch):
     assert sum(a.histogram.values()) == 2950
 
 
+def test_uniform_threads_do_not_change_result_over_many_chunks(monkeypatch):
+    monkeypatch.setattr(simulate, "_CHUNK_ROWS", 100)
+    for n in (9, 300):
+        a = fixed_point_histogram("uniform", n, 2950, seed=8, threads=1)
+        b = fixed_point_histogram("uniform", n, 2950, seed=8, threads=3)
+        assert a.histogram == b.histogram
+        assert sum(a.histogram.values()) == 2950
+
+
 def _chi_square_bound(cells: int) -> float:
     # Mean plus 5 standard deviations of a chi-square law with cells - 1
     # degrees of freedom.
     return cells - 1 + 5 * (2 * (cells - 1)) ** 0.5
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 64])
+def test_uniform_histogram_matches_the_derangement_law(n):
+    # Cells expected to hold fewer than 5 samples are pooled into one.
+    samples = 200_000
+    dist = fixed_point_histogram("uniform", n, samples, seed=70 + n)
+    exact = uniform_fixed_distribution_exact(n)
+    assert set(dist.histogram) <= {j for j, p in exact.items() if p}
+    cells = [(dist.histogram.get(j, 0), float(p) * samples) for j, p in exact.items()]
+    tail = [cell for cell in cells if cell[1] < 5]
+    cells = [cell for cell in cells if cell[1] >= 5]
+    if tail:
+        cells.append((sum(o for o, _ in tail), sum(e for _, e in tail)))
+    chi_sq = sum((observed - expected) ** 2 / expected for observed, expected in cells)
+    assert chi_sq <= _chi_square_bound(len(cells)), chi_sq
 
 
 @pytest.mark.parametrize("n, i", [(5, 3), (7, 2), (4, 4), (6, 6)])
