@@ -13,9 +13,12 @@ One engine serves the three models, which differ only in the shape
 weight: the rth moment is sum_a S(r, a) * F_a, with factorial moments
 F_a = sum_lam weight(lam) * f^{lam/(n-a)} over the shapes whose first
 part is at least n - r. Every F_a comes from one walk down the Young
-lattice (tableaux.single_row_sums) on integer numerators over a common
-denominator. The uniform permutation's weight is 1 on the one-row shape
-alone, so its F_a are 1 and need no walk.
+lattice (tableaux.single_row_sums) on integer numerators N_a over a
+common denominator D, and the Stirling combination runs on those
+integers too: the rth moment is (sum_a S(r, a) * N_a) / D, one exact
+division (or one rounding, for reals) per moment. The uniform
+permutation's weight is 1 on the one-row shape alone, so its F_a are 1
+and need no walk.
 Commutator moments are exact rationals. The walk offers an exact
 rational path (small k) and a high-precision float path that powers
 ratios in log space, since |ratio| <= 1 and k can reach n log n.
@@ -25,18 +28,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite, lcm, log
+from operator import mul
 from typing import Callable
 
 import mpmath
 from mpmath import mp
 
-from .characters import CycleType, char_ratio_icycle, character, class_character
+from .characters import CycleType, char_ratio_icycle, class_character
 from .errors import EnumerationLimitError, SizeMismatchError, ValidationError
-from .partitions import Partition, all_partitions, dim, partitions_with_large_first_row
+from .partitions import Partition, dim, partition_tuples
 from .setpartitions import poisson_moment, stirling_row
 from .tableaux import single_row_sums
 
 DEFAULT_PRECISION_BITS = 128
+
+
+def _rational_numerators(weights: list[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators N and the lcm D of the denominators, with weights[j] = N[j] / D."""
+    denominator = lcm(*(w.denominator for w in weights))
+    return [w.numerator * (denominator // w.denominator) for w in weights], denominator
 
 
 def _over_common_denominator(weights: list) -> tuple[list[int], Callable[[int], object]]:
@@ -53,8 +63,7 @@ def _over_common_denominator(weights: list) -> tuple[list[int], Callable[[int], 
     far less than rounding every product weight * f to p bits would.
     """
     if not isinstance(weights[0], mpmath.mpf):
-        denominator = lcm(*(w.denominator for w in weights))
-        numerators = [w.numerator * (denominator // w.denominator) for w in weights]
+        numerators, denominator = _rational_numerators(weights)
         return numerators, lambda total: Fraction(total, denominator)
     dyadic = [w._mpf_ for w in weights]
     nonzero = [(exp, exp + bc) for _, man, exp, bc in dyadic if man]
@@ -72,26 +81,34 @@ def _over_common_denominator(weights: list) -> tuple[list[int], Callable[[int], 
     return numerators, lambda total: mpmath.mpf((total, e0))
 
 
+def _lattice_sums(n: int, a_max: int, weight) -> tuple[list[int], Callable[[int], object]]:
+    """Integers N_a with F_a = N_a / D for a = 0..a_max, and the map N -> N / D.
+
+    F_a = sum over lam of size n of weight(lam) * f^{lam/(n-a)}; the
+    shapes reach weight as plain tuples.
+    """
+    shapes = list(partition_tuples(n, n, n - a_max))
+    numerators, over_denominator = _over_common_denominator([weight(lam) for lam in shapes])
+    return single_row_sums(dict(zip(shapes, numerators)), n, a_max), over_denominator
+
+
 def _factorial_moments(n: int, a_max: int, weight) -> list:
     """F_a = sum over lam of size n of weight(lam) * f^{lam/(n-a)}, for a = 0..a_max."""
-    shapes = [tuple(lam) for lam in partitions_with_large_first_row(n, a_max)]
-    numerators, over_denominator = _over_common_denominator([weight(lam) for lam in shapes])
-    return [over_denominator(f) for f in single_row_sums(dict(zip(shapes, numerators)), n, a_max)]
+    sums, over_denominator = _lattice_sums(n, a_max, weight)
+    return [over_denominator(f) for f in sums]
 
 
-def _moments(n: int, r_max: int, weight, total) -> list:
+def _moments(n: int, r_max: int, weight) -> list:
     """Moments r = 0..r_max of the shape sum of weight(lam) * mult(lam, r).
 
-    Since mult(lam, r) = sum_a S(r, a) * f^{lam/(n-a)}, each factorial
-    moment F_a is computed once and shared by every order. total adds up
-    the Stirling combination: the built-in sum for exact values,
-    mpmath.fsum for reals.
+    Since mult(lam, r) = sum_a S(r, a) * f^{lam/(n-a)}, the rth moment is
+    sum_a S(r, a) * F_a. The Stirling combination runs on the integer
+    lattice sums N_a = D * F_a, so each moment takes one division by D:
+    an exact Fraction for rational weights, one rounding at the working
+    precision for reals.
     """
-    factorial_moments = _factorial_moments(n, min(r_max, n), weight)
-    return [
-        total([s * f for s, f in zip(stirling_row(r), factorial_moments)])
-        for r in range(r_max + 1)
-    ]
+    sums, over_denominator = _lattice_sums(n, min(r_max, n), weight)
+    return [over_denominator(sum(map(mul, stirling_row(r), sums))) for r in range(r_max + 1)]
 
 
 def uniform_moments(n: int, r_max: int) -> list[Fraction]:
@@ -112,7 +129,7 @@ def commutator_random_moments(n: int, r_max: int) -> list[Fraction]:
     """Moments r = 0..r_max of the fixed points of a commutator of two uniform factors."""
     if n < 1 or r_max < 0:
         raise ValidationError("need n >= 1 and r >= 0")
-    return _moments(n, r_max, lambda lam: Fraction(1, dim(lam)), sum)
+    return _moments(n, r_max, lambda lam: Fraction(1, dim(lam)))
 
 
 def moment_commutator_random(n: int, r: int) -> Fraction:
@@ -128,7 +145,7 @@ def commutator_fixed_moments(n: int, x, r_max: int) -> list[Fraction]:
     if r_max < 0:
         raise ValidationError("r must be nonnegative")
     chi = class_character(x)
-    return _moments(n, r_max, lambda lam: Fraction(chi(lam) ** 2, dim(lam)), sum)
+    return _moments(n, r_max, lambda lam: Fraction(chi(lam) ** 2, dim(lam)))
 
 
 def moment_commutator_fixed(n: int, x, r: int) -> Fraction:
@@ -172,7 +189,7 @@ def icycle_walk_moments_exact(n: int, i: int, k: int, r_max: int) -> list[Fracti
     the float path below handles cutoff-scale step counts.
     """
     _validate_walk(n, i, k, r_max)
-    return _moments(n, r_max, lambda lam: dim(lam) * char_ratio_icycle(lam, i) ** k, sum)
+    return _moments(n, r_max, lambda lam: dim(lam) * char_ratio_icycle(lam, i) ** k)
 
 
 def _ratio_power(ratio: Fraction, k: int) -> mpmath.mpf:
@@ -199,7 +216,7 @@ def icycle_walk_moments(
         return mpmath.mpf(dim(lam)) * _ratio_power(char_ratio_icycle(lam, i), k)
 
     with mp.workprec(precision_bits + 40):
-        values = _moments(n, r_max, weight, mpmath.fsum)
+        values = _moments(n, r_max, weight)
     with mp.workprec(precision_bits):
         return [+v for v in values]
 
@@ -244,17 +261,19 @@ def walk_exact_distribution(n: int, i: int, k: int) -> dict[int, Fraction]:
     if n > 8:
         raise EnumerationLimitError(f"class-sum inversion limited to n <= 8, got {n}")
     _validate_walk(n, i, k, 0)
-    shapes = list(all_partitions(n))
-    weights = [dim(tau) * char_ratio_icycle(tau, i) ** k for tau in shapes]
+    shapes = list(partition_tuples(n, n))
+    # The weights over one denominator D, so each class sums integers and
+    # divides once: P(mu) = sum_tau N_tau * chi^tau(mu) / (D * z_mu).
+    numerators, denominator = _rational_numerators(
+        [dim(tau) * char_ratio_icycle(tau, i) ** k for tau in shapes]
+    )
     histogram: dict[int, Fraction] = {}
     total = Fraction(0)
-    for mu_parts in all_partitions(n):
+    for mu_parts in shapes:
         mu = CycleType(mu_parts)
-        acc = Fraction(0)
-        for tau, w in zip(shapes, weights):
-            if w:
-                acc += w * character(tau, mu)
-        prob = acc / mu.centralizer_order()
+        chi = class_character(mu)
+        acc = sum(w * chi(tau) for tau, w in zip(shapes, numerators) if w)
+        prob = Fraction(acc, denominator * mu.centralizer_order())
         if prob < 0:
             raise ArithmeticError(f"negative class probability at {mu!r}")
         if prob:

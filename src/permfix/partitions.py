@@ -6,7 +6,7 @@ Python integers.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import perm, prod
 from typing import Iterator
 
@@ -127,22 +127,63 @@ def dim(lam) -> int:
     return q
 
 
-def _bounded(n: int, cap: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of n with parts <= cap, largest-first (reverse lexicographic)."""
+def partition_tuples(n: int, cap: int, first_min: int = 0) -> Iterator[tuple[int, ...]]:
+    """Partitions of n as plain tuples in reverse lexicographic order, (n) first.
+
+    Only parts of at most cap are used, and only partitions whose first
+    part (0 for the empty one) is at least first_min are yielded. The
+    partitions with parts <= cap form a tail of the reverse lexicographic
+    order, and a first-part floor cuts that tail short, so one pass of
+    Zoghbi and Stojmenovic's ZS1 from [cap, ..., cap, rest] covers both:
+    no recursion, and each step moves only the parts after the last part
+    larger than 1 (h below), which it rebuilds from the cells it frees.
+    """
     if n == 0:
-        yield ()
+        if first_min <= 0:
+            yield ()
         return
-    for first in range(min(n, cap), 0, -1):
-        for rest in _bounded(n - first, first):
-            yield (first, *rest)
+    cap = min(cap, n)
+    if cap < max(first_min, 1):
+        return
+    q, rest = divmod(n, cap)
+    parts = [cap] * q + [rest] * (rest > 0)
+    m = len(parts)  # parts in use; parts[m:] are all 1
+    parts += [1] * (n - m)
+    h = q if rest > 1 else q - 1 if cap > 1 else -1
+    while True:
+        yield tuple(parts[:m])
+        if h < 0:
+            return
+        if parts[h] == 2:
+            parts[h] = 1
+            h -= 1
+            m += 1
+        else:
+            part = parts[h] - 1
+            free = m - h  # one cell of parts[h] and the m - h - 1 ones after it
+            parts[h] = part
+            while free >= part:
+                h += 1
+                parts[h] = part
+                free -= part
+            m = h + 1 + (free > 0)
+            if free > 1:
+                h += 1
+                parts[h] = free
+        if parts[0] < first_min:
+            return
+
+
+# The enumerator's tuples are partitions by construction, so they become
+# Partitions without Partition.__new__ checking them again.
+_as_partitions = partial(map, partial(tuple.__new__, Partition))
 
 
 def all_partitions(n: int) -> Iterator[Partition]:
     """All partitions of n in reverse lexicographic order, (n) first."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    for parts in _bounded(n, n):
-        yield Partition(parts)
+    yield from _as_partitions(partition_tuples(n, n))
 
 
 def partitions_with_large_first_row(n: int, t_max: int) -> Iterator[Partition]:
@@ -154,14 +195,7 @@ def partitions_with_large_first_row(n: int, t_max: int) -> Iterator[Partition]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        if t_max >= 0:
-            yield Partition()
-        return
-    for t in range(0, min(t_max, n - 1) + 1):
-        first = n - t
-        for rest in _bounded(t, first):
-            yield Partition((first, *rest))
+    yield from _as_partitions(partition_tuples(n, n, n - t_max))
 
 
 def stratum_sizes(n: int, t_max: int) -> Iterator[int]:
@@ -181,5 +215,4 @@ def stratum_sizes(n: int, t_max: int) -> Iterator[int]:
 
 def bounded_partitions(n: int, cap: int) -> Iterator[Partition]:
     """Partitions of n with every part at most cap, largest-first."""
-    for parts in _bounded(n, cap):
-        yield Partition(parts)
+    yield from _as_partitions(partition_tuples(n, cap))

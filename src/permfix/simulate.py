@@ -17,7 +17,8 @@ applies q first.
 from __future__ import annotations
 
 from collections import Counter, deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -226,6 +227,13 @@ _KERNELS = {
 }
 
 
+def _run_inline(fn, *args) -> Future:
+    """ThreadPoolExecutor.submit on the calling thread: a done Future holding fn(*args)."""
+    future: Future = Future()
+    future.set_result(fn(*args))
+    return future
+
+
 def fixed_point_histogram(
     model: str,
     n: int,
@@ -275,14 +283,17 @@ def fixed_point_histogram(
         return Counter({int(v): int(f) for v, f in zip(values, freq)})
 
     # Streams are spawned and chunks submitted as workers free up, so at
-    # most threads + 1 chunks are pending, however many there are.
+    # most threads + 1 chunks are pending, however many there are. One
+    # thread runs each chunk as it is submitted: a pool would only hand
+    # every chunk to its one worker and back.
     threads = max(1, threads)
     merged: Counter = Counter()
     pending: deque = deque()
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        submit = pool.submit if pool else _run_inline
         for start in range(0, samples, rows):
             (rng,) = spawn_rngs(root, 1)
-            pending.append(pool.submit(run_chunk, min(rows, samples - start), rng))
+            pending.append(submit(run_chunk, min(rows, samples - start), rng))
             if len(pending) > threads:
                 merged.update(pending.popleft().result())
         for future in pending:

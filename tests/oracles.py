@@ -3,9 +3,10 @@
 Everything here is deliberately independent of the package's production
 algorithms: tableaux are enumerated cell by cell, characters come from
 permutation-module fixed-point counts plus exact Gram-Schmidt, and the
-longest increasing subsequence uses dynamic programming. Five exceptions
+longest increasing subsequence uses dynamic programming. Six exceptions
 keep a production path's former form as the reference for its
-replacement: per_order_moment, the moment engines' per-order shape sum;
+replacement: bounded_partitions_recursive, the recursive shape
+enumerator; per_order_moment, the moment engines' per-order shape sum;
 factorial_moments_by_skew_counts, the engine's former per-shape route to
 the factorial moments, with its skew counts from the memoized
 corner-peeling recursion skew_count_by_corner_peeling; dim_hook_product,
@@ -14,8 +15,11 @@ Murnaghan-Nakayama recursion with one call per cycle; and
 char_near_one_row, the closed forms that character polynomials replaced
 for the three shapes nearest one row.
 skew_syt_count_determinant is an independent determinant evaluation of
-the skew tableau counts. The scalar samplers draw one permutation at a
-time with plain Python loops, as references for the vectorized kernels.
+the skew tableau counts, and icycle_walk_laws_by_convolution an
+independent route to the walk's fixed-point law, by convolving the
+uniform i-cycle law over all of S_n. The scalar samplers draw one
+permutation at a time with plain Python loops, as references for the
+vectorized kernels.
 The top-to-random sampler performs the shuffles and RSK insertion, to
 check the package's exact shape law against sampled frequencies.
 """
@@ -274,6 +278,54 @@ def stick_breaking_ones_laws(n_max: int) -> list[dict[int, Fraction]]:
                 law[key] = law.get(key, Fraction(0)) + p / left
         laws.append(dict(sorted(law.items())))
     return laws
+
+
+def icycle_walk_laws_by_convolution(n: int, i: int, k_max: int) -> list[dict[int, Fraction]]:
+    """Fixed-point laws of the product of k uniform i-cycles, for k = 0..k_max.
+
+    counts[sigma] is the number of k-tuples of i-cycles whose product is
+    sigma, convolved one factor at a time over all n! permutations; each
+    i-cycle moves the counts along its own table sigma -> c o sigma.
+    """
+    perms = list(permutations(range(n)))
+    index = {p: j for j, p in enumerate(perms)}
+    cycles = []
+    for support in combinations(range(n), i):
+        for rest in permutations(support[1:]):
+            order = (support[0], *rest)
+            cycle = list(range(n))
+            for a, b in zip(order, order[1:] + order[:1]):
+                cycle[a] = b
+            cycles.append(tuple(cycle))
+    steps = [np.array([index[compose(c, p)] for p in perms]) for c in cycles]
+    fixed = np.array([sum(j == v for j, v in enumerate(p)) for p in perms])
+    counts = np.zeros(len(perms), dtype=np.int64)
+    counts[index[tuple(range(n))]] = 1
+    laws = []
+    for k in range(k_max + 1):
+        if k:
+            moved = np.zeros_like(counts)
+            for step in steps:
+                moved[step] += counts
+            counts = moved
+        by_fixed = np.zeros(n + 1, dtype=np.int64)
+        np.add.at(by_fixed, fixed, counts)
+        laws.append({j: Fraction(int(c), len(cycles) ** k) for j, c in enumerate(by_fixed) if c})
+    return laws
+
+
+def bounded_partitions_recursive(n: int, cap: int):
+    """Partitions of n with parts <= cap, largest first, by recursion on the first part.
+
+    This is the enumerator the package used before its iterative pass
+    (partitions.partition_tuples).
+    """
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, cap), 0, -1):
+        for rest in bounded_partitions_recursive(n - first, first):
+            yield (first, *rest)
 
 
 def per_order_moment(n: int, r: int, weight, total=sum):

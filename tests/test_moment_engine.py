@@ -24,7 +24,7 @@ from permfix.moments import (
     moment_commutator_random,
     moment_icycle_walk,
 )
-from permfix.partitions import all_partitions, dim
+from permfix.partitions import all_partitions, dim, stratum_sizes
 from permfix.setpartitions import stirling_row
 
 
@@ -79,6 +79,27 @@ def test_float_walk_engine_equals_per_order_sums_at_128_bits(n, i, c):
             expected = +guarded
         assert engine[r] == expected
         assert moment_icycle_walk(n, i, k, r) == expected
+
+
+@pytest.mark.parametrize("precision_bits", (53, 64, 256))
+@pytest.mark.parametrize("c", (-0.5, 0.0, 1.0))
+@pytest.mark.parametrize("i", (2, 3))
+@pytest.mark.parametrize("n", (500, 2000))
+def test_float_walk_engine_equals_per_order_sums_at_other_precisions(n, i, c, precision_bits):
+    # As at 128 bits: the engine rounds once per moment at precision + 40
+    # bits, the per-order route sums rounded products with fsum there.
+    k = cutoff_steps(n, i, c)
+
+    def weight(lam):
+        return mpmath.mpf(dim(lam)) * _ratio_power(char_ratio_icycle(lam, i), k)
+
+    engine = icycle_walk_moments(n, i, k, 3, precision_bits=precision_bits)
+    for r in range(4):
+        with mp.workprec(precision_bits + 40):
+            guarded = per_order_moment(n, r, weight, mpmath.fsum)
+        with mp.workprec(precision_bits):
+            expected = +guarded
+        assert engine[r] == expected
 
 
 def _both_random(lam):
@@ -136,6 +157,19 @@ def test_float_walk_lattice_pass_equals_fsum_route_at_128_bits(n, i, c):
     with mp.workprec(128):
         expected = [+v for v in guarded]
     assert icycle_walk_moments(n, i, k, 3) == expected
+
+
+@pytest.mark.parametrize("n", range(0, 21))
+def test_engine_weighs_each_shape_of_its_strata_once(n):
+    for a_max in range(n + 1):
+        seen = []
+
+        def weight(lam):
+            seen.append(lam)
+            return _both_random(lam)
+
+        _factorial_moments(n, a_max, weight)
+        assert len(seen) == len(set(seen)) == sum(stratum_sizes(n, a_max))
 
 
 def test_empty_shape_carries_the_zeroth_factorial_moment():

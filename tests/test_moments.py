@@ -6,6 +6,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
+from oracles import icycle_walk_laws_by_convolution
 from permfix import characters
 from permfix.characters import CycleType
 from permfix.errors import EnumerationLimitError, SizeMismatchError, ValidationError
@@ -190,6 +191,14 @@ def test_walk_exact_distribution_one_transposition():
     assert walk_exact_distribution(3, 2, 1) == {1: Fraction(1)}
     dist = walk_exact_distribution(6, 2, 1)
     assert dist == {4: Fraction(1)}
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_walk_exact_distribution_equals_convolution_over_the_group(n):
+    for i in range(2, n + 1):
+        laws = icycle_walk_laws_by_convolution(n, i, 4)
+        for k, law in enumerate(laws):
+            assert walk_exact_distribution(n, i, k) == law, (n, i, k)
 
 
 def _walk_check(ns, ks, rs):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import count_syt, dim_branching, dim_hook_product
+from oracles import bounded_partitions_recursive, count_syt, dim_branching, dim_hook_product
 from permfix.partitions import (
     Partition,
     all_partitions,
@@ -13,6 +13,7 @@ from permfix.partitions import (
     conjugate,
     dim,
     frobenius,
+    partition_tuples,
     partitions_with_large_first_row,
     stratum_sizes,
 )
@@ -169,3 +170,23 @@ def test_stratum_sizes_count_the_large_first_row_shapes():
             firsts = Counter(lam[0] if lam else 0 for lam in partitions_with_large_first_row(n, t_max))
             assert list(stratum_sizes(n, t_max)) == [firsts[n - t] for t in range(len(firsts))]
     assert sum(stratum_sizes(10**6, 40)) == 215308
+
+
+@pytest.mark.parametrize("n", range(0, 26))
+def test_iterative_enumerator_equals_the_recursive_one(n):
+    for cap in range(0, n + 2):
+        expected = list(bounded_partitions_recursive(n, cap))
+        assert list(partition_tuples(n, cap)) == expected
+        assert list(bounded_partitions(n, cap)) == expected
+    # A first-part floor cuts the full list short at the same place.
+    everything = list(bounded_partitions_recursive(n, n))
+    for first_min in range(0, n + 2):
+        expected = [lam for lam in everything if sum(lam[:1]) >= first_min]
+        assert list(partition_tuples(n, n, first_min)) == expected
+        assert list(partitions_with_large_first_row(n, n - first_min)) == expected
+
+
+def test_enumerator_yields_plain_tuples_and_wrappers_yield_partitions():
+    assert all(type(lam) is tuple for lam in partition_tuples(7, 7))
+    for shapes in (all_partitions(7), bounded_partitions(7, 3), partitions_with_large_first_row(7, 3)):
+        assert all(type(lam) is Partition for lam in shapes)

@@ -1,5 +1,6 @@
 """Each experiment script runs on small arguments and prints its table."""
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -51,3 +52,11 @@ def test_walk_cutoff_scan_at_a_million():
     # three default c values x one n x three orders
     assert len(lines) == 1 + 3 * 3
     assert all(line.split()[1] == "1000000" for line in lines[1:])
+
+
+def test_compare_outputs_finds_no_difference_against_its_own_checkout():
+    lines = run_script("compare_outputs.py", str(ROOT), "--seeds", "1")
+    assert len(lines) == 1
+    compared, differ = re.fullmatch(r"compared (\d+) calls: (\d+) differ", lines[0]).groups()
+    # Every operation of the three benchmark workloads, more than 100 at one seed.
+    assert int(compared) > 100 and differ == "0"

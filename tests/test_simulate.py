@@ -480,6 +480,25 @@ def test_uniform_threads_do_not_change_result_over_many_chunks(monkeypatch):
         assert sum(a.histogram.values()) == 2950
 
 
+@pytest.mark.parametrize(
+    "model, n, kwargs",
+    [("uniform", 9, {}), ("commutator", 6, {}), ("commutator", 6, {"x": (3, 2, 1)}),
+     ("walk", 9, {"i": 4, "k": 3})],
+    ids=["uniform", "commutator", "commutator-fixed-x", "walk"],
+)
+def test_one_thread_runs_every_chunk_without_a_pool(monkeypatch, model, n, kwargs):
+    monkeypatch.setattr(simulate, "_CHUNK_ROWS", 100)
+    pooled = fixed_point_histogram(model, n, 2950, seed=8, threads=2, **kwargs)
+
+    def no_pool(*args, **kw):
+        raise AssertionError("threads=1 started a thread pool")
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", no_pool)
+    inline = fixed_point_histogram(model, n, 2950, seed=8, threads=1, **kwargs)
+    assert inline.histogram == pooled.histogram
+    assert sum(inline.histogram.values()) == 2950
+
+
 def _chi_square_bound(cells: int) -> float:
     # Mean plus 5 standard deviations of a chi-square law with cells - 1
     # degrees of freedom.
