@@ -1,6 +1,9 @@
 """Exact and Monte Carlo engines for fixed-point statistics of non-uniform
 random permutations: commutators with random or fixed factors, and random
-i-cycle walks, together with their Poisson limits."""
+i-cycle walks, together with their Poisson limits.
+
+The seeded sampler is imported from permfix.simulate, the one module that
+needs numpy."""
 
 from .characters import (
     CycleType,
@@ -11,6 +14,7 @@ from .characters import (
 from .moments import (
     MomentReport,
     cutoff_steps,
+    enumerate_commutator_distribution,
     moment_commutator_fixed,
     moment_commutator_fixed_closed,
     moment_commutator_random,
@@ -28,17 +32,10 @@ from .partitions import (
     partitions_with_large_first_row,
 )
 from .setpartitions import bell, occupancy_probability, poisson_moment, stirling
-from .simulate import (
-    EmpiricalDistribution,
-    enumerate_commutator_distribution,
-    fixed_point_histogram,
-    tv_to_poisson,
-)
 from .tableaux import skew_syt_count, skew_syt_large_first_row
 
 __all__ = [
     "CycleType",
-    "EmpiricalDistribution",
     "MomentReport",
     "Partition",
     "all_partitions",
@@ -49,7 +46,6 @@ __all__ = [
     "cutoff_steps",
     "dim",
     "enumerate_commutator_distribution",
-    "fixed_point_histogram",
     "frobenius",
     "moment_commutator_fixed",
     "moment_commutator_fixed_closed",
@@ -65,7 +61,6 @@ __all__ = [
     "skew_syt_count",
     "skew_syt_large_first_row",
     "stirling",
-    "tv_to_poisson",
     "verify_ratio_asymptotics",
     "walk_exact_distribution",
     "walk_term_at_cutoff",

@@ -14,6 +14,10 @@ character takes one of two routes for a shape lam = (n - s, nu):
   strip height is the number of beta numbers jumped over. Cycles are
   consumed largest first and values are memoized per (remaining cycles,
   shape).
+
+Permutations are tuples in one-line form over 0..n-1: perm_cycle_type
+reads a class off one, perm_from_cycle_type lays a class out as one, and
+compose(p, q) applies q first.
 """
 from __future__ import annotations
 
@@ -237,6 +241,34 @@ def perm_cycle_type(perm) -> CycleType:
             length += 1
         cycles.append(length)
     return CycleType(cycles)
+
+
+def compose(p, q) -> tuple[int, ...]:
+    """The permutation applying q first and then p."""
+    return tuple(p[q[j]] for j in range(len(p)))
+
+
+def inverse(p) -> tuple[int, ...]:
+    out = [0] * len(p)
+    for j, v in enumerate(p):
+        out[v] = j
+    return tuple(out)
+
+
+def commutator_perm(g, x) -> tuple[int, ...]:
+    """g^-1 x^-1 g x in one-line form."""
+    return compose(compose(inverse(g), inverse(x)), compose(g, x))
+
+
+def perm_from_cycle_type(ct) -> tuple[int, ...]:
+    """Canonical representative: cycles laid out consecutively on 0..n-1."""
+    ct = CycleType(ct)
+    out = []
+    start = 0
+    for length in ct:
+        out.extend(list(range(start + 1, start + length)) + [start])
+        start += length
+    return tuple(out)
 
 
 @dataclass(frozen=True)

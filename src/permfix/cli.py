@@ -26,13 +26,6 @@ from .characters import CycleType, char_ratio_icycle
 from .errors import CrossCheckError, SizeMismatchError, ValidationError
 from .multiplicity import ROUTES as MULT_ROUTES, mult_by_route
 from .partitions import Partition, stratum_sizes
-from .simulate import (
-    enumerate_commutator_distribution,
-    exact_moment,
-    fixed_point_histogram,
-    moment_z_score,
-    tv_to_poisson,
-)
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -69,6 +62,21 @@ MAX_MULT_SKEW_CELLS = 30
 # costs far more per shape (--n 100 --x 5^4,4^5,3^6,2^10,1^22: 32 s at
 # r_max 24, still running after 4 minutes at 31).
 MAX_ENGINE_SHAPES = 40000
+
+# The highest moment order a command computes: --r-max for moments and
+# 2 * --r-max for simulate's exact references. Every Stirling row up to it
+# is cached, which grows as about r^3 log r bits whatever n is (--r-max 800
+# took 139 MB at n = 5), and simulate's z-scores take doubles of its
+# moments: those stay finite here, since a uniform moment of order 128 is
+# at most B(128) ~ 10^158, and the shape cap admits order 128 only for
+# n <= 40, where a moment is at most 40^128 ~ 10^205.
+MAX_ORDER = 128
+
+# mult reads S(r, a) for a <= 30 only (MAX_MULT_SKEW_CELLS), so its cost
+# barely grows with r, but m(lam, r) <= 1^r + ... + 30^r has up to about
+# 1.48 r digits: at this r it prints within Python's default limit of 4300
+# digits for an int.
+MAX_MULT_R = 2000
 
 # The options simulate reads for each model, besides those every model reads.
 _SIMULATE_OPTIONS = {"uniform": (), "commutator": ("x",), "walk": ("i", "k", "precision")}
@@ -218,6 +226,8 @@ def cmd_mult(args) -> int:
         raise ValidationError("r must be nonnegative")
     if min(args.r, lam.n) > MAX_MULT_SKEW_CELLS:
         raise ValidationError(f"--r reaches more than the {MAX_MULT_SKEW_CELLS} cells accepted")
+    if args.r > MAX_MULT_R:
+        raise ValidationError(f"--r must be at most {MAX_MULT_R}, got {args.r}")
     if args.alg == "all":
         values = mult_by_route(lam, args.r)
         if len(set(values.values())) != 1:
@@ -264,6 +274,9 @@ def cmd_moments(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # Imported here, so that only simulate loads numpy.
+    from .simulate import check_row_points, fixed_point_histogram, moment_z_score, tv_to_poisson
+
     if not math.isfinite(args.samples):
         raise ValidationError(f"--samples must be finite, got {args.samples}")
     samples = int(args.samples)
@@ -272,6 +285,7 @@ def cmd_simulate(args) -> int:
               if getattr(args, name) is not None and name not in _SIMULATE_OPTIONS[args.model]]
     if unread:
         raise ValidationError(f"--model {args.model} does not read {', '.join(unread)}")
+    check_row_points(args.model, args.n)
     x = CycleType(parse_parts(args.x, args.n)) if args.x is not None else None
     if args.model != "uniform":
         _check_engine_shapes(args.n, 2 * args.r_max)
@@ -352,7 +366,7 @@ def cmd_dist(args) -> int:
         params = {"n": args.n, "i": args.i, "k": args.k}
     else:
         x = CycleType(parse_parts(args.x, args.n)) if args.x is not None else None
-        dist = enumerate_commutator_distribution(args.n, x)
+        dist = moments.enumerate_commutator_distribution(args.n, x)
         params = {"n": args.n, "x": list(x) if x else None}
     table = [
         {"fixed_points": j, "probability": p} for j, p in sorted(dist.items())
@@ -360,7 +374,7 @@ def cmd_dist(args) -> int:
     body = {
         "params": params,
         "table": table,
-        "mean": exact_moment(dist, 1),
+        "mean": moments.exact_moment(dist, 1),
         "total": sum(dist.values()),
     }
     _emit(args, "dist", body)
@@ -381,8 +395,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "r_max", 0) < 0:
-            raise ValidationError(f"--r-max must be nonnegative, got {args.r_max}")
+        r_max = getattr(args, "r_max", 0)
+        if r_max < 0:
+            raise ValidationError(f"--r-max must be nonnegative, got {r_max}")
+        order = 2 * r_max if args.command == "simulate" else r_max
+        if order > MAX_ORDER:
+            raise ValidationError(f"--r-max {r_max} asks for moments to order {order}, "
+                                  f"above the {MAX_ORDER} accepted")
         precision = getattr(args, "precision", None)
         if precision is not None and not MIN_PRECISION_BITS <= precision <= MAX_PRECISION_BITS:
             raise ValidationError(

@@ -22,21 +22,28 @@ and need no walk.
 Commutator moments are exact rationals. The walk offers an exact
 rational path (small k) and a high-precision float path that powers
 ratios in log space, since |ratio| <= 1 and k can reach n log n.
+
+The exact small-n laws sit here too: the walk's by inverting the class
+sums, the commutator's by enumerating the group, and exact_moment reads
+a moment off either. They are the oracles of the verify gates and of
+`permfix dist`.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite, lcm, log
+from itertools import permutations
+from math import factorial, isfinite, lcm, log
 from operator import mul
 from typing import Callable
 
 import mpmath
 from mpmath import mp
 
-from .characters import CycleType, char_ratio_icycle, class_character
+from .characters import CycleType, char_ratio_icycle, class_character, perm_from_cycle_type
 from .errors import EnumerationLimitError, SizeMismatchError, ValidationError
-from .partitions import Partition, dim, partition_tuples
+from .partitions import Partition, all_partitions, dim, partition_tuples
 from .setpartitions import poisson_moment, stirling_row
 from .tableaux import single_row_sums
 
@@ -282,6 +289,39 @@ def walk_exact_distribution(n: int, i: int, k: int) -> dict[int, Fraction]:
     if total != 1:
         raise ArithmeticError("walk distribution does not sum to 1")
     return dict(sorted(histogram.items()))
+
+
+def enumerate_commutator_distribution(n: int, x=None) -> dict[int, Fraction]:
+    """Exact fixed-point law of the commutator by full enumeration.
+
+    With x given, g runs over the whole group; fix(g^-1 x^-1 g x) equals
+    the number of points where g.x and x.g agree, so no inverses are formed
+    in the inner loop. With x absent the law is the average of the fixed-x
+    laws over the classes C, weighted by |C| / n!.
+    """
+    if x is None:
+        if n > 6:
+            raise EnumerationLimitError("both-random enumeration limited to n <= 6")
+        law: Counter = Counter()
+        for parts in all_partitions(n):
+            size = CycleType(parts).class_size()
+            for j, p in enumerate_commutator_distribution(n, parts).items():
+                law[j] += p * size / factorial(n)
+        return dict(sorted(law.items()))
+    x = CycleType(x)
+    if x.n != n:
+        raise SizeMismatchError(f"cycle type {x!r} has size {x.n}, expected {n}")
+    if n > 7:
+        raise EnumerationLimitError("fixed-x enumeration limited to n <= 7")
+    xp = perm_from_cycle_type(x)
+    counts = Counter(
+        sum(1 for j in range(n) if g[xp[j]] == xp[g[j]]) for g in permutations(range(n))
+    )
+    return {j: Fraction(c, factorial(n)) for j, c in sorted(counts.items())}
+
+
+def exact_moment(distribution: dict[int, Fraction], r: int) -> Fraction:
+    return sum((Fraction(p) * j ** r for j, p in distribution.items()), Fraction(0))
 
 
 @dataclass(frozen=True)

@@ -15,16 +15,20 @@ Four routes to the same number m(lam, r):
 
 m(lam, 0) is 1 for the one-row shape and 0 otherwise, which keeps the
 moment engines total.
+
+exact_shape_distribution reads the RSK shape law of r top-to-random
+shuffles off the same multiplicities: mult(lam, r) * dim(lam) / n^r.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
 from .characters import character, perm_cycle_type
-from .errors import EnumerationLimitError, FirstRowGuardError
-from .partitions import Partition
-from .setpartitions import stirling_row
+from .errors import EnumerationLimitError, FirstRowGuardError, ValidationError
+from .partitions import Partition, all_partitions, dim
+from .setpartitions import stirling_columns, stirling_row
 from .tableaux import single_row_sums, skew_syt_large_first_row
 
 
@@ -42,7 +46,7 @@ def mult_skew(lam, r: int) -> int:
     if lam and lam[0] < n - a_max:
         return 0  # lam contains none of the rows (n - a), a <= r
     counts = single_row_sums({tuple(lam): 1}, n, a_max)
-    return sum(s * f for s, f in zip(stirling_row(r), counts))
+    return sum(s * f for s, f in zip(stirling_columns(r, a_max), counts))
 
 
 def _box_additions(parts: tuple) -> list[tuple]:
@@ -65,7 +69,7 @@ def mult_updown(lam, r: int) -> int:
     if r < 0:
         raise ValueError("r must be nonnegative")
     n = lam.n
-    row = stirling_row(r)
+    row = stirling_columns(r, min(r, n))
     key = tuple(lam)
     total = 0
     for a in range(min(r, n) + 1):
@@ -133,3 +137,13 @@ def mult_by_route(lam, r: int) -> dict[str, int]:
         except (FirstRowGuardError, EnumerationLimitError):
             pass
     return values
+
+
+def exact_shape_distribution(n: int, r: int) -> dict[Partition, Fraction]:
+    """Law of the RSK shape after r top-to-random shuffles of a sorted deck."""
+    if n < 1 or r < 0:
+        raise ValidationError("need n >= 1 and r >= 0")
+    return {
+        lam: Fraction(mult_skew(lam, r) * dim(lam), n ** r)
+        for lam in all_partitions(n)
+    }

@@ -2,13 +2,15 @@
 
 The triangular Stirling table is built once by the standard recurrence
 and grown on demand; every moment formula in this package consumes whole
-rows of it. Poisson moments accept exact rationals or high-precision
-reals through the same code path.
+rows of it. The multiplicities need only the first few columns of a row,
+which stirling_columns computes without growing the table. Poisson
+moments accept exact rationals or high-precision reals through the same
+code path.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import perm
+from math import comb, factorial, perm
 
 _DEFAULT_ROWS = 12
 _rows: list[list[int]] = [[1]]
@@ -43,6 +45,21 @@ def stirling_row(r: int) -> tuple[int, ...]:
         raise ValueError("r must be nonnegative")
     _ensure(r)
     return tuple(_rows[r])
+
+
+def stirling_columns(r: int, a_max: int) -> list[int]:
+    """S(r, a) for a = 0..a_max, from a! S(r, a) = sum_j (-1)^(a-j) C(a, j) j^r.
+
+    The table holds every row up to the largest r asked for, which grows
+    as about r^3 log r bits; this takes a_max + 1 powers and keeps nothing.
+    """
+    if r < 0 or a_max < 0:
+        raise ValueError("r and a_max must be nonnegative")
+    powers = [j ** r for j in range(a_max + 1)]
+    return [
+        sum((-1) ** (a - j) * comb(a, j) * powers[j] for j in range(a + 1)) // factorial(a)
+        for a in range(a_max + 1)
+    ]
 
 
 def bell(r: int) -> int:

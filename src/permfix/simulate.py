@@ -1,5 +1,6 @@
-"""Random permutation sampling, the top-to-random shape law, and small-n
-exhaustive oracles.
+"""Seeded Monte Carlo sampling of fixed-point counts: the one module of
+the package that needs numpy, so only `permfix simulate` loads it. Import
+the sampler names from permfix.simulate.
 
 Randomness contract: every sampler draws from a numpy PCG64 generator.
 A run is identified by a 64-bit master seed; one stream per chunk is
@@ -11,25 +12,24 @@ The uniform model builds no permutations: it draws each sample's cycle
 lengths (the Feller coupling), so a sample costs about H_n bounded
 integers. Only the commutator shuffles rows of n points.
 
-Permutations are tuples in one-line form over 0..n-1. compose(p, q)
-applies q first.
+Besides the sampler it holds what reads its histograms: the derangement
+law of the uniform model, the total-variation distance to a Poisson law
+and the moment z-score.
 """
 from __future__ import annotations
 
+import os
 from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import comb, exp, factorial, sqrt
 
 import numpy as np
 
-from .characters import CycleType
-from .errors import EnumerationLimitError, SizeMismatchError, ValidationError
-from .multiplicity import mult_skew
-from .partitions import Partition, all_partitions, dim
+from .characters import CycleType, perm_from_cycle_type
+from .errors import SizeMismatchError, ValidationError
 
 # Version of the seeded sample streams: a histogram is reproducible from
 # its seed and parameters at one stream version. Version 2 sizes chunks
@@ -50,12 +50,21 @@ _CHUNK_CELLS = 1 << 24
 _SUB_CELLS = 1 << 16
 
 
+# The commutator and the walk hold rows of n points, so their memory grows
+# with n: at this n a pool thread needs about 190 MB for a commutator chunk
+# and 100 MB for a walk chunk. The uniform kernel holds no rows.
+MAX_ROW_POINTS = 1 << 22
+
+
 def _chunk_rows(n: int) -> int:
     return max(1, min(_CHUNK_ROWS, _CHUNK_CELLS // n))
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+def check_row_points(model: str, n: int) -> None:
+    """Reject, before anything is allocated, an n whose rows the model cannot hold."""
+    if model != "uniform" and n > MAX_ROW_POINTS:
+        raise ValidationError(f"the {model} model holds rows of n points; "
+                              f"need n <= {MAX_ROW_POINTS}, got n = {n}")
 
 
 def spawn_rngs(root: np.random.SeedSequence, count: int) -> list[np.random.Generator]:
@@ -65,38 +74,6 @@ def spawn_rngs(root: np.random.SeedSequence, count: int) -> list[np.random.Gener
     at a time gives the same streams as spawning all at once.
     """
     return [np.random.Generator(np.random.PCG64(s)) for s in root.spawn(count)]
-
-
-def compose(p, q) -> tuple[int, ...]:
-    """The permutation applying q first and then p."""
-    return tuple(p[q[j]] for j in range(len(p)))
-
-
-def inverse(p) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for j, v in enumerate(p):
-        out[v] = j
-    return tuple(out)
-
-
-def fixed_point_count(p) -> int:
-    return sum(1 for j, v in enumerate(p) if j == v)
-
-
-def commutator_perm(g, x) -> tuple[int, ...]:
-    """g^-1 x^-1 g x in one-line form."""
-    return compose(compose(inverse(g), inverse(x)), compose(g, x))
-
-
-def perm_from_cycle_type(ct) -> tuple[int, ...]:
-    """Canonical representative: cycles laid out consecutively on 0..n-1."""
-    ct = CycleType(ct)
-    out = []
-    start = 0
-    for length in ct:
-        out.extend(list(range(start + 1, start + length)) + [start])
-        start += length
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +233,7 @@ def fixed_point_histogram(
         raise ValidationError(f"unknown model {model!r}")
     if n < 1 or samples < 1:
         raise ValidationError("need n >= 1 and samples >= 1")
+    check_row_points(model, n)
     params: dict = {}
     if model == "walk":
         if i is None or k is None:
@@ -283,10 +261,11 @@ def fixed_point_histogram(
         return Counter({int(v): int(f) for v, f in zip(values, freq)})
 
     # Streams are spawned and chunks submitted as workers free up, so at
-    # most threads + 1 chunks are pending, however many there are. One
-    # thread runs each chunk as it is submitted: a pool would only hand
-    # every chunk to its one worker and back.
-    threads = max(1, threads)
+    # most threads + 1 chunks are pending, however many there are. The pool
+    # has no more threads than cores or chunks. One thread runs each chunk
+    # as it is submitted: a pool would only hand every chunk to its one
+    # worker and back.
+    threads = max(1, min(threads, os.cpu_count() or 1, -(-samples // rows)))
     merged: Counter = Counter()
     pending: deque = deque()
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
@@ -299,53 +278,6 @@ def fixed_point_histogram(
         for future in pending:
             merged.update(future.result())
     return EmpiricalDistribution(samples, dict(sorted(merged.items())))
-
-
-# ---------------------------------------------------------------------------
-# The RSK shape law of top-to-random shuffles
-
-
-def exact_shape_distribution(n: int, r: int) -> dict[Partition, Fraction]:
-    """Law of the RSK shape after r top-to-random shuffles of a sorted deck."""
-    if n < 1 or r < 0:
-        raise ValidationError("need n >= 1 and r >= 0")
-    return {
-        lam: Fraction(mult_skew(lam, r) * dim(lam), n ** r)
-        for lam in all_partitions(n)
-    }
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive oracles
-
-
-def enumerate_commutator_distribution(n: int, x=None) -> dict[int, Fraction]:
-    """Exact fixed-point law of the commutator by full enumeration.
-
-    With x given, g runs over the whole group; fix(g^-1 x^-1 g x) equals
-    the number of points where g.x and x.g agree, so no inverses are formed
-    in the inner loop. With x absent the law is the average of the fixed-x
-    laws over the classes C, weighted by |C| / n!.
-    """
-    if x is None:
-        if n > 6:
-            raise EnumerationLimitError("both-random enumeration limited to n <= 6")
-        law: Counter = Counter()
-        for parts in all_partitions(n):
-            size = CycleType(parts).class_size()
-            for j, p in enumerate_commutator_distribution(n, parts).items():
-                law[j] += p * size / factorial(n)
-        return dict(sorted(law.items()))
-    x = CycleType(x)
-    if x.n != n:
-        raise SizeMismatchError(f"cycle type {x!r} has size {x.n}, expected {n}")
-    if n > 7:
-        raise EnumerationLimitError("fixed-x enumeration limited to n <= 7")
-    xp = perm_from_cycle_type(x)
-    counts = Counter(
-        sum(1 for j in range(n) if g[xp[j]] == xp[g[j]]) for g in permutations(range(n))
-    )
-    return {j: Fraction(c, factorial(n)) for j, c in sorted(counts.items())}
 
 
 def _subfactorial(m: int) -> int:
@@ -364,10 +296,6 @@ def uniform_fixed_distribution_exact(n: int) -> dict[int, Fraction]:
         for j in range(n + 1)
         if j != n - 1
     }
-
-
-def exact_moment(distribution: dict[int, Fraction], r: int) -> Fraction:
-    return sum((Fraction(p) * j ** r for j, p in distribution.items()), Fraction(0))
 
 
 def tv_to_poisson(dist, lam: float) -> float:

@@ -22,28 +22,25 @@ from .characters import (
     CycleType,
     _char,
     character,
+    commutator_perm,
     perm_cycle_type,
+    perm_from_cycle_type,
     verify_ratio_asymptotics,
 )
 from .moments import (
     commutator_fixed_moments,
     commutator_random_moments,
     cutoff_steps,
+    enumerate_commutator_distribution,
+    exact_moment,
     icycle_walk_moments_exact,
     icycle_walk_report,
     walk_exact_distribution,
     walk_term_at_cutoff,
 )
-from .multiplicity import mult_by_route, mult_skew
+from .multiplicity import exact_shape_distribution, mult_by_route, mult_skew
 from .partitions import Partition, all_partitions, dim
 from .setpartitions import bell, occupancy_probability, poisson_moment
-from .simulate import (
-    commutator_perm,
-    enumerate_commutator_distribution,
-    exact_moment,
-    exact_shape_distribution,
-    perm_from_cycle_type,
-)
 
 # Largest scaled deviation max |ratio - limit| * n accepted at the first
 # n of a ratio-decay grid.

@@ -34,16 +34,15 @@ from math import factorial, sqrt
 
 import numpy as np
 
-from permfix.characters import CycleType, perm_cycle_type
+from permfix.characters import CycleType, commutator_perm, compose, perm_cycle_type
 from permfix.errors import EnumerationLimitError, SizeMismatchError, ValidationError
-from permfix.multiplicity import mult_skew
+from permfix.multiplicity import exact_shape_distribution, mult_skew
 from permfix.partitions import (
     Partition,
     all_partitions,
     hook_lengths,
     partitions_with_large_first_row,
 )
-from permfix.simulate import commutator_perm, compose, exact_shape_distribution, make_rng
 
 
 def syt_fillings(outer, inner=()) -> list[tuple[tuple[int, ...], ...]]:
@@ -427,8 +426,16 @@ def skew_syt_count_determinant(outer, inner=()) -> int:
 # vectorized kernels of permfix.simulate.
 
 
+def make_rng(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+
+
 def identity_perm(n: int) -> tuple[int, ...]:
     return tuple(range(n))
+
+
+def fixed_point_count(p) -> int:
+    return sum(1 for j, v in enumerate(p) if j == v)
 
 
 def sample_uniform(n: int, rng: np.random.Generator) -> tuple[int, ...]:

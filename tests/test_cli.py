@@ -11,17 +11,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from permfix import setpartitions
 from permfix.cli import (
     MAX_CELLS_BELOW_FIRST_ROW,
     MAX_ENGINE_SHAPES,
+    MAX_MULT_R,
     MAX_MULT_SKEW_CELLS,
+    MAX_ORDER,
     build_parser,
     main,
     parse_parts,
 )
 from permfix.errors import SizeMismatchError, ValidationError
 from permfix.moments import moment_commutator_fixed_closed
-from permfix.multiplicity import mult_skew
+from permfix.multiplicity import mult_oracle, mult_skew
+from permfix.simulate import MAX_ROW_POINTS
 from permfix.partitions import stratum_sizes
 from strategies import partitions
 
@@ -761,3 +765,68 @@ def test_every_command_line_exits_with_a_documented_code(capsys, argv):
     assert code in (0, 2, 3, 4), argv
     if code == 0:
         json.loads(out)
+
+
+@pytest.mark.parametrize("argv", [
+    # Each exited 1 with an OverflowError from a double of an exact moment.
+    ("simulate", "--model", "uniform", "--n", "300", "--samples", "10", "--r-max", "110"),
+    ("simulate", "--model", "walk", "--n", "40", "--i", "2", "--k", "0", "--samples", "10",
+     "--r-max", "100"),
+    # 139 MB for the cached Stirling rows, at five shapes.
+    ("moments", "commutator-random", "--n", "5", "--r-max", "800"),
+    ("moments", "commutator-random", "--n", "5", "--r-max", str(MAX_ORDER + 1)),
+    ("simulate", "--model", "uniform", "--n", "5", "--samples", "10",
+     "--r-max", str(MAX_ORDER // 2 + 1)),
+])
+def test_orders_beyond_the_bound_exit_2_before_any_work(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert f"above the {MAX_ORDER} accepted" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("moments", "commutator-random", "--n", "5", "--r-max", str(MAX_ORDER)),
+    ("simulate", "--model", "uniform", "--n", "300", "--samples", "10"),
+    ("simulate", "--model", "commutator", "--n", "5", "--samples", "10"),
+    ("simulate", "--model", "walk", "--n", "6", "--i", "2", "--k", "3", "--samples", "10"),
+], ids=["moments", "simulate-uniform", "simulate-commutator", "simulate-walk"])
+def test_orders_at_the_bound_are_accepted(capsys, argv):
+    if argv[0] == "simulate":
+        argv += ("--r-max", str(MAX_ORDER // 2), "--threads", "1")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    if argv[0] == "simulate":
+        assert all(mpmath.isfinite(mpmath.mpf(row["z"])) for row in json.loads(out)["table"])
+
+
+def test_mult_reads_its_stirling_columns_without_growing_the_table(capsys):
+    # It cached every Stirling row up to r: 132 MB at r = 800 for n = 5.
+    rows = len(setpartitions._rows)
+    code, out, err = run_cli(capsys, "mult", "--lambda", "3,2", "--r", "800")
+    assert code == 0, err
+    assert json.loads(out)["multiplicity"] == mult_oracle((3, 2), 800)
+    assert len(setpartitions._rows) == rows < 800
+
+
+def test_mult_r_beyond_its_bound_exits_2(capsys):
+    assert run_cli(capsys, "mult", "--lambda", "30", "--r", str(MAX_MULT_R))[0] == 0
+    code, out, err = run_cli(capsys, "mult", "--lambda", "30", "--r", str(MAX_MULT_R + 1))
+    assert (code, out) == (2, "")
+    assert f"at most {MAX_MULT_R}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--model", "commutator"),
+    ("--model", "commutator", "--x", f"1^{MAX_ROW_POINTS + 1}"),
+    ("--model", "walk", "--i", "2", "--k", "1"),
+])
+def test_simulate_rows_beyond_the_bound_exit_2_before_any_work(capsys, argv):
+    # n = 8 * 10^6 took 352 MB (commutator) and 207 MB (walk) for 2 samples.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "simulate", "--n", str(MAX_ROW_POINTS + 1),
+                             "--samples", "2", "--threads", "1", *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert f"need n <= {MAX_ROW_POINTS}" in err

@@ -15,6 +15,7 @@ from permfix.moments import (
     commutator_fixed_report,
     commutator_random_report,
     cutoff_steps,
+    exact_moment,
     icycle_walk_moments_exact,
     icycle_walk_report,
     moment_commutator_fixed,
@@ -28,7 +29,7 @@ from permfix.moments import (
 from permfix.multiplicity import mult_skew
 from permfix.partitions import all_partitions, dim
 from permfix.setpartitions import bell, poisson_moment
-from permfix.simulate import exact_moment, uniform_fixed_distribution_exact
+from permfix.simulate import uniform_fixed_distribution_exact
 from permfix.verify import GATES
 
 
@@ -310,7 +311,7 @@ def test_commutator_moment_against_group_identity():
         total = Fraction(0)
         for x_parts in all_partitions(n):
             x = CycleType(x_parts)
-            from permfix.simulate import perm_from_cycle_type
+            from permfix.characters import perm_from_cycle_type
 
             xp = perm_from_cycle_type(x)
             inner = sum(

@@ -10,6 +10,7 @@ from permfix.setpartitions import (
     occupancy_probability,
     poisson_moment,
     stirling,
+    stirling_columns,
     stirling_row,
 )
 from permfix.verify import GATES
@@ -92,3 +93,10 @@ def test_occupancy_by_direct_enumeration():
 
 def test_stirling_row_shape():
     assert stirling_row(4) == (0, 1, 7, 6, 1)
+
+
+@pytest.mark.parametrize("r", range(41))
+def test_stirling_columns_equal_the_table_row(r):
+    row = list(stirling_row(r))
+    for a_max in range(r + 3):
+        assert stirling_columns(r, a_max) == (row + [0, 0])[: a_max + 1]

@@ -7,7 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (
+    fixed_point_count,
     lis_length,
+    make_rng,
     rsk_shape,
     sample_commutator,
     sample_icycle,
@@ -18,27 +20,28 @@ from oracles import (
     top_to_random_step,
     uniform_fixed_histogram_by_enumeration,
 )
-from permfix.characters import CycleType, perm_cycle_type
+from permfix.characters import (
+    CycleType,
+    commutator_perm,
+    compose,
+    inverse,
+    perm_cycle_type,
+    perm_from_cycle_type,
+)
 from permfix.errors import EnumerationLimitError, ValidationError
 from permfix.moments import (
+    enumerate_commutator_distribution,
+    exact_moment,
     moment_commutator_random,
     walk_exact_distribution,
 )
+from permfix.multiplicity import exact_shape_distribution
 from permfix import simulate
 from permfix.partitions import Partition
 from permfix.simulate import (
     EmpiricalDistribution,
-    commutator_perm,
-    compose,
-    enumerate_commutator_distribution,
-    exact_moment,
-    exact_shape_distribution,
-    fixed_point_count,
     fixed_point_histogram,
-    inverse,
-    make_rng,
     moment_z_score,
-    perm_from_cycle_type,
     tv_to_poisson,
     uniform_fixed_distribution_exact,
 )
@@ -601,3 +604,46 @@ def test_commutator_memory_is_bounded_by_the_sub_batch(x):
     finally:
         tracemalloc.stop()
     assert peak < 6_000_000, peak
+
+
+@pytest.mark.parametrize("model, kwargs", [("commutator", {}), ("commutator", {"x": (2,) * 25}),
+                                           ("walk", {"i": 2, "k": 1})],
+                         ids=["commutator", "commutator-fixed-x", "walk"])
+def test_row_models_reject_n_beyond_the_row_bound(monkeypatch, model, kwargs):
+    monkeypatch.setattr(simulate, "MAX_ROW_POINTS", 50)
+    dist = fixed_point_histogram(model, 50, 10, seed=1, **kwargs)
+    assert sum(dist.histogram.values()) == 10
+    with pytest.raises(ValidationError, match="need n <= 50"):
+        fixed_point_histogram(model, 51, 10, seed=1, i=kwargs.get("i"), k=kwargs.get("k"))
+
+
+def test_uniform_model_holds_no_rows_so_has_no_row_bound(monkeypatch):
+    monkeypatch.setattr(simulate, "MAX_ROW_POINTS", 50)
+    assert sum(fixed_point_histogram("uniform", 51, 10, seed=1).histogram.values()) == 10
+
+
+@pytest.mark.parametrize("samples, workers", [(250, 3), (2950, 8)])
+def test_pool_has_no_more_threads_than_cores_or_chunks(monkeypatch, samples, workers):
+    # A fake pool records its size and runs each task inline, so no thread starts.
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            return simulate._run_inline(fn, *args)
+
+    monkeypatch.setattr(simulate, "_CHUNK_ROWS", 100)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
+    inline = fixed_point_histogram("commutator", 6, samples, seed=8, threads=1)
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", InlinePool)
+    pooled = fixed_point_histogram("commutator", 6, samples, seed=8, threads=10 ** 6)
+    assert sizes == [workers]
+    assert pooled.histogram == inline.histogram
