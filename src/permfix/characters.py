@@ -48,6 +48,14 @@ class CycleType(tuple):
     def __repr__(self) -> str:
         return f"CycleType{tuple.__repr__(self)}"
 
+    @classmethod
+    def of_size(cls, cycles, n: int) -> "CycleType":
+        """cycles as a CycleType, rejected unless they add up to n."""
+        x = cls(cycles)
+        if x.n != n:
+            raise SizeMismatchError(f"cycle type {x!r} has size {x.n}, expected {n}")
+        return x
+
     @property
     def n(self) -> int:
         return sum(self)

@@ -15,17 +15,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from functools import cache
-from itertools import accumulate
 
 from . import moments, reports
 from .characters import CycleType, char_ratio_icycle
 from .errors import CrossCheckError, SizeMismatchError, ValidationError
 from .multiplicity import ROUTES as MULT_ROUTES, mult_by_route
-from .partitions import Partition, stratum_sizes
+from .partitions import Partition
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -52,25 +50,6 @@ MAX_CELLS_BELOW_FIRST_ROW = 5000
 # mult reaches skew shapes lam/(n - a) of a <= min(r, n) cells. At 30, the
 # slowest case tried (--alg all, lam = (10^6, 7, 6, ..., 1)) takes about 2.6 s.
 MAX_MULT_SKEW_CELLS = 30
-
-# The moment engines visit every shape whose first part is at least
-# n - min(r_max, n); simulate's exact references go to 2 * r_max. The cap
-# admits all 37338 partitions of 40 and, at large n, r_max <= 31 (35471
-# shapes). There moments walk --n 2000 --i 2 --c 0 takes 8.6 s at 128 bits
-# and commutator-fixed --n 1000 --x 2^500 17 s and 610 MB, the slowest
-# cases tried but one: a class of many short cycles of several lengths
-# costs far more per shape (--n 100 --x 5^4,4^5,3^6,2^10,1^22: 32 s at
-# r_max 24, still running after 4 minutes at 31).
-MAX_ENGINE_SHAPES = 40000
-
-# The highest moment order a command computes: --r-max for moments and
-# 2 * --r-max for simulate's exact references. Every Stirling row up to it
-# is cached, which grows as about r^3 log r bits whatever n is (--r-max 800
-# took 139 MB at n = 5), and simulate's z-scores take doubles of its
-# moments: those stay finite here, since a uniform moment of order 128 is
-# at most B(128) ~ 10^158, and the shape cap admits order 128 only for
-# n <= 40, where a moment is at most 40^128 ~ 10^205.
-MAX_ORDER = 128
 
 # mult reads S(r, a) for a <= 30 only (MAX_MULT_SKEW_CELLS), so its cost
 # barely grows with r, but m(lam, r) <= 1^r + ... + 30^r has up to about
@@ -239,15 +218,7 @@ def cmd_mult(args) -> int:
     return EXIT_OK
 
 
-def _check_engine_shapes(n: int, r_max: int) -> None:
-    """Exit 2 before any work if the engine would visit more than MAX_ENGINE_SHAPES shapes."""
-    if any(total > MAX_ENGINE_SHAPES for total in accumulate(stratum_sizes(n, r_max))):
-        raise ValidationError(f"moments to order {r_max} at n = {n} visit more than the "
-                              f"{MAX_ENGINE_SHAPES} shapes accepted; lower --r-max")
-
-
 def cmd_moments(args) -> int:
-    _check_engine_shapes(args.n, args.r_max)
     if args.model == "commutator-random":
         report = moments.commutator_random_report(args.n, args.r_max)
     elif args.model == "commutator-fixed":
@@ -277,18 +248,21 @@ def cmd_simulate(args) -> int:
     # Imported here, so that only simulate loads numpy.
     from .simulate import check_row_points, fixed_point_histogram, moment_z_score, tv_to_poisson
 
-    if not math.isfinite(args.samples):
-        raise ValidationError(f"--samples must be finite, got {args.samples}")
-    samples = int(args.samples)
-    args.samples = samples
+    # Checked here, not by the sampler, since the exact references come first.
+    if not (args.samples.is_integer() and args.samples >= 1):
+        raise ValidationError(f"--samples must be finite, whole and at least 1, "
+                              f"got {args.samples}")
+    args.samples = samples = int(args.samples)
     unread = [f"--{name}" for name in ("x", "i", "k", "precision")
               if getattr(args, name) is not None and name not in _SIMULATE_OPTIONS[args.model]]
     if unread:
         raise ValidationError(f"--model {args.model} does not read {', '.join(unread)}")
+    if args.model == "walk" and None in (args.i, args.k):
+        raise ValidationError("walk model needs i and k")
     check_row_points(args.model, args.n)
     x = CycleType(parse_parts(args.x, args.n)) if args.x is not None else None
-    if args.model != "uniform":
-        _check_engine_shapes(args.n, 2 * args.r_max)
+    # The exact references come first: a bound they break exits 2 before any sampling.
+    exact = _exact_moments_for(args, x)
     dist = fixed_point_histogram(
         args.model,
         args.n,
@@ -299,7 +273,6 @@ def cmd_simulate(args) -> int:
         x=x,
         threads=args.threads,
     )
-    exact = _exact_moments_for(args, x)
     table = [
         {
             "r": r,
@@ -398,10 +371,6 @@ def main(argv=None) -> int:
         r_max = getattr(args, "r_max", 0)
         if r_max < 0:
             raise ValidationError(f"--r-max must be nonnegative, got {r_max}")
-        order = 2 * r_max if args.command == "simulate" else r_max
-        if order > MAX_ORDER:
-            raise ValidationError(f"--r-max {r_max} asks for moments to order {order}, "
-                                  f"above the {MAX_ORDER} accepted")
         precision = getattr(args, "precision", None)
         if precision is not None and not MIN_PRECISION_BITS <= precision <= MAX_PRECISION_BITS:
             raise ValidationError(

@@ -23,6 +23,9 @@ Commutator moments are exact rationals. The walk offers an exact
 rational path (small k) and a high-precision float path that powers
 ratios in log space, since |ratio| <= 1 and k can reach n log n.
 
+The engine bounds its own work, whoever calls it: past MAX_ENGINE_SHAPES
+shapes or above order MAX_ORDER it raises ValidationError before any work.
+
 The exact small-n laws sit here too: the walk's by inverting the class
 sums, the commutator's by enumerating the group, and exact_moment reads
 a moment off either. They are the oracles of the verify gates and of
@@ -33,7 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations
 from math import factorial, isfinite, lcm, log
 from operator import mul
 from typing import Callable
@@ -48,6 +51,24 @@ from .setpartitions import poisson_moment, stirling_row
 from .tableaux import single_row_sums
 
 DEFAULT_PRECISION_BITS = 128
+
+# The engine visits every shape whose first part is at least n - min(r_max,
+# n). The cap admits all 37338 partitions of 40 and, at large n, r_max <=
+# 31 (35471 shapes). There moments walk --n 2000 --i 2 --c 0 takes 8.6 s at
+# 128 bits and commutator-fixed --n 1000 --x 2^500 17 s and 610 MB, the
+# slowest cases tried but one: a class of many short cycles of several
+# lengths costs far more per shape (--n 100 --x 5^4,4^5,3^6,2^10,1^22:
+# 32 s at r_max 24, still running after 4 minutes at 31).
+MAX_ENGINE_SHAPES = 40000
+
+# The highest moment order computed (simulate's exact references go to
+# twice its --r-max). Every Stirling row up to it is cached, which grows as
+# about r^3 log r bits whatever n is (order 800 took 139 MB at n = 5), and
+# simulate's z-scores take doubles of its moments: those stay finite here,
+# since a uniform moment of order 128 is at most B(128) ~ 10^158, and the
+# shape cap admits order 128 only for n <= 40, where a moment is at most
+# 40^128 ~ 10^205.
+MAX_ORDER = 128
 
 
 def _rational_numerators(weights: list[Fraction]) -> tuple[list[int], int]:
@@ -92,9 +113,12 @@ def _lattice_sums(n: int, a_max: int, weight) -> tuple[list[int], Callable[[int]
     """Integers N_a with F_a = N_a / D for a = 0..a_max, and the map N -> N / D.
 
     F_a = sum over lam of size n of weight(lam) * f^{lam/(n-a)}; the
-    shapes reach weight as plain tuples.
+    shapes, at most MAX_ENGINE_SHAPES of them, reach weight as plain tuples.
     """
-    shapes = list(partition_tuples(n, n, n - a_max))
+    shapes = list(islice(partition_tuples(n, n, n - a_max), MAX_ENGINE_SHAPES + 1))
+    if len(shapes) > MAX_ENGINE_SHAPES:
+        raise ValidationError(f"moments to order {a_max} at n = {n} visit more than the "
+                              f"{MAX_ENGINE_SHAPES} shapes accepted")
     numerators, over_denominator = _over_common_denominator([weight(lam) for lam in shapes])
     return single_row_sums(dict(zip(shapes, numerators)), n, a_max), over_denominator
 
@@ -103,6 +127,11 @@ def _factorial_moments(n: int, a_max: int, weight) -> list:
     """F_a = sum over lam of size n of weight(lam) * f^{lam/(n-a)}, for a = 0..a_max."""
     sums, over_denominator = _lattice_sums(n, a_max, weight)
     return [over_denominator(f) for f in sums]
+
+
+def _check_order(r_max: int) -> None:
+    if r_max > MAX_ORDER:
+        raise ValidationError(f"moments to order {r_max} are above the {MAX_ORDER} accepted")
 
 
 def _moments(n: int, r_max: int, weight) -> list:
@@ -114,6 +143,7 @@ def _moments(n: int, r_max: int, weight) -> list:
     an exact Fraction for rational weights, one rounding at the working
     precision for reals.
     """
+    _check_order(r_max)
     sums, over_denominator = _lattice_sums(n, min(r_max, n), weight)
     return [over_denominator(sum(map(mul, stirling_row(r), sums))) for r in range(r_max + 1)]
 
@@ -129,6 +159,7 @@ def uniform_moments(n: int, r_max: int) -> list[Fraction]:
     """
     if n < 1 or r_max < 0:
         raise ValidationError("need n >= 1 and r >= 0")
+    _check_order(r_max)
     return [Fraction(sum(stirling_row(r)[: n + 1])) for r in range(r_max + 1)]
 
 
@@ -146,9 +177,7 @@ def moment_commutator_random(n: int, r: int) -> Fraction:
 
 def commutator_fixed_moments(n: int, x, r_max: int) -> list[Fraction]:
     """Moments r = 0..r_max of the fixed points of a commutator with one factor in class x."""
-    x = CycleType(x)
-    if x.n != n:
-        raise SizeMismatchError(f"cycle type {x!r} has size {x.n}, expected {n}")
+    x = CycleType.of_size(x, n)
     if r_max < 0:
         raise ValidationError("r must be nonnegative")
     chi = class_character(x)
@@ -162,9 +191,7 @@ def moment_commutator_fixed(n: int, x, r: int) -> Fraction:
 
 def moment_commutator_fixed_closed(n: int, x, r: int) -> Fraction:
     """Closed forms for the mean and second moment of the fixed-x model."""
-    x = CycleType(x)
-    if x.n != n:
-        raise SizeMismatchError(f"cycle type {x!r} has size {x.n}, expected {n}")
+    x = CycleType.of_size(x, n)
     n1, n2 = x.n_1, x.n_2
     if r == 1:
         if n < 2:
@@ -308,9 +335,7 @@ def enumerate_commutator_distribution(n: int, x=None) -> dict[int, Fraction]:
             for j, p in enumerate_commutator_distribution(n, parts).items():
                 law[j] += p * size / factorial(n)
         return dict(sorted(law.items()))
-    x = CycleType(x)
-    if x.n != n:
-        raise SizeMismatchError(f"cycle type {x!r} has size {x.n}, expected {n}")
+    x = CycleType.of_size(x, n)
     if n > 7:
         raise EnumerationLimitError("fixed-x enumeration limited to n <= 7")
     xp = perm_from_cycle_type(x)

@@ -198,21 +198,6 @@ def partitions_with_large_first_row(n: int, t_max: int) -> Iterator[Partition]:
     yield from _as_partitions(partition_tuples(n, n, n - t_max))
 
 
-def stratum_sizes(n: int, t_max: int) -> Iterator[int]:
-    """How many shapes partitions_with_large_first_row(n, t_max) yields with
-    first part n - t, for t = 0, 1, ...: the partitions of t into parts of at
-    most n - t, counted in O(t) additions each, not enumerated."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    rows: list[list[int]] = []  # rows[m][c]: partitions of m into parts <= c, c <= m
-    for t in range(min(t_max, max(n - 1, 0)) + 1):
-        row = [int(t == 0)]
-        for c in range(1, t + 1):
-            row.append(row[c - 1] + rows[t - c][min(c, t - c)])
-        rows.append(row)
-        yield row[min(n - t, t)]
-
-
 def bounded_partitions(n: int, cap: int) -> Iterator[Partition]:
     """Partitions of n with every part at most cap, largest-first."""
     yield from _as_partitions(partition_tuples(n, cap))

@@ -29,7 +29,7 @@ from math import comb, exp, factorial, sqrt
 import numpy as np
 
 from .characters import CycleType, perm_from_cycle_type
-from .errors import SizeMismatchError, ValidationError
+from .errors import ValidationError
 
 # Version of the seeded sample streams: a histogram is reproducible from
 # its seed and parameters at one stream version. Version 2 sizes chunks
@@ -246,9 +246,7 @@ def fixed_point_histogram(
     elif model == "commutator":
         params["x"] = x
         if x is not None:
-            x = CycleType(x)
-            if x.n != n:
-                raise SizeMismatchError(f"cycle type {x!r} has size {x.n}, expected {n}")
+            x = CycleType.of_size(x, n)
             params["x"] = np.array(perm_from_cycle_type(x), dtype=_point_dtype(n))
 
     kernel = _KERNELS[model]

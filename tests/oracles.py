@@ -17,9 +17,11 @@ for the three shapes nearest one row.
 skew_syt_count_determinant is an independent determinant evaluation of
 the skew tableau counts, and icycle_walk_laws_by_convolution an
 independent route to the walk's fixed-point law, by convolving the
-uniform i-cycle law over all of S_n. The scalar samplers draw one
-permutation at a time with plain Python loops, as references for the
-vectorized kernels.
+uniform i-cycle law over all of S_n. stratum_sizes counts the shapes of
+each first part from partition numbers, not by enumerating them, as an
+independent check on the engine's enumeration and its shape cap. The
+scalar samplers draw one permutation at a time with plain Python loops,
+as references for the vectorized kernels.
 The top-to-random sampler performs the shuffles and RSK insertion, to
 check the package's exact shape law against sampled frequencies.
 """
@@ -31,6 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial, sqrt
+from typing import Iterator
 
 import numpy as np
 
@@ -325,6 +328,21 @@ def bounded_partitions_recursive(n: int, cap: int):
     for first in range(min(n, cap), 0, -1):
         for rest in bounded_partitions_recursive(n - first, first):
             yield (first, *rest)
+
+
+def stratum_sizes(n: int, t_max: int) -> Iterator[int]:
+    """How many shapes partitions_with_large_first_row(n, t_max) yields with
+    first part n - t, for t = 0, 1, ...: the partitions of t into parts of at
+    most n - t, counted in O(t) additions each, not enumerated."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    rows: list[list[int]] = []  # rows[m][c]: partitions of m into parts <= c, c <= m
+    for t in range(min(t_max, max(n - 1, 0)) + 1):
+        row = [int(t == 0)]
+        for c in range(1, t + 1):
+            row.append(row[c - 1] + rows[t - c][min(c, t - c)])
+        rows.append(row)
+        yield row[min(n - t, t)]
 
 
 def per_order_moment(n: int, r: int, weight, total=sum):

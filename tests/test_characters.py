@@ -25,6 +25,13 @@ def classes_of(n):
     return [CycleType(mu) for mu in all_partitions(n)]
 
 
+def test_cycle_type_of_size_checks_the_size_it_is_given():
+    assert CycleType.of_size((1, 3, 2), 6) == CycleType((3, 2, 1))
+    with pytest.raises(SizeMismatchError) as excinfo:
+        CycleType.of_size((2, 3), 6)
+    assert str(excinfo.value) == "cycle type CycleType(3, 2) has size 5, expected 6"
+
+
 def test_cycle_type_statistics():
     ct = CycleType((1, 2, 2, 3, 1, 1))
     assert tuple(ct) == (3, 2, 2, 1, 1, 1)

@@ -14,19 +14,17 @@ from hypothesis import strategies as st
 from permfix import setpartitions
 from permfix.cli import (
     MAX_CELLS_BELOW_FIRST_ROW,
-    MAX_ENGINE_SHAPES,
     MAX_MULT_R,
     MAX_MULT_SKEW_CELLS,
-    MAX_ORDER,
     build_parser,
     main,
     parse_parts,
 )
 from permfix.errors import SizeMismatchError, ValidationError
-from permfix.moments import moment_commutator_fixed_closed
+from permfix.moments import MAX_ENGINE_SHAPES, MAX_ORDER, moment_commutator_fixed_closed
 from permfix.multiplicity import mult_oracle, mult_skew
 from permfix.simulate import MAX_ROW_POINTS
-from permfix.partitions import stratum_sizes
+from oracles import stratum_sizes
 from strategies import partitions
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -430,6 +428,35 @@ def test_simulate_rejects_non_finite_samples(capsys, samples):
     assert "--samples must be finite" in err
 
 
+@pytest.mark.parametrize("samples", ("1.5", "2.9"))
+def test_simulate_rejects_fractional_samples(capsys, samples):
+    code, out, err = run_cli(
+        capsys, "simulate", "--model", "uniform", "--n", "5", "--samples", samples
+    )
+    assert (code, out) == (2, "")
+    assert "--samples must be finite, whole" in err
+
+
+@pytest.mark.parametrize("samples", ("1e2", "100.0"))
+def test_simulate_accepts_whole_samples_written_as_floats(capsys, samples):
+    code, out, err = run_cli(
+        capsys, "simulate", "--model", "uniform", "--n", "5", "--samples", samples,
+        "--threads", "1",
+    )
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["config"]["samples"] == report["samples"] == 100
+
+
+@pytest.mark.parametrize("steps", (("--i", "2"), ("--k", "3"), ()))
+def test_simulate_walk_without_i_and_k_exits_2(capsys, steps):
+    code, out, err = run_cli(
+        capsys, "simulate", "--model", "walk", "--n", "5", "--samples", "10", *steps
+    )
+    assert (code, out) == (2, "")
+    assert "walk model needs i and k" in err
+
+
 def test_moments_commutator_fixed_with_a_thousand_cycles(capsys):
     code, out, err = run_cli(
         capsys, "moments", "commutator-fixed", "--n", "2000", "--x", "2^1000", "--r-max", "2"
@@ -651,9 +678,9 @@ def test_engine_shapes_beyond_the_cap_exit_2_before_any_work(capsys, argv):
 
 def test_engine_shapes_at_the_cap_are_accepted(capsys, monkeypatch):
     # n = 20 and r_max = 20 reach all 627 partitions of 20, n = 21 all 792 of 21.
-    import permfix.cli as cli_mod
+    import permfix.moments as moments_mod
 
-    monkeypatch.setattr(cli_mod, "MAX_ENGINE_SHAPES", 627)
+    monkeypatch.setattr(moments_mod, "MAX_ENGINE_SHAPES", 627)
     code, _, err = run_cli(capsys, "moments", "commutator-random", "--n", "20", "--r-max", "20")
     assert code == 0, err
     code, out, _ = run_cli(capsys, "moments", "commutator-random", "--n", "21", "--r-max", "20")

@@ -9,11 +9,15 @@ from fractions import Fraction
 import mpmath
 import pytest
 from mpmath import mp
-from oracles import factorial_moments_by_skew_counts, per_order_moment
+from oracles import factorial_moments_by_skew_counts, per_order_moment, stratum_sizes
 
+from permfix import moments
 from permfix.characters import CycleType, char_ratio_icycle, character
+from permfix.errors import ValidationError
 from permfix.moments import (
+    MAX_ORDER,
     _factorial_moments,
+    _moments,
     _ratio_power,
     commutator_fixed_moments,
     commutator_random_moments,
@@ -23,8 +27,9 @@ from permfix.moments import (
     moment_commutator_fixed,
     moment_commutator_random,
     moment_icycle_walk,
+    uniform_moments,
 )
-from permfix.partitions import all_partitions, dim, stratum_sizes
+from permfix.partitions import all_partitions, dim
 from permfix.setpartitions import stirling_row
 
 
@@ -170,6 +175,39 @@ def test_engine_weighs_each_shape_of_its_strata_once(n):
 
         _factorial_moments(n, a_max, weight)
         assert len(seen) == len(set(seen)) == sum(stratum_sizes(n, a_max))
+
+
+@pytest.mark.parametrize("n, r_max", [(10**6, 40), (5, MAX_ORDER + 1)],
+                         ids=["beyond-the-shape-cap", "beyond-the-order-bound"])
+def test_engine_refuses_work_beyond_its_bounds_before_weighing_a_shape(n, r_max):
+    weighed = []
+
+    def weight(lam):
+        weighed.append(lam)
+        return _both_random(lam)
+
+    with pytest.raises(ValidationError, match="accepted"):
+        _moments(n, r_max, weight)
+    assert weighed == []
+
+
+def test_engine_shape_cap_counts_the_shapes_it_visits(monkeypatch):
+    # The cap is compared with the engine's own enumeration; stratum_sizes
+    # counts the same shapes independently, from partition numbers.
+    for n in range(13):
+        for a in range(n + 1):
+            visited = sum(stratum_sizes(n, a))
+            monkeypatch.setattr(moments, "MAX_ENGINE_SHAPES", visited)
+            assert len(_moments(n, a, _both_random)) == a + 1
+            monkeypatch.setattr(moments, "MAX_ENGINE_SHAPES", visited - 1)
+            with pytest.raises(ValidationError, match=f"more than the {visited - 1} shapes"):
+                _moments(n, a, _both_random)
+
+
+def test_uniform_moments_refuse_orders_beyond_the_bound():
+    assert len(uniform_moments(5, MAX_ORDER)) == MAX_ORDER + 1
+    with pytest.raises(ValidationError, match=f"above the {MAX_ORDER} accepted"):
+        uniform_moments(5, MAX_ORDER + 1)
 
 
 def test_empty_shape_carries_the_zeroth_factorial_moment():

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import bounded_partitions_recursive, count_syt, dim_branching, dim_hook_product
+from oracles import (
+    bounded_partitions_recursive,
+    count_syt,
+    dim_branching,
+    dim_hook_product,
+    stratum_sizes,
+)
 from permfix.partitions import (
     Partition,
     all_partitions,
@@ -15,7 +21,6 @@ from permfix.partitions import (
     frobenius,
     partition_tuples,
     partitions_with_large_first_row,
-    stratum_sizes,
 )
 from strategies import partitions
 
