@@ -6,11 +6,13 @@ Usage, from anywhere:
     python3 scripts/compare_outputs.py PARENT_CHECKOUT [--seeds 1 2 3]
 
 The calls are every operation that perfbench/workloads.py builds for the
-three workloads at each seed, built once from this checkout. Each tree
-runs all of them through ``permfix.cli.main`` in one subprocess that
-imports that tree's own ``src``, in the benchmark's order, so caches warm
-up as they do in a benchmark round. The script prints how many calls it
-compared and the argv of each call whose stdout or exit code differs,
+three workloads at each seed, then every ``permfix`` command line of this
+checkout's README.md at ``--threads 1``, all built once from this
+checkout. Each tree runs all of them through ``permfix.cli.main`` in one
+subprocess that imports that tree's own ``src``, the benchmark's first
+and in their order, so caches warm up as they do in a benchmark round.
+The script prints how many calls it compared, how many of them came from
+the README, and the argv of each call whose stdout or exit code differs,
 and exits 0 when every output is identical and 1 otherwise.
 """
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -54,6 +57,12 @@ def build_calls(seeds: list[int]) -> list[list[str]]:
     return [op["argv"] for seed in seeds for name in workloads.WORKLOADS for op in workloads.build(name, seed)]
 
 
+def readme_calls() -> list[list[str]]:
+    """The argv of every ``permfix`` command line of README.md, at --threads 1."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    return [shlex.split(line)[1:] + ["--threads", "1"] for line in lines if line.startswith("permfix ")]
+
+
 def run_tree(tree: Path, calls: list[list[str]]) -> list[list]:
     """[exit code, stdout] of each call, run by the permfix under tree/src."""
     src = (tree / "src").resolve()
@@ -78,11 +87,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     args = parser.parse_args(argv)
 
-    calls = build_calls(args.seeds)
+    readme = readme_calls()
+    calls = build_calls(args.seeds) + readme
     theirs = run_tree(args.parent, calls)
     ours = run_tree(ROOT, calls)
     differ = [call for call, a, b in zip(calls, theirs, ours) if a != b]
-    print(f"compared {len(calls)} calls: {len(differ)} differ")
+    print(f"compared {len(calls)} calls ({len(readme)} from README.md): {len(differ)} differ")
     for call in differ:
         print("differs: permfix " + " ".join(call))
     return 1 if differ else 0

@@ -22,6 +22,7 @@ from functools import cache
 from . import moments, reports
 from .characters import CycleType, char_ratio_icycle
 from .errors import CrossCheckError, SizeMismatchError, ValidationError
+from .limits import check_row_points
 from .multiplicity import ROUTES as MULT_ROUTES, mult_by_route
 from .partitions import Partition
 from .verify import SUITES, run_suite
@@ -56,6 +57,11 @@ MAX_MULT_SKEW_CELLS = 30
 # 1.48 r digits: at this r it prints within Python's default limit of 4300
 # digits for an int.
 MAX_MULT_R = 2000
+
+# --samples is parsed as a double, which past 2^53 cannot tell a whole count
+# from its neighbours (2^53 + 1 reads as 2^53), so the check that it is
+# whole means nothing there.
+MAX_SAMPLES = 1 << 53
 
 # The options simulate reads for each model, besides those every model reads.
 _SIMULATE_OPTIONS = {"uniform": (), "commutator": ("x",), "walk": ("i", "k", "precision")}
@@ -245,13 +251,12 @@ def cmd_moments(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    # Imported here, so that only simulate loads numpy.
-    from .simulate import check_row_points, fixed_point_histogram, moment_z_score, tv_to_poisson
-
     # Checked here, not by the sampler, since the exact references come first.
     if not (args.samples.is_integer() and args.samples >= 1):
         raise ValidationError(f"--samples must be finite, whole and at least 1, "
                               f"got {args.samples}")
+    if args.samples > MAX_SAMPLES:
+        raise ValidationError(f"--samples must be at most 2^53 = {MAX_SAMPLES}, got {args.samples}")
     args.samples = samples = int(args.samples)
     unread = [f"--{name}" for name in ("x", "i", "k", "precision")
               if getattr(args, name) is not None and name not in _SIMULATE_OPTIONS[args.model]]
@@ -261,8 +266,11 @@ def cmd_simulate(args) -> int:
         raise ValidationError("walk model needs i and k")
     check_row_points(args.model, args.n)
     x = CycleType(parse_parts(args.x, args.n)) if args.x is not None else None
-    # The exact references come first: a bound they break exits 2 before any sampling.
+    # The exact references come first: a bound they break exits 2 before any
+    # sampling, and before numpy is imported with the sampler.
     exact = _exact_moments_for(args, x)
+    from .simulate import fixed_point_histogram, moment_z_score, tv_to_poisson
+
     dist = fixed_point_histogram(
         args.model,
         args.n,

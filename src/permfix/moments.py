@@ -12,13 +12,19 @@ Models:
 One engine serves the three models, which differ only in the shape
 weight: the rth moment is sum_a S(r, a) * F_a, with factorial moments
 F_a = sum_lam weight(lam) * f^{lam/(n-a)} over the shapes whose first
-part is at least n - r. Every F_a comes from one walk down the Young
-lattice (tableaux.single_row_sums) on integer numerators N_a over a
-common denominator D, and the Stirling combination runs on those
-integers too: the rth moment is (sum_a S(r, a) * N_a) / D, one exact
-division (or one rounding, for reals) per moment. The uniform
-permutation's weight is 1 on the one-row shape alone, so its F_a are 1
-and need no walk.
+part is at least n - r. A rational weight is an integer pair
+(numerator, denominator), a real one an mpf; either way the weights go
+over a common denominator D as integer numerators. Every F_a comes from
+one walk down the Young lattice on those numerators, and the Stirling
+combination runs on the integer sums N_a = D * F_a too: the rth moment
+is (sum_a S(r, a) * N_a) / D, one exact division (or one rounding, for
+reals) per moment. The walk depends only on (n, a_max), and the engine
+keeps the one it took last as a tableaux.LatticePlan: a repeat call at
+the same (n, a_max), as in a sweep over classes or step counts, runs
+the plan's integer edges instead of walking again, and a call at a new
+(n, a_max) walks and keeps that plan instead. The uniform permutation's
+weight is 1 on the one-row shape alone, so its F_a are 1 and need no
+walk.
 Commutator moments are exact rationals. The walk offers an exact
 rational path (small k) and a high-precision float path that powers
 ratios in log space, since |ratio| <= 1 and k can reach n log n.
@@ -48,7 +54,7 @@ from .characters import CycleType, char_ratio_icycle, class_character, perm_from
 from .errors import EnumerationLimitError, SizeMismatchError, ValidationError
 from .partitions import Partition, all_partitions, dim, partition_tuples
 from .setpartitions import poisson_moment, stirling_row
-from .tableaux import single_row_sums
+from .tableaux import LatticePlan, plan_walk
 
 DEFAULT_PRECISION_BITS = 128
 
@@ -71,27 +77,25 @@ MAX_ENGINE_SHAPES = 40000
 MAX_ORDER = 128
 
 
-def _rational_numerators(weights: list[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators N and the lcm D of the denominators, with weights[j] = N[j] / D."""
-    denominator = lcm(*(w.denominator for w in weights))
-    return [w.numerator * (denominator // w.denominator) for w in weights], denominator
-
-
 def _over_common_denominator(weights: list) -> tuple[list[int], Callable[[int], object]]:
     """Integer numerators N with weights[j] = N[j] / D, and the map F -> F / D.
 
-    Rational weights share the lcm D of their denominators, and F / D is an
-    exact Fraction. mpf weights are read exactly as man * 2^exp and shifted
-    to the smallest exponent e0, so F / D = F * 2^e0, rounded once at the
-    working precision p. So that ratio^k spanning millions of binades
-    cannot make the numerators that long, e0 is at least 3p bits below the
-    largest weight's top bit, and the weights below that level are rounded
-    to it (magnitude and sign apart, so opposite weights still cancel
-    exactly). This adds at most 2^-3p of the largest weight per tableau,
-    far less than rounding every product weight * f to p bits would.
+    Rational weights come as integer pairs (numerator, denominator > 0),
+    not necessarily in lowest terms: they share the lcm D of their
+    denominators, and F / D is an exact Fraction, so it is the same
+    number whatever the pairs' common factors were. mpf weights are read
+    exactly as man * 2^exp and shifted to the smallest exponent e0, so
+    F / D = F * 2^e0, rounded once at the working precision p. So that
+    ratio^k spanning millions of binades cannot make the numerators that
+    long, e0 is at least 3p bits below the largest weight's top bit, and
+    the weights below that level are rounded to it (magnitude and sign
+    apart, so opposite weights still cancel exactly). This adds at most
+    2^-3p of the largest weight per tableau, far less than rounding every
+    product weight * f to p bits would.
     """
     if not isinstance(weights[0], mpmath.mpf):
-        numerators, denominator = _rational_numerators(weights)
+        denominator = lcm(*(d for _, d in weights))
+        numerators = [n * (denominator // d) for n, d in weights]
         return numerators, lambda total: Fraction(total, denominator)
     dyadic = [w._mpf_ for w in weights]
     nonzero = [(exp, exp + bc) for _, man, exp, bc in dyadic if man]
@@ -109,18 +113,35 @@ def _over_common_denominator(weights: list) -> tuple[list[int], Callable[[int], 
     return numerators, lambda total: mpmath.mpf((total, e0))
 
 
+# The lattice plan of the latest (n, a_max) the engine walked. A sweep
+# over classes or step counts at one n repeats the key, and then the walk
+# is a loop of integer adds over the plan's edges; a new key replaces it.
+_latest_plan: LatticePlan | None = None
+
+
 def _lattice_sums(n: int, a_max: int, weight) -> tuple[list[int], Callable[[int], object]]:
     """Integers N_a with F_a = N_a / D for a = 0..a_max, and the map N -> N / D.
 
     F_a = sum over lam of size n of weight(lam) * f^{lam/(n-a)}; the
-    shapes, at most MAX_ENGINE_SHAPES of them, reach weight as plain tuples.
+    shapes, at most MAX_ENGINE_SHAPES of them, reach weight as plain
+    tuples. The first call at (n, a_max) walks the lattice and keeps the
+    walk as the engine's latest plan; a repeat call runs that plan.
     """
-    shapes = list(islice(partition_tuples(n, n, n - a_max), MAX_ENGINE_SHAPES + 1))
+    global _latest_plan
+    plan = _latest_plan
+    if plan is not None and (plan.n, plan.a_max) == (n, a_max):
+        shapes = plan.shapes
+    else:
+        plan = None
+        shapes = list(islice(partition_tuples(n, n, n - a_max), MAX_ENGINE_SHAPES + 1))
     if len(shapes) > MAX_ENGINE_SHAPES:
         raise ValidationError(f"moments to order {a_max} at n = {n} visit more than the "
                               f"{MAX_ENGINE_SHAPES} shapes accepted")
     numerators, over_denominator = _over_common_denominator([weight(lam) for lam in shapes])
-    return single_row_sums(dict(zip(shapes, numerators)), n, a_max), over_denominator
+    if plan is not None:
+        return plan.single_row_sums(numerators), over_denominator
+    _latest_plan, sums = plan_walk(shapes, numerators, n, a_max)
+    return sums, over_denominator
 
 
 def _factorial_moments(n: int, a_max: int, weight) -> list:
@@ -167,7 +188,7 @@ def commutator_random_moments(n: int, r_max: int) -> list[Fraction]:
     """Moments r = 0..r_max of the fixed points of a commutator of two uniform factors."""
     if n < 1 or r_max < 0:
         raise ValidationError("need n >= 1 and r >= 0")
-    return _moments(n, r_max, lambda lam: Fraction(1, dim(lam)))
+    return _moments(n, r_max, lambda lam: (1, dim(lam)))
 
 
 def moment_commutator_random(n: int, r: int) -> Fraction:
@@ -181,7 +202,7 @@ def commutator_fixed_moments(n: int, x, r_max: int) -> list[Fraction]:
     if r_max < 0:
         raise ValidationError("r must be nonnegative")
     chi = class_character(x)
-    return _moments(n, r_max, lambda lam: Fraction(chi(lam) ** 2, dim(lam)))
+    return _moments(n, r_max, lambda lam: (chi(lam) ** 2, dim(lam)))
 
 
 def moment_commutator_fixed(n: int, x, r: int) -> Fraction:
@@ -223,7 +244,13 @@ def icycle_walk_moments_exact(n: int, i: int, k: int, r_max: int) -> list[Fracti
     the float path below handles cutoff-scale step counts.
     """
     _validate_walk(n, i, k, r_max)
-    return _moments(n, r_max, lambda lam: dim(lam) * char_ratio_icycle(lam, i) ** k)
+    return _moments(n, r_max, lambda lam: _walk_weight(lam, i, k))
+
+
+def _walk_weight(lam: tuple, i: int, k: int) -> tuple[int, int]:
+    """dim(lam) * ratio^k, with ratio the character ratio on an i-cycle, as an integer pair."""
+    ratio = char_ratio_icycle(lam, i)
+    return dim(lam) * ratio.numerator ** k, ratio.denominator ** k
 
 
 def _ratio_power(ratio: Fraction, k: int) -> mpmath.mpf:
@@ -296,10 +323,10 @@ def walk_exact_distribution(n: int, i: int, k: int) -> dict[int, Fraction]:
         raise EnumerationLimitError(f"class-sum inversion limited to n <= 8, got {n}")
     _validate_walk(n, i, k, 0)
     shapes = list(partition_tuples(n, n))
-    # The weights over one denominator D, so each class sums integers and
-    # divides once: P(mu) = sum_tau N_tau * chi^tau(mu) / (D * z_mu).
-    numerators, denominator = _rational_numerators(
-        [dim(tau) * char_ratio_icycle(tau, i) ** k for tau in shapes]
+    # The weights over one denominator D, so each class sums integers:
+    # P(mu) = (sum_tau N_tau * chi^tau(mu)) / D / z_mu.
+    numerators, over_denominator = _over_common_denominator(
+        [_walk_weight(tau, i, k) for tau in shapes]
     )
     histogram: dict[int, Fraction] = {}
     total = Fraction(0)
@@ -307,7 +334,7 @@ def walk_exact_distribution(n: int, i: int, k: int) -> dict[int, Fraction]:
         mu = CycleType(mu_parts)
         chi = class_character(mu)
         acc = sum(w * chi(tau) for tau, w in zip(shapes, numerators) if w)
-        prob = Fraction(acc, denominator * mu.centralizer_order())
+        prob = over_denominator(acc) / mu.centralizer_order()
         if prob < 0:
             raise ArithmeticError(f"negative class probability at {mu!r}")
         if prob:

@@ -30,6 +30,7 @@ import numpy as np
 
 from .characters import CycleType, perm_from_cycle_type
 from .errors import ValidationError
+from .limits import check_row_points
 
 # Version of the seeded sample streams: a histogram is reproducible from
 # its seed and parameters at one stream version. Version 2 sizes chunks
@@ -50,21 +51,8 @@ _CHUNK_CELLS = 1 << 24
 _SUB_CELLS = 1 << 16
 
 
-# The commutator and the walk hold rows of n points, so their memory grows
-# with n: at this n a pool thread needs about 190 MB for a commutator chunk
-# and 100 MB for a walk chunk. The uniform kernel holds no rows.
-MAX_ROW_POINTS = 1 << 22
-
-
 def _chunk_rows(n: int) -> int:
     return max(1, min(_CHUNK_ROWS, _CHUNK_CELLS // n))
-
-
-def check_row_points(model: str, n: int) -> None:
-    """Reject, before anything is allocated, an n whose rows the model cannot hold."""
-    if model != "uniform" and n > MAX_ROW_POINTS:
-        raise ValidationError(f"the {model} model holds rows of n points; "
-                              f"need n <= {MAX_ROW_POINTS}, got n = {n}")
 
 
 def spawn_rngs(root: np.random.SeedSequence, count: int) -> list[np.random.Generator]:

@@ -46,6 +46,7 @@ from permfix.partitions import (
     hook_lengths,
     partitions_with_large_first_row,
 )
+from permfix.setpartitions import stirling_row
 
 
 def syt_fillings(outer, inner=()) -> list[tuple[tuple[int, ...], ...]]:
@@ -391,6 +392,18 @@ def factorial_moments_by_skew_counts(n: int, a_max: int, weight, total=sum) -> l
         for a in range(n - lam[0] if lam else 0, a_max + 1):
             terms[a].append(w * skew_count_by_corner_peeling(tuple(lam), (n - a,) if a < n else ()))
     return [total(t) for t in terms]
+
+
+def moments_by_fraction_weights(n: int, r_max: int, weight) -> list[Fraction]:
+    """Moments r = 0..r_max as sum_a S(r, a) * F_a, on Fraction weights.
+
+    The engine's weights are integer pairs over a common denominator; this
+    is the same combination with each weight a Fraction and each F_a a
+    sum of Fraction products (factorial_moments_by_skew_counts).
+    """
+    factorial_moments = factorial_moments_by_skew_counts(n, min(r_max, n), weight)
+    return [sum((s * f for s, f in zip(stirling_row(r), factorial_moments)), Fraction(0))
+            for r in range(r_max + 1)]
 
 
 def _det_fraction(matrix: list[list[Fraction]]) -> Fraction:

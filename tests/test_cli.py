@@ -16,6 +16,7 @@ from permfix.cli import (
     MAX_CELLS_BELOW_FIRST_ROW,
     MAX_MULT_R,
     MAX_MULT_SKEW_CELLS,
+    MAX_SAMPLES,
     build_parser,
     main,
     parse_parts,
@@ -23,7 +24,7 @@ from permfix.cli import (
 from permfix.errors import SizeMismatchError, ValidationError
 from permfix.moments import MAX_ENGINE_SHAPES, MAX_ORDER, moment_commutator_fixed_closed
 from permfix.multiplicity import mult_oracle, mult_skew
-from permfix.simulate import MAX_ROW_POINTS
+from permfix.limits import MAX_ROW_POINTS
 from oracles import stratum_sizes
 from strategies import partitions
 
@@ -435,6 +436,35 @@ def test_simulate_rejects_fractional_samples(capsys, samples):
     )
     assert (code, out) == (2, "")
     assert "--samples must be finite, whole" in err
+
+
+@pytest.mark.parametrize("samples", ("1e300", str(2**53 + 2)))
+def test_simulate_samples_beyond_2_to_the_53_exit_2_before_any_work(capsys, samples):
+    # 1e300 used to be accepted and ran until it was killed.
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "simulate", "--model", "uniform", "--n", "5", "--samples", samples, "--threads", "1"
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert f"at most 2^53 = {MAX_SAMPLES}" in err
+
+
+def test_simulate_samples_at_2_to_the_53_pass_validation(capsys, monkeypatch):
+    # The sampler is replaced by one that records its sample count and stops.
+    from permfix import simulate
+
+    class Sampled(Exception):
+        pass
+
+    def sampler(model, n, samples, seed, **kwargs):
+        raise Sampled(samples)
+
+    monkeypatch.setattr(simulate, "fixed_point_histogram", sampler)
+    assert MAX_SAMPLES == 2**53
+    with pytest.raises(Sampled) as raised:
+        main(["simulate", "--model", "uniform", "--n", "5", "--samples", str(2**53), "--threads", "1"])
+    assert raised.value.args == (2**53,)
 
 
 @pytest.mark.parametrize("samples", ("1e2", "100.0"))

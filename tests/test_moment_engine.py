@@ -2,16 +2,23 @@
 
 per_order_moment is the per-order sum the engine replaced first;
 factorial_moments_by_skew_counts is its former per-(shape, a) route to
-the factorial moments, which the lattice pass replaced.
+the factorial moments, which the lattice pass replaced. Both take
+Fraction weights, while the engine takes its rational weights as integer
+(numerator, denominator) pairs.
 """
 from fractions import Fraction
 
 import mpmath
 import pytest
 from mpmath import mp
-from oracles import factorial_moments_by_skew_counts, per_order_moment, stratum_sizes
+from oracles import (
+    factorial_moments_by_skew_counts,
+    moments_by_fraction_weights,
+    per_order_moment,
+    stratum_sizes,
+)
 
-from permfix import moments
+from permfix import moments, tableaux
 from permfix.characters import CycleType, char_ratio_icycle, character
 from permfix.errors import ValidationError
 from permfix.moments import (
@@ -19,6 +26,7 @@ from permfix.moments import (
     _factorial_moments,
     _moments,
     _ratio_power,
+    _walk_weight,
     commutator_fixed_moments,
     commutator_random_moments,
     cutoff_steps,
@@ -108,12 +116,16 @@ def test_float_walk_engine_equals_per_order_sums_at_other_precisions(n, i, c, pr
 
 
 def _both_random(lam):
+    return (1, dim(lam))
+
+
+def _both_random_fraction(lam):
     return Fraction(1, dim(lam))
 
 
 @pytest.mark.parametrize("n", range(0, 15))
 def test_lattice_pass_equals_skew_count_route_for_both_random_weights(n):
-    expected = factorial_moments_by_skew_counts(n, n, _both_random)
+    expected = factorial_moments_by_skew_counts(n, n, _both_random_fraction)
     # Every a_max, since the pass drops the shapes too short for (n - a_max).
     for a_max in range(n + 1):
         assert _factorial_moments(n, a_max, _both_random) == expected[: a_max + 1]
@@ -127,7 +139,8 @@ def test_lattice_pass_equals_skew_count_route_for_exact_walk_weights(n, i):
         def weight(lam):
             return dim(lam) * char_ratio_icycle(lam, i) ** k
 
-        assert _factorial_moments(n, n, weight) == factorial_moments_by_skew_counts(n, n, weight)
+        expected = factorial_moments_by_skew_counts(n, n, weight)
+        assert _factorial_moments(n, n, lambda lam: _walk_weight(lam, i, k)) == expected
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -138,7 +151,70 @@ def test_lattice_pass_equals_skew_count_route_on_every_class(n):
         def weight(lam):
             return Fraction(character(lam, x) ** 2, dim(lam))
 
-        assert _factorial_moments(n, n, weight) == factorial_moments_by_skew_counts(n, n, weight)
+        expected = factorial_moments_by_skew_counts(n, n, weight)
+        assert _factorial_moments(n, n, lambda lam: (character(lam, x) ** 2, dim(lam))) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_commutator_engines_equal_the_fraction_weight_oracle(n):
+    assert commutator_random_moments(n, n) == moments_by_fraction_weights(n, n, _both_random_fraction)
+    # Every class at one n repeats the engine's key, so all but the first
+    # run on its latest lattice plan.
+    for parts in all_partitions(n):
+        x = CycleType(parts)
+
+        def weight(lam):
+            return Fraction(character(lam, x) ** 2, dim(lam))
+
+        assert commutator_fixed_moments(n, x, n) == moments_by_fraction_weights(n, n, weight)
+
+
+@pytest.mark.parametrize("i", (2, 3))
+@pytest.mark.parametrize("n", range(3, 11))
+def test_exact_walk_engine_equals_the_fraction_weight_oracle(n, i):
+    for k in range(7):
+
+        def weight(lam):
+            return dim(lam) * char_ratio_icycle(lam, i) ** k
+
+        assert icycle_walk_moments_exact(n, i, k, n) == moments_by_fraction_weights(n, n, weight)
+
+
+def _counting_plan_walks(monkeypatch) -> list:
+    """Record the (n, a_max) of every plan the engine builds, starting with none kept."""
+    built = []
+
+    def plan_walk(shapes, top, n, a_max):
+        built.append((n, a_max))
+        return tableaux.plan_walk(shapes, top, n, a_max)
+
+    monkeypatch.setattr(moments, "plan_walk", plan_walk)
+    monkeypatch.setattr(moments, "_latest_plan", None)
+    return built
+
+
+def test_engine_reuses_its_latest_plan_and_a_new_key_replaces_it(monkeypatch):
+    built = _counting_plan_walks(monkeypatch)
+    first = commutator_fixed_moments(9, (3, 3, 2, 1), 9)
+    assert built == [(9, 9)]
+    # The same key, with other weights: the plan serves them.
+    assert commutator_fixed_moments(9, (5, 4), 9) == moments_by_fraction_weights(
+        9, 9, lambda lam: Fraction(character(lam, (5, 4)) ** 2, dim(lam)))
+    assert commutator_fixed_moments(9, (3, 3, 2, 1), 9) == first
+    assert built == [(9, 9)]
+    # A new key (here a lower order) walks again and replaces the plan.
+    assert commutator_fixed_moments(9, (3, 3, 2, 1), 4) == first[:5]
+    assert built == [(9, 9), (9, 4)]
+    commutator_fixed_moments(9, (3, 3, 2, 1), 9)
+    assert built == [(9, 9), (9, 4), (9, 9)]
+    assert (moments._latest_plan.n, moments._latest_plan.a_max) == (9, 9)
+
+
+def test_engine_builds_no_plan_for_work_beyond_the_shape_cap(monkeypatch):
+    built = _counting_plan_walks(monkeypatch)
+    with pytest.raises(ValidationError, match="shapes accepted"):
+        _moments(10**6, 40, _both_random)
+    assert built == [] and moments._latest_plan is None
 
 
 @pytest.mark.parametrize("c", (-0.5, 0.0, 1.0))

@@ -58,6 +58,21 @@ def test_simulate_imports_numpy():
     assert {"numpy", "permfix.simulate"} <= modules
 
 
+def test_simulate_refused_by_its_references_exits_2_without_numpy():
+    # Order 2 * 65 = 130 is above the engine's bound: the references refuse
+    # it before the sampler, and with it numpy, is imported.
+    code = ("import sys; from permfix.cli import main; "
+            "code = main(['simulate', '--model', 'uniform', '--n', '5', '--samples', '10', "
+            "'--r-max', '65']); "
+            "sys.exit(3 if 'numpy' in sys.modules else code)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "above the 128 accepted" in proc.stderr
+
+
 def test_simulate_is_the_one_module_that_imports_numpy():
     pattern = re.compile(r"^\s*(import numpy|from numpy\b)", re.MULTILINE)
     importers = [path.relative_to(ROOT).as_posix() for path in sorted((ROOT / "src").rglob("*.py"))

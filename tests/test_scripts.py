@@ -57,6 +57,11 @@ def test_walk_cutoff_scan_at_a_million():
 def test_compare_outputs_finds_no_difference_against_its_own_checkout():
     lines = run_script("compare_outputs.py", str(ROOT), "--seeds", "1")
     assert len(lines) == 1
-    compared, differ = re.fullmatch(r"compared (\d+) calls: (\d+) differ", lines[0]).groups()
-    # Every operation of the three benchmark workloads, more than 100 at one seed.
-    assert int(compared) > 100 and differ == "0"
+    compared, readme, differ = re.fullmatch(
+        r"compared (\d+) calls \((\d+) from README.md\): (\d+) differ", lines[0]).groups()
+    # Every operation of the three benchmark workloads, more than 100 at one
+    # seed, and every permfix command line of the README.
+    readme_lines = [line for line in (ROOT / "README.md").read_text().splitlines()
+                    if line.startswith("permfix ")]
+    assert int(readme) == len(readme_lines) >= 10
+    assert int(compared) - int(readme) > 100 and differ == "0"

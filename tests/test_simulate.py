@@ -36,7 +36,7 @@ from permfix.moments import (
     walk_exact_distribution,
 )
 from permfix.multiplicity import exact_shape_distribution
-from permfix import simulate
+from permfix import limits, simulate
 from permfix.partitions import Partition
 from permfix.simulate import (
     EmpiricalDistribution,
@@ -610,7 +610,7 @@ def test_commutator_memory_is_bounded_by_the_sub_batch(x):
                                            ("walk", {"i": 2, "k": 1})],
                          ids=["commutator", "commutator-fixed-x", "walk"])
 def test_row_models_reject_n_beyond_the_row_bound(monkeypatch, model, kwargs):
-    monkeypatch.setattr(simulate, "MAX_ROW_POINTS", 50)
+    monkeypatch.setattr(limits, "MAX_ROW_POINTS", 50)
     dist = fixed_point_histogram(model, 50, 10, seed=1, **kwargs)
     assert sum(dist.histogram.values()) == 10
     with pytest.raises(ValidationError, match="need n <= 50"):
@@ -618,7 +618,7 @@ def test_row_models_reject_n_beyond_the_row_bound(monkeypatch, model, kwargs):
 
 
 def test_uniform_model_holds_no_rows_so_has_no_row_bound(monkeypatch):
-    monkeypatch.setattr(simulate, "MAX_ROW_POINTS", 50)
+    monkeypatch.setattr(limits, "MAX_ROW_POINTS", 50)
     assert sum(fixed_point_histogram("uniform", 51, 10, seed=1).histogram.values()) == 10
 
 

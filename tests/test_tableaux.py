@@ -1,11 +1,19 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import count_syt, skew_count_by_corner_peeling, skew_syt_count_determinant
 from permfix.errors import FirstRowGuardError
-from permfix.partitions import Partition, all_partitions, dim
-from permfix.tableaux import lattice_walk, skew_syt_count, skew_syt_large_first_row
+from permfix.partitions import Partition, all_partitions, dim, partition_tuples
+from permfix.tableaux import (
+    lattice_walk,
+    plan_walk,
+    single_row_sums,
+    skew_syt_count,
+    skew_syt_large_first_row,
+)
 from strategies import partitions
 
 
@@ -79,6 +87,21 @@ def test_lattice_walk_levels_are_weighted_skew_counts_on_the_shapes_over_the_flo
                         if mu.contains(floor)
                     }
                     assert {mu: level.get(mu, 0) for mu in expected} == expected
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_plan_sums_equal_the_lattice_walk_on_signed_weights(n):
+    # The plan's first walk and its replays on fresh weights, against
+    # lattice_walk's one-row sums; the weights include zeros and negatives.
+    rng = random.Random(n)
+    for a_max in range(n + 1):
+        shapes = list(partition_tuples(n, n, n - a_max))
+        top = [rng.choice((0, 0, 1, -1, 7, -10**30)) * rng.randrange(1, 100) for _ in shapes]
+        plan, sums = plan_walk(shapes, top, n, a_max)
+        assert sums == single_row_sums(dict(zip(shapes, top)), n, a_max)
+        for _ in range(3):
+            top = [rng.randrange(-10**20, 10**20) * rng.randrange(2) for _ in shapes]
+            assert plan.single_row_sums(top) == single_row_sums(dict(zip(shapes, top)), n, a_max)
 
 
 def test_determinant_agrees_with_branching():
