@@ -11,6 +11,7 @@ checkout's README.md at ``--threads 1``, all built once from this
 checkout. Each tree runs all of them through ``permfix.cli.main`` in one
 subprocess that imports that tree's own ``src``, the benchmark's first
 and in their order, so caches warm up as they do in a benchmark round.
+The two subprocesses run at the same time.
 The script prints how many calls it compared, how many of them came from
 the README, and the argv of each call whose stdout or exit code differs,
 and exits 0 when every output is identical and 1 otherwise.
@@ -23,19 +24,22 @@ import os
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Runs in each tree: argv lists on stdin, [exit code, stdout] pairs out.
+# Runs in each tree: argv lists read from a file, [exit code, stdout] pairs out.
 _CHILD = """
 import io, json, sys
 from contextlib import redirect_stderr, redirect_stdout
 sys.path.insert(0, sys.argv[1])
 import permfix
 from permfix.cli import main
+with open(sys.argv[2]) as calls:
+    calls = json.load(calls)
 results = []
-for argv in json.load(sys.stdin):
+for argv in calls:
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
         try:
@@ -63,20 +67,25 @@ def readme_calls() -> list[list[str]]:
     return [shlex.split(line)[1:] + ["--threads", "1"] for line in lines if line.startswith("permfix ")]
 
 
-def run_tree(tree: Path, calls: list[list[str]]) -> list[list]:
-    """[exit code, stdout] of each call, run by the permfix under tree/src."""
+def start_tree(tree: Path, calls_file: Path) -> subprocess.Popen:
+    """Start the permfix under tree/src on the calls in calls_file."""
     src = (tree / "src").resolve()
     if not (src / "permfix" / "__init__.py").is_file():
         raise SystemExit(f"no permfix sources under {src}")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(src)],
-        input=json.dumps(calls), capture_output=True, text=True, cwd=tree, env=env, check=False,
+    return subprocess.Popen(
+        [sys.executable, "-c", _CHILD, str(src), str(calls_file)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=tree, env=env,
     )
+
+
+def collect_tree(tree: Path, proc: subprocess.Popen) -> list[list]:
+    """[exit code, stdout] of each call, once the tree's subprocess has finished."""
+    out, err = proc.communicate()
     if proc.returncode != 0:
-        raise SystemExit(f"the calls under {tree} exited {proc.returncode}:\n{proc.stderr[-4000:]}")
-    report = json.loads(proc.stdout)
-    if not Path(report["package"]).resolve().is_relative_to(src):
+        raise SystemExit(f"the calls under {tree} exited {proc.returncode}:\n{err[-4000:]}")
+    report = json.loads(out)
+    if not Path(report["package"]).resolve().is_relative_to((tree / "src").resolve()):
         raise SystemExit(f"{tree} imported permfix from {report['package']}")
     return report["results"]
 
@@ -89,8 +98,16 @@ def main(argv=None) -> int:
 
     readme = readme_calls()
     calls = build_calls(args.seeds) + readme
-    theirs = run_tree(args.parent, calls)
-    ours = run_tree(ROOT, calls)
+    with tempfile.TemporaryDirectory() as scratch:
+        calls_file = Path(scratch) / "calls.json"
+        calls_file.write_text(json.dumps(calls))
+        procs = [(tree, start_tree(tree, calls_file)) for tree in (args.parent, ROOT)]
+        try:
+            theirs, ours = [collect_tree(tree, proc) for tree, proc in procs]
+        finally:
+            for _, proc in procs:
+                proc.kill()
+                proc.wait()
     differ = [call for call, a, b in zip(calls, theirs, ours) if a != b]
     print(f"compared {len(calls)} calls ({len(readme)} from README.md): {len(differ)} differ")
     for call in differ:

@@ -1,6 +1,7 @@
 """Exact irreducible characters of S_n and character ratios on i-cycles.
 
-character takes one of two routes for a shape lam = (n - s, nu):
+character (through class_character) takes one of two routes for a shape
+lam = (n - s, nu):
 
 * Character polynomials when s <= lam_1. Expanding the Jacobi-Trudi
   determinant along its first row gives chi^lam(x) = sum_mu (-1)^j I_x(mu)
@@ -14,6 +15,15 @@ character takes one of two routes for a shape lam = (n - s, nu):
   strip height is the number of beta numbers jumped over. Cycles are
   consumed largest first and values are memoized per (remaining cycles,
   shape).
+
+A third route serves a caller that weighs every shape of n at one class:
+class_column gives the whole column from one forward Murnaghan-Nakayama
+pass, which adds a border strip per cycle, smallest first, to beta-sets
+held as bitmasks. The forward pass adds fixed points one box at a time,
+so sweep_character, the one place that picks between the column and
+class_character, reads the column only for classes with at most n/2
+fixed points. The moment engine's fixed-x commutator reads it when its
+shapes are all those of n, and so does the walk's class inversion.
 
 Permutations are tuples in one-line form over 0..n-1: perm_cycle_type
 reads a class off one, perm_from_cycle_type lays a class out as one, and
@@ -204,6 +214,59 @@ def class_character(mu: tuple) -> Callable[[tuple], int]:
     return lambda parts: (
         polynomial(parts[1:]) if 2 * sum(parts[:1]) >= sum(parts) else _char(parts, mu)
     )
+
+
+def _parts_of_beads(beads: int, count: int) -> tuple:
+    """The shape whose count beta numbers are the set bits of beads."""
+    parts = []
+    rest = count - 1  # the top bead's place in the empty shape
+    while (top := beads.bit_length() - 1) != rest:
+        parts.append(top - rest)
+        beads ^= 1 << top
+        rest -= 1
+    return tuple(parts)
+
+
+@cache
+def class_column(mu: tuple) -> dict[tuple, int]:
+    """{parts: chi^parts(mu)} over the shapes of n at which the character is not 0.
+
+    One forward Murnaghan-Nakayama pass. A shape is the bitmask of its n
+    beta numbers, parts[j] + n - 1 - j, so the empty shape is the n lowest
+    bits. Adding a border strip of c cells moves one bead up c places onto
+    a free one, and its sign is (-1) to the number of beads jumped. The
+    pass starts at the empty shape with value 1 and adds one strip per
+    cycle of mu, smallest first, to every shape of the level: a shape's
+    value is then its character at the cycles added so far. Values that
+    cancel to 0 are dropped on the way, and tuples are built only for the
+    last level.
+    """
+    n = sum(mu)
+    level = {(1 << n) - 1: 1}
+    for c in reversed(mu):
+        jumped = (1 << (c - 1)) - 1
+        added: dict[int, int] = {}
+        for beads, value in level.items():
+            movable = beads & ~(beads >> c)
+            while movable:
+                bead = movable & -movable
+                movable ^= bead
+                child = beads ^ bead ^ (bead << c)
+                height = ((beads >> bead.bit_length()) & jumped).bit_count()
+                added[child] = added.get(child, 0) + (-value if height & 1 else value)
+        level = {beads: value for beads, value in added.items() if value}
+    return {_parts_of_beads(beads, n): value for beads, value in level.items()}
+
+
+def sweep_character(mu: tuple, every_shape: bool) -> Callable[[tuple], int]:
+    """parts -> character at the class mu: the whole column when the caller
+    weighs every shape of n and mu has at most n/2 fixed points, which the
+    forward pass adds one box at a time where class_character ends them
+    with one dim; class_character otherwise."""
+    if every_shape and 2 * mu.count(1) <= sum(mu):
+        column = class_column(mu)
+        return lambda parts: column.get(parts, 0)
+    return class_character(mu)
 
 
 def character(lam, mu) -> int:

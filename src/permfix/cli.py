@@ -58,6 +58,16 @@ MAX_MULT_SKEW_CELLS = 30
 # digits for an int.
 MAX_MULT_R = 2000
 
+# dist walk prints each probability and the mean as exact fractions. Their
+# denominators divide L^k * lcm(z_mu), where L is the lcm of the reduced
+# denominators of the i-cycle character ratios and z_mu runs over the
+# centralizer orders; at n <= 8 (the class inversion's own limit) L is at
+# most 2880 (n = 8, i = 7) and lcm(z_mu) divides 8! = 40320. A numerator is
+# at most 8 times its denominator, so a printed int has at most
+# 3.46 k + 6 digits, within Python's default limit of 4300 digits up to
+# k = 1240: at this k, --n 8 --i 7 prints 4148 digits in about 0.2 s.
+MAX_DIST_K = 1200
+
 # --samples is parsed as a double, which past 2^53 cannot tell a whole count
 # from its neighbours (2^53 + 1 reads as 2^53), so the check that it is
 # whole means nothing there.
@@ -343,6 +353,8 @@ def cmd_ratio(args) -> int:
 
 def cmd_dist(args) -> int:
     if args.dist_model == "walk":
+        if args.k > MAX_DIST_K:
+            raise ValidationError(f"--k must be at most {MAX_DIST_K}, got {args.k}")
         dist = moments.walk_exact_distribution(args.n, args.i, args.k)
         params = {"n": args.n, "i": args.i, "k": args.k}
     else:

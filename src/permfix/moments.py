@@ -25,6 +25,11 @@ the plan's integer edges instead of walking again, and a call at a new
 (n, a_max) walks and keeps that plan instead. The uniform permutation's
 weight is 1 on the one-row shape alone, so its F_a are 1 and need no
 walk.
+The fixed-x commutator weighs each shape by chi^lam(x)^2 / dim; when
+its shapes are every shape of n (n - min(r_max, n) <= 1), it reads the
+characters off the class's whole column (characters.sweep_character),
+as the walk's class inversion does for each class. Both keep the
+per-shape class_character for classes with more than n/2 fixed points.
 Commutator moments are exact rationals. The walk offers an exact
 rational path (small k) and a high-precision float path that powers
 ratios in log space, since |ratio| <= 1 and k can reach n log n.
@@ -50,7 +55,7 @@ from typing import Callable
 import mpmath
 from mpmath import mp
 
-from .characters import CycleType, char_ratio_icycle, class_character, perm_from_cycle_type
+from .characters import CycleType, char_ratio_icycle, perm_from_cycle_type, sweep_character
 from .errors import EnumerationLimitError, SizeMismatchError, ValidationError
 from .partitions import Partition, all_partitions, dim, partition_tuples
 from .setpartitions import poisson_moment, stirling_row
@@ -201,7 +206,7 @@ def commutator_fixed_moments(n: int, x, r_max: int) -> list[Fraction]:
     x = CycleType.of_size(x, n)
     if r_max < 0:
         raise ValidationError("r must be nonnegative")
-    chi = class_character(x)
+    chi = sweep_character(x, every_shape=n - min(r_max, n) <= 1)
     return _moments(n, r_max, lambda lam: (chi(lam) ** 2, dim(lam)))
 
 
@@ -332,7 +337,7 @@ def walk_exact_distribution(n: int, i: int, k: int) -> dict[int, Fraction]:
     total = Fraction(0)
     for mu_parts in shapes:
         mu = CycleType(mu_parts)
-        chi = class_character(mu)
+        chi = sweep_character(mu, every_shape=True)
         acc = sum(w * chi(tau) for tau, w in zip(shapes, numerators) if w)
         prob = over_denominator(acc) / mu.centralizer_order()
         if prob < 0:

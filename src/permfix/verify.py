@@ -22,6 +22,7 @@ from .characters import (
     CycleType,
     _char,
     character,
+    class_column,
     commutator_perm,
     perm_cycle_type,
     perm_from_cycle_type,
@@ -39,7 +40,7 @@ from .moments import (
     walk_term_at_cutoff,
 )
 from .multiplicity import exact_shape_distribution, mult_by_route, mult_skew
-from .partitions import Partition, all_partitions, dim
+from .partitions import Partition, all_partitions, dim, partition_tuples
 from .setpartitions import bell, occupancy_probability, poisson_moment
 
 # Largest scaled deviation max |ratio - limit| * n accepted at the first
@@ -130,6 +131,21 @@ def _near_one_row(ns):
         for lam in all_partitions(n)
         if 2 * lam[0] >= n and character(lam, mu) != _char(tuple(lam), tuple(mu))
     ]
+    return not bad, {"failures": bad}
+
+
+@_gate("identities", "class-columns-vs-murnaghan-nakayama", ns=range(1, 8))
+def _class_columns(ns):
+    # The forward pass's whole column against Murnaghan-Nakayama shape by
+    # shape: the same nonzero values, on the same shapes, at every class.
+    bad = []
+    for n in ns:
+        shapes = list(partition_tuples(n, n))
+        bad += [
+            mu
+            for mu in shapes
+            if class_column(mu) != {lam: v for lam in shapes if (v := _char(lam, mu))}
+        ]
     return not bad, {"failures": bad}
 
 

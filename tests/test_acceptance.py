@@ -47,6 +47,7 @@ TIER1 = [
     ("occupancy-normalization", None),
     ("poisson-unit-moments-are-bell", None),
     ("near-one-row-closed-forms", None),
+    ("class-columns-vs-murnaghan-nakayama", ("C04", {"ns": range(1, 13)})),
     ("single-cycle-hook-support", None),
     ("commutator-random-vs-enumeration", ("C05", {
         "ns": range(2, 6), "rs": range(5),

@@ -12,7 +12,10 @@ from permfix.characters import (
     _char_polynomial,
     char_ratio_icycle,
     character,
+    class_character,
+    class_column,
     perm_cycle_type,
+    sweep_character,
     verify_ratio_asymptotics,
 )
 from permfix.errors import SizeMismatchError, ValidationError
@@ -124,6 +127,34 @@ def test_character_polynomial_on_long_first_rows_up_to_n_300():
                     lam = (n - s, *nu)
                     assert polynomial(tuple(nu)) == _char(lam, tuple(mu)), (lam, mu)
                     assert character(lam, mu) == _char(lam, tuple(mu))
+
+
+def test_class_column_matches_recursive_murnaghan_nakayama():
+    # Independent of _char, which the class-columns gate compares it with.
+    for n in range(1, 10):
+        for mu in classes_of(n):
+            column = class_column(mu)
+            assert 0 not in column.values()
+            for lam in all_partitions(n):
+                assert column.get(tuple(lam), 0) == character_recursive(tuple(lam), tuple(mu))
+
+
+def test_class_column_of_many_short_cycles():
+    # Second orthogonality at n = 40, where the column sums 24842 squares.
+    mu = CycleType((2,) * 20)
+    assert sum(v * v for v in class_column(mu).values()) == mu.centralizer_order()
+    assert class_column(mu)[(40,)] == 1
+
+
+def test_sweep_character_reads_the_column_only_for_every_shape_and_few_fixed_points():
+    for n in range(1, 9):
+        for mu in classes_of(n):
+            per_shape = class_character(mu)
+            assert sweep_character(mu, every_shape=False) is per_shape
+            chi = sweep_character(mu, every_shape=True)
+            assert (chi is per_shape) == (2 * mu.n_1 > n)
+            assert [chi(tuple(lam)) for lam in all_partitions(n)] == [
+                per_shape(tuple(lam)) for lam in all_partitions(n)]
 
 
 def test_size_mismatch_raises():

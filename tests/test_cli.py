@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from permfix import setpartitions
 from permfix.cli import (
     MAX_CELLS_BELOW_FIRST_ROW,
+    MAX_DIST_K,
     MAX_MULT_R,
     MAX_MULT_SKEW_CELLS,
     MAX_SAMPLES,
@@ -872,6 +873,30 @@ def test_mult_r_beyond_its_bound_exits_2(capsys):
     code, out, err = run_cli(capsys, "mult", "--lambda", "30", "--r", str(MAX_MULT_R + 1))
     assert (code, out) == (2, "")
     assert f"at most {MAX_MULT_R}" in err
+
+
+def test_dist_walk_k_beyond_its_bound_exits_2_at_once():
+    # --n 8 --i 2 --k 100000 ran for 20 s before failing to print its law.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    argv = ["dist", "walk", "--n", "8", "--i", "2", "--k", "100000"]
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "permfix", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert f"--k must be at most {MAX_DIST_K}" in proc.stderr
+
+
+@pytest.mark.parametrize("i", range(2, 9))
+def test_dist_walk_prints_its_law_at_the_largest_accepted_k(capsys, i):
+    code, out, err = run_cli(capsys, "dist", "walk", "--n", "8", "--i", str(i),
+                             "--k", str(MAX_DIST_K))
+    assert code == 0, err
+    report = json.loads(out)
+    assert sum(as_fraction(row["probability"]) for row in report["table"]) == 1
+    assert run_cli(capsys, "dist", "walk", "--n", "8", "--i", str(i),
+                   "--k", str(MAX_DIST_K + 1))[0] == 2
 
 
 @pytest.mark.parametrize("argv", [

@@ -17,9 +17,10 @@ from oracles import (
     per_order_moment,
     stratum_sizes,
 )
+from test_acceptance import TIER1
 
 from permfix import moments, tableaux
-from permfix.characters import CycleType, char_ratio_icycle, character
+from permfix.characters import CycleType, char_ratio_icycle, character, class_character
 from permfix.errors import ValidationError
 from permfix.moments import (
     MAX_ORDER,
@@ -36,6 +37,7 @@ from permfix.moments import (
     moment_commutator_random,
     moment_icycle_walk,
     uniform_moments,
+    walk_exact_distribution,
 )
 from permfix.partitions import all_partitions, dim
 from permfix.setpartitions import stirling_row
@@ -305,3 +307,36 @@ def test_float_walk_far_past_mixing_reaches_the_alternating_law(k, top):
     with mp.workprec(128 + 40):
         factorial_moments = _factorial_moments(n, n, weight)
     assert factorial_moments == [1] * 11 + [top, top]
+
+
+def _per_shape_characters(monkeypatch) -> list:
+    """Serve the engines every character through class_character, recording
+    the (class, every_shape) of each request."""
+    asked = []
+
+    def sweep_character(mu, every_shape):
+        asked.append((mu, every_shape))
+        return class_character(mu)
+
+    monkeypatch.setattr(moments, "sweep_character", sweep_character)
+    return asked
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_whole_sweeps_equal_the_per_shape_route(monkeypatch, n):
+    # Every class of n: from n >= 2 on, some have more than n/2 fixed points
+    # (class_character serves them) and some fewer (the whole column).
+    classes = [CycleType(parts) for parts in all_partitions(n)]
+    orders = sorted({n, max(n - 1, 0), max(n - 2, 0)})
+    swept = {(x, r): commutator_fixed_moments(n, x, r) for x in classes for r in orders}
+    asked = _per_shape_characters(monkeypatch)
+    assert [commutator_fixed_moments(n, x, r) for x, r in swept] == list(swept.values())
+    assert asked == [(x, n - min(r, n) <= 1) for x, r in swept]
+
+
+def test_class_inversion_is_unchanged_on_the_c08_grid(monkeypatch):
+    points = dict(TIER1)["walk-moments-vs-class-inversion"][1]["points"]
+    laws = {point: walk_exact_distribution(*point) for point in points}
+    asked = _per_shape_characters(monkeypatch)
+    assert [walk_exact_distribution(*point) for point in laws] == list(laws.values())
+    assert {every_shape for _, every_shape in asked} == {True}
