@@ -6,15 +6,18 @@ Usage, from anywhere:
     python3 scripts/compare_outputs.py PARENT_CHECKOUT [--seeds 1 2 3]
 
 The calls are every operation that perfbench/workloads.py builds for the
-three workloads at each seed, then every ``permfix`` command line of this
+three workloads at each seed, then ``permfix mult --alg skew`` for every
+shape of n <= 8 at r in {1, 4, 9} (no benchmark operation reaches the
+skew counts of mult), then every ``permfix`` command line of this
 checkout's README.md at ``--threads 1``, all built once from this
 checkout. Each tree runs all of them through ``permfix.cli.main`` in one
 subprocess that imports that tree's own ``src``, the benchmark's first
 and in their order, so caches warm up as they do in a benchmark round.
 The two subprocesses run at the same time.
-The script prints how many calls it compared, how many of them came from
-the README, and the argv of each call whose stdout or exit code differs,
-and exits 0 when every output is identical and 1 otherwise.
+The script prints how many calls it compared, how many of them were
+mult calls and how many came from the README, and the argv of each call
+whose stdout or exit code differs, and exits 0 when every output is
+identical and 1 otherwise.
 """
 from __future__ import annotations
 
@@ -61,6 +64,15 @@ def build_calls(seeds: list[int]) -> list[list[str]]:
     return [op["argv"] for seed in seeds for name in workloads.WORKLOADS for op in workloads.build(name, seed)]
 
 
+def mult_calls() -> list[list[str]]:
+    """The argv of mult --alg skew for every shape of n = 1..8, at r = 1, 4 and 9."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from permfix.partitions import partition_tuples
+
+    return [["mult", "--lambda", ",".join(map(str, lam)), "--r", str(r), "--alg", "skew"]
+            for n in range(1, 9) for lam in partition_tuples(n, n) for r in (1, 4, 9)]
+
+
 def readme_calls() -> list[list[str]]:
     """The argv of every ``permfix`` command line of README.md, at --threads 1."""
     lines = (ROOT / "README.md").read_text().splitlines()
@@ -96,8 +108,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     args = parser.parse_args(argv)
 
-    readme = readme_calls()
-    calls = build_calls(args.seeds) + readme
+    mult, readme = mult_calls(), readme_calls()
+    calls = build_calls(args.seeds) + mult + readme
     with tempfile.TemporaryDirectory() as scratch:
         calls_file = Path(scratch) / "calls.json"
         calls_file.write_text(json.dumps(calls))
@@ -109,7 +121,8 @@ def main(argv=None) -> int:
                 proc.kill()
                 proc.wait()
     differ = [call for call, a, b in zip(calls, theirs, ours) if a != b]
-    print(f"compared {len(calls)} calls ({len(readme)} from README.md): {len(differ)} differ")
+    print(f"compared {len(calls)} calls ({len(mult)} mult, {len(readme)} from README.md): "
+          f"{len(differ)} differ")
     for call in differ:
         print("differs: permfix " + " ".join(call))
     return 1 if differ else 0

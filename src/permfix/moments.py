@@ -18,13 +18,12 @@ over a common denominator D as integer numerators. Every F_a comes from
 one walk down the Young lattice on those numerators, and the Stirling
 combination runs on the integer sums N_a = D * F_a too: the rth moment
 is (sum_a S(r, a) * N_a) / D, one exact division (or one rounding, for
-reals) per moment. The walk depends only on (n, a_max), and the engine
-keeps the one it took last as a tableaux.LatticePlan: a repeat call at
-the same (n, a_max), as in a sweep over classes or step counts, runs
-the plan's integer edges instead of walking again, and a call at a new
-(n, a_max) walks and keeps that plan instead. The uniform permutation's
-weight is 1 on the one-row shape alone, so its F_a are 1 and need no
-walk.
+reals) per moment. The walk is a tableaux.LatticePlan from those shapes
+to the row (n - a_max), whose target at level n - a is the row (n - a).
+It depends only on (n, a_max), and the engine keeps the latest one, so
+a sweep over classes or step counts at one n builds it once. The
+uniform permutation's weight is 1 on the one-row shape alone, so its
+F_a are 1 and need no walk.
 The fixed-x commutator weighs each shape by chi^lam(x)^2 / dim; when
 its shapes are every shape of n (n - min(r_max, n) <= 1), it reads the
 characters off the class's whole column (characters.sweep_character),
@@ -47,6 +46,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice, permutations
 from math import factorial, isfinite, lcm, log
 from operator import mul
@@ -59,7 +59,7 @@ from .characters import CycleType, char_ratio_icycle, perm_from_cycle_type, swee
 from .errors import EnumerationLimitError, SizeMismatchError, ValidationError
 from .partitions import Partition, all_partitions, dim, partition_tuples
 from .setpartitions import poisson_moment, stirling_row
-from .tableaux import LatticePlan, plan_walk
+from .tableaux import LatticePlan
 
 DEFAULT_PRECISION_BITS = 128
 
@@ -118,10 +118,19 @@ def _over_common_denominator(weights: list) -> tuple[list[int], Callable[[int], 
     return numerators, lambda total: mpmath.mpf((total, e0))
 
 
-# The lattice plan of the latest (n, a_max) the engine walked. A sweep
-# over classes or step counts at one n repeats the key, and then the walk
-# is a loop of integer adds over the plan's edges; a new key replaces it.
-_latest_plan: LatticePlan | None = None
+@lru_cache(maxsize=1)
+def _engine_plan(n: int, a_max: int, cap: int) -> LatticePlan:
+    """The walk from every shape of n with first part >= n - a_max to the row (n - a_max).
+
+    It raises ValidationError, building nothing, past cap shapes. The
+    engine keeps its latest plan: a sweep over classes or step counts at
+    one n repeats the key, and a new key replaces it.
+    """
+    shapes = list(islice(partition_tuples(n, n, n - a_max), cap + 1))
+    if len(shapes) > cap:
+        raise ValidationError(f"moments to order {a_max} at n = {n} visit more than the "
+                              f"{cap} shapes accepted")
+    return LatticePlan(shapes, (n - a_max,) if a_max < n else ())
 
 
 def _lattice_sums(n: int, a_max: int, weight) -> tuple[list[int], Callable[[int], object]]:
@@ -129,24 +138,11 @@ def _lattice_sums(n: int, a_max: int, weight) -> tuple[list[int], Callable[[int]
 
     F_a = sum over lam of size n of weight(lam) * f^{lam/(n-a)}; the
     shapes, at most MAX_ENGINE_SHAPES of them, reach weight as plain
-    tuples. The first call at (n, a_max) walks the lattice and keeps the
-    walk as the engine's latest plan; a repeat call runs that plan.
+    tuples, and the sums are read at the one-row target of each level.
     """
-    global _latest_plan
-    plan = _latest_plan
-    if plan is not None and (plan.n, plan.a_max) == (n, a_max):
-        shapes = plan.shapes
-    else:
-        plan = None
-        shapes = list(islice(partition_tuples(n, n, n - a_max), MAX_ENGINE_SHAPES + 1))
-    if len(shapes) > MAX_ENGINE_SHAPES:
-        raise ValidationError(f"moments to order {a_max} at n = {n} visit more than the "
-                              f"{MAX_ENGINE_SHAPES} shapes accepted")
-    numerators, over_denominator = _over_common_denominator([weight(lam) for lam in shapes])
-    if plan is not None:
-        return plan.single_row_sums(numerators), over_denominator
-    _latest_plan, sums = plan_walk(shapes, numerators, n, a_max)
-    return sums, over_denominator
+    plan = _engine_plan(n, a_max, MAX_ENGINE_SHAPES)
+    numerators, over_denominator = _over_common_denominator([weight(lam) for lam in plan.shapes])
+    return plan.sums(numerators), over_denominator
 
 
 def _factorial_moments(n: int, a_max: int, weight) -> list:

@@ -29,14 +29,14 @@ from .characters import character, perm_cycle_type
 from .errors import EnumerationLimitError, FirstRowGuardError, ValidationError
 from .partitions import Partition, all_partitions, dim
 from .setpartitions import stirling_columns, stirling_row
-from .tableaux import single_row_sums, skew_syt_large_first_row
+from .tableaux import LatticePlan, skew_syt_large_first_row
 
 
 def mult_skew(lam, r: int) -> int:
     """Stirling-weighted skew-count formula; total in lam and r.
 
-    One lattice walk from lam down to the row (n - min(r, n)) gives the
-    skew count over every single-row inner shape on the way.
+    One tableaux.LatticePlan from lam down to the row (n - min(r, n))
+    reads f^{lam/(n-a)} at the one-row target (n - a) of each level.
     """
     lam = Partition(lam)
     if r < 0:
@@ -45,7 +45,7 @@ def mult_skew(lam, r: int) -> int:
     a_max = min(r, n)
     if lam and lam[0] < n - a_max:
         return 0  # lam contains none of the rows (n - a), a <= r
-    counts = single_row_sums({tuple(lam): 1}, n, a_max)
+    counts = LatticePlan([tuple(lam)], (n - a_max,) if a_max < n else ()).sums([1])
     return sum(s * f for s, f in zip(stirling_columns(r, a_max), counts))
 
 

@@ -182,21 +182,22 @@ def test_exact_walk_engine_equals_the_fraction_weight_oracle(n, i):
         assert icycle_walk_moments_exact(n, i, k, n) == moments_by_fraction_weights(n, n, weight)
 
 
-def _counting_plan_walks(monkeypatch) -> list:
+def _counting_plan_builds(monkeypatch) -> list:
     """Record the (n, a_max) of every plan the engine builds, starting with none kept."""
     built = []
 
-    def plan_walk(shapes, top, n, a_max):
-        built.append((n, a_max))
-        return tableaux.plan_walk(shapes, top, n, a_max)
+    def plan(shapes, floor):
+        n = sum(shapes[0])
+        built.append((n, n - sum(floor)))
+        return tableaux.LatticePlan(shapes, floor)
 
-    monkeypatch.setattr(moments, "plan_walk", plan_walk)
-    monkeypatch.setattr(moments, "_latest_plan", None)
+    monkeypatch.setattr(moments, "LatticePlan", plan)
+    moments._engine_plan.cache_clear()
     return built
 
 
 def test_engine_reuses_its_latest_plan_and_a_new_key_replaces_it(monkeypatch):
-    built = _counting_plan_walks(monkeypatch)
+    built = _counting_plan_builds(monkeypatch)
     first = commutator_fixed_moments(9, (3, 3, 2, 1), 9)
     assert built == [(9, 9)]
     # The same key, with other weights: the plan serves them.
@@ -204,19 +205,22 @@ def test_engine_reuses_its_latest_plan_and_a_new_key_replaces_it(monkeypatch):
         9, 9, lambda lam: Fraction(character(lam, (5, 4)) ** 2, dim(lam)))
     assert commutator_fixed_moments(9, (3, 3, 2, 1), 9) == first
     assert built == [(9, 9)]
-    # A new key (here a lower order) walks again and replaces the plan.
+    # A new key (here a lower order) builds again and replaces the plan.
     assert commutator_fixed_moments(9, (3, 3, 2, 1), 4) == first[:5]
     assert built == [(9, 9), (9, 4)]
     commutator_fixed_moments(9, (3, 3, 2, 1), 9)
     assert built == [(9, 9), (9, 4), (9, 9)]
-    assert (moments._latest_plan.n, moments._latest_plan.a_max) == (9, 9)
+    # The engine keeps that one plan, and the next call at its key reuses it.
+    assert moments._engine_plan.cache_info().currsize == 1
+    commutator_fixed_moments(9, (5, 4), 9)
+    assert built == [(9, 9), (9, 4), (9, 9)]
 
 
 def test_engine_builds_no_plan_for_work_beyond_the_shape_cap(monkeypatch):
-    built = _counting_plan_walks(monkeypatch)
+    built = _counting_plan_builds(monkeypatch)
     with pytest.raises(ValidationError, match="shapes accepted"):
         _moments(10**6, 40, _both_random)
-    assert built == [] and moments._latest_plan is None
+    assert built == [] and moments._engine_plan.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("c", (-0.5, 0.0, 1.0))

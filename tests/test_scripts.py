@@ -57,11 +57,13 @@ def test_walk_cutoff_scan_at_a_million():
 def test_compare_outputs_finds_no_difference_against_its_own_checkout():
     lines = run_script("compare_outputs.py", str(ROOT), "--seeds", "1")
     assert len(lines) == 1
-    compared, readme, differ = re.fullmatch(
-        r"compared (\d+) calls \((\d+) from README.md\): (\d+) differ", lines[0]).groups()
+    compared, mult, readme, differ = re.fullmatch(
+        r"compared (\d+) calls \((\d+) mult, (\d+) from README.md\): (\d+) differ", lines[0]).groups()
     # Every operation of the three benchmark workloads, more than 100 at one
-    # seed, and every permfix command line of the README.
+    # seed, mult for the 66 shapes of n = 1..8 at three orders, and every
+    # permfix command line of the README.
     readme_lines = [line for line in (ROOT / "README.md").read_text().splitlines()
                     if line.startswith("permfix ")]
     assert int(readme) == len(readme_lines) >= 10
-    assert int(compared) - int(readme) > 100 and differ == "0"
+    assert int(mult) == 66 * 3
+    assert int(compared) - int(readme) - int(mult) > 100 and differ == "0"

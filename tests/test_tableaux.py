@@ -7,13 +7,8 @@ from hypothesis import strategies as st
 from oracles import count_syt, skew_count_by_corner_peeling, skew_syt_count_determinant
 from permfix.errors import FirstRowGuardError
 from permfix.partitions import Partition, all_partitions, dim, partition_tuples
-from permfix.tableaux import (
-    lattice_walk,
-    plan_walk,
-    single_row_sums,
-    skew_syt_count,
-    skew_syt_large_first_row,
-)
+from permfix import tableaux
+from permfix.tableaux import LatticePlan, skew_syt_count, skew_syt_large_first_row
 from strategies import partitions
 
 
@@ -72,36 +67,69 @@ def test_branching_consistency():
                 assert total == skew_syt_count(outer, inner)
 
 
-def test_lattice_walk_levels_are_weighted_skew_counts_on_the_shapes_over_the_floor():
+def _targets(floor: tuple, height: int) -> list[tuple]:
+    """Each level's target, top first: floor with the level's extra cells added to its first row."""
+    row, rest = (floor[0], floor[1:]) if floor else (0, ())
+    return [((row + extra,) if row + extra else ()) + rest for extra in range(height, -1, -1)]
+
+
+def _expected_sums(top: dict, floor: tuple) -> list[int]:
+    height = sum(next(iter(top))) - sum(floor)
+    return [sum(w * skew_count_by_corner_peeling(lam, target) for lam, w in top.items())
+            for target in _targets(floor, height)]
+
+
+def test_plan_sums_are_weighted_skew_counts_at_every_target_over_every_floor():
     for n in range(1, 8):
         for m in range(n + 1):
-            for floor in all_partitions(m):
-                top = {tuple(lam): j + 1 for j, lam in enumerate(all_partitions(n)) if lam.contains(floor)}
-                levels = list(lattice_walk(top, tuple(floor)))
-                assert len(levels) == n - m + 1
-                for size, level in zip(range(n, m - 1, -1), levels):
-                    assert all(Partition(mu).contains(floor) for mu in level)
-                    expected = {
-                        tuple(mu): sum(w * skew_count_by_corner_peeling(lam, tuple(mu)) for lam, w in top.items())
-                        for mu in all_partitions(size)
-                        if mu.contains(floor)
-                    }
-                    assert {mu: level.get(mu, 0) for mu in expected} == expected
+            for floor in map(tuple, all_partitions(m)):
+                shapes = [tuple(lam) for lam in all_partitions(n) if lam.contains(floor)]
+                top = {lam: j + 1 for j, lam in enumerate(shapes)}
+                plan = LatticePlan(shapes, floor)
+                assert plan.sums(list(top.values())) == _expected_sums(top, floor)
+                # Every shape of a level size that contains floor lies under this top,
+                # and the levels hold those shapes alone.
+                assert [size for _, _, size in plan.levels] == [
+                    sum(mu.contains(floor) for mu in all_partitions(s)) for s in range(n - 1, m - 1, -1)
+                ]
+                # One-shape tops, where a level may lack its target.
+                for lam in shapes:
+                    assert LatticePlan([lam], floor).sums([1]) == _expected_sums({lam: 1}, floor)
 
 
 @pytest.mark.parametrize("n", range(15))
-def test_plan_sums_equal_the_lattice_walk_on_signed_weights(n):
-    # The plan's first walk and its replays on fresh weights, against
-    # lattice_walk's one-row sums; the weights include zeros and negatives.
+def test_plan_sums_on_the_engine_tops_equal_corner_peeling_on_signed_weights(n):
+    # The engine's tops: every shape of n with first part >= n - a_max,
+    # over the floor (n - a_max). The weights include zeros and -10^30,
+    # and one plan serves several sets of weights.
     rng = random.Random(n)
     for a_max in range(n + 1):
         shapes = list(partition_tuples(n, n, n - a_max))
-        top = [rng.choice((0, 0, 1, -1, 7, -10**30)) * rng.randrange(1, 100) for _ in shapes]
-        plan, sums = plan_walk(shapes, top, n, a_max)
-        assert sums == single_row_sums(dict(zip(shapes, top)), n, a_max)
+        floor = (n - a_max,) if a_max < n else ()
+        assert _targets(floor, a_max) == [(n - a,) if a < n else () for a in range(a_max + 1)]
+        plan = LatticePlan(shapes, floor)
         for _ in range(3):
-            top = [rng.randrange(-10**20, 10**20) * rng.randrange(2) for _ in shapes]
-            assert plan.single_row_sums(top) == single_row_sums(dict(zip(shapes, top)), n, a_max)
+            top = [rng.choice((0, 0, 1, -1, 7, -10**30)) * rng.randrange(1, 100) for _ in shapes]
+            assert plan.sums(top) == _expected_sums(dict(zip(shapes, top)), floor)
+
+
+def test_levels_wider_than_the_top_get_indices_as_wide_as_their_own_size(monkeypatch):
+    plan = LatticePlan([(4, 3, 2, 1)], ())
+    assert plan.sums([1]) == _expected_sums({(4, 3, 2, 1): 1}, ())
+    assert plan.sums([1])[-1] == dim((4, 3, 2, 1))
+    assert max(size for _, _, size in plan.levels) > 1
+    # With 1-byte indices up to 2^8 shapes, a one-shape top whose levels
+    # reach past 2^8 shapes needs wider indices below; the bottom target
+    # of the empty floor reads the dimension.
+    monkeypatch.setattr(tableaux, "_typecode", lambda size: "B" if size <= 1 << 8 else "H")
+    staircase = tuple(range(9, 0, -1))
+    plan = LatticePlan([staircase], ())
+    sizes = [1] + [size for _, _, size in plan.levels]
+    assert max(sizes) > 1 << 8
+    assert plan.sums([1])[-1] == dim(staircase)
+    for (parents, children, _), above, below in zip(plan.levels, sizes, sizes[1:]):
+        assert (parents.typecode, children.typecode) == (
+            "B" if above <= 1 << 8 else "H", "B" if below <= 1 << 8 else "H")
 
 
 def test_determinant_agrees_with_branching():
