@@ -9,15 +9,16 @@ The calls are every operation that perfbench/workloads.py builds for the
 three workloads at each seed, then ``permfix mult --alg skew`` for every
 shape of n <= 8 at r in {1, 4, 9} (no benchmark operation reaches the
 skew counts of mult), then every ``permfix`` command line of this
-checkout's README.md at ``--threads 1``, all built once from this
-checkout. Each tree runs all of them through ``permfix.cli.main`` in one
+checkout's README.md at ``--threads 1``, then its ``moments`` and ``dist``
+lines again with ``--format csv``, all built once from this checkout.
+Each tree runs all of them through ``permfix.cli.main`` in one
 subprocess that imports that tree's own ``src``, the benchmark's first
 and in their order, so caches warm up as they do in a benchmark round.
 The two subprocesses run at the same time.
 The script prints how many calls it compared, how many of them were
-mult calls and how many came from the README, and the argv of each call
-whose stdout or exit code differs, and exits 0 when every output is
-identical and 1 otherwise.
+mult calls, how many came from the README and how many README lines ran
+again as CSV, and the argv of each call whose stdout or exit code
+differs, and exits 0 when every output is identical and 1 otherwise.
 """
 from __future__ import annotations
 
@@ -79,6 +80,12 @@ def readme_calls() -> list[list[str]]:
     return [shlex.split(line)[1:] + ["--threads", "1"] for line in lines if line.startswith("permfix ")]
 
 
+def csv_calls(readme: list[list[str]]) -> list[list[str]]:
+    """The README's moments and dist calls again, with --format csv. The
+    simulate lines are left out: the walk's alone takes seconds per tree."""
+    return [argv + ["--format", "csv"] for argv in readme if argv[0] in ("moments", "dist")]
+
+
 def start_tree(tree: Path, calls_file: Path) -> subprocess.Popen:
     """Start the permfix under tree/src on the calls in calls_file."""
     src = (tree / "src").resolve()
@@ -109,7 +116,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     mult, readme = mult_calls(), readme_calls()
-    calls = build_calls(args.seeds) + mult + readme
+    csv = csv_calls(readme)
+    calls = build_calls(args.seeds) + mult + readme + csv
     with tempfile.TemporaryDirectory() as scratch:
         calls_file = Path(scratch) / "calls.json"
         calls_file.write_text(json.dumps(calls))
@@ -121,8 +129,8 @@ def main(argv=None) -> int:
                 proc.kill()
                 proc.wait()
     differ = [call for call, a, b in zip(calls, theirs, ours) if a != b]
-    print(f"compared {len(calls)} calls ({len(mult)} mult, {len(readme)} from README.md): "
-          f"{len(differ)} differ")
+    print(f"compared {len(calls)} calls ({len(mult)} mult, {len(readme)} from README.md, "
+          f"{len(csv)} of them again as CSV): {len(differ)} differ")
     for call in differ:
         print("differs: permfix " + " ".join(call))
     return 1 if differ else 0

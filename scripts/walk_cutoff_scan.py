@@ -23,12 +23,11 @@ def main() -> None:
     for c in args.c:
         for n in args.n:
             report = icycle_walk_report(n, args.i, cutoff_steps(n, args.i, c), args.r_max, c=c)
-            rows = zip(report.moments, report.reference, report.difference)
-            for r, (moment, reference, difference) in enumerate(rows, start=1):
+            for row in report["table"]:
                 print(
-                    f"{c:>6.2f} {n:>6} {report.params['k']:>7} {r:>3} "
-                    f"{float(moment):>14.6f} {float(reference):>14.6f} "
-                    f"{float(difference):>12.2e}"
+                    f"{c:>6.2f} {n:>6} {report['params']['k']:>7} {row['r']:>3} "
+                    f"{float(row['moment']):>14.6f} {float(row['poisson_reference']):>14.6f} "
+                    f"{float(row['difference']):>12.2e}"
                 )
 
 

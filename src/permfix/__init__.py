@@ -12,7 +12,6 @@ from .characters import (
     verify_ratio_asymptotics,
 )
 from .moments import (
-    MomentReport,
     cutoff_steps,
     enumerate_commutator_distribution,
     moment_commutator_fixed,
@@ -28,7 +27,6 @@ from .partitions import (
     all_partitions,
     conjugate,
     dim,
-    frobenius,
     partitions_with_large_first_row,
 )
 from .setpartitions import bell, occupancy_probability, poisson_moment, stirling
@@ -36,7 +34,6 @@ from .tableaux import skew_syt_count, skew_syt_large_first_row
 
 __all__ = [
     "CycleType",
-    "MomentReport",
     "Partition",
     "all_partitions",
     "bell",
@@ -46,7 +43,6 @@ __all__ = [
     "cutoff_steps",
     "dim",
     "enumerate_commutator_distribution",
-    "frobenius",
     "moment_commutator_fixed",
     "moment_commutator_fixed_closed",
     "moment_commutator_random",

@@ -13,7 +13,6 @@ Partition and cycle-type grammar: comma-separated parts with optional
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -236,26 +235,17 @@ def cmd_mult(args) -> int:
 
 def cmd_moments(args) -> int:
     if args.model == "commutator-random":
-        report = moments.commutator_random_report(args.n, args.r_max)
+        body = moments.commutator_random_report(args.n, args.r_max)
     elif args.model == "commutator-fixed":
         x = CycleType(parse_parts(args.x, args.n))
-        report = moments.commutator_fixed_report(args.n, x, args.r_max)
+        body = moments.commutator_fixed_report(args.n, x, args.r_max)
     else:
         if (args.k is None) == (args.c is None):
             raise ValidationError("walk needs exactly one of --k and --c")
         k = args.k if args.k is not None else moments.cutoff_steps(args.n, args.i, args.c)
-        report = moments.icycle_walk_report(
+        body = moments.icycle_walk_report(
             args.n, args.i, k, args.r_max, c=args.c, precision_bits=args.precision
         )
-    rows = zip(report.moments, report.reference, report.difference)
-    body = {
-        "model": report.model,
-        "params": report.params,
-        "table": [
-            {"r": r, "moment": m, "poisson_reference": ref, "difference": diff}
-            for r, (m, ref, diff) in enumerate(rows, start=1)
-        ],
-    }
     _emit(args, "moments", body)
     return EXIT_OK
 
@@ -268,6 +258,8 @@ def cmd_simulate(args) -> int:
     if args.samples > MAX_SAMPLES:
         raise ValidationError(f"--samples must be at most 2^53 = {MAX_SAMPLES}, got {args.samples}")
     args.samples = samples = int(args.samples)
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
     unread = [f"--{name}" for name in ("x", "i", "k", "precision")
               if getattr(args, name) is not None and name not in _SIMULATE_OPTIONS[args.model]]
     if unread:
@@ -334,7 +326,7 @@ def cmd_verify(args) -> int:
     results = run_suite(args.suite)
     failed = [g for g in results if not g.passed]
     for g in results:
-        line = reports.encode(dataclasses.asdict(g))
+        line = reports.encode(g)
         sys.stdout.write(json.dumps(line, sort_keys=True) + "\n")
     sys.stderr.write(f"verify: {len(results) - len(failed)}/{len(results)} gates passed\n")
     if failed:

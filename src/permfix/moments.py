@@ -36,6 +36,10 @@ ratios in log space, since |ratio| <= 1 and k can reach n log n.
 The engine bounds its own work, whoever calls it: past MAX_ENGINE_SHAPES
 shapes or above order MAX_ORDER it raises ValidationError before any work.
 
+Each model's *_report builder returns the body `permfix moments` prints:
+the model, its parameters and one row per order r with the moment, that
+of the model's Poisson limit and their difference.
+
 The exact small-n laws sit here too: the walk's by inverting the class
 sums, the commutator's by enumerating the group, and exact_moment reads
 a moment off either. They are the oracles of the verify gates and of
@@ -413,40 +417,31 @@ def walk_term_at_cutoff(
         return WalkTermAtCutoff(shape=lam, t=t, steps=k, term=+term, limit=+limit)
 
 
-@dataclass(frozen=True)
-class MomentReport:
-    """Moments r = 1..R of one model beside those of its Poisson limit.
-
-    reference holds the moments of a Poisson law with poisson_mean, and
-    difference = moments - reference; both are computed at the report's
-    precision, so they are exact whenever the moments are.
-    """
-
-    model: str
-    params: dict
-    poisson_mean: object
-    moments: tuple
-    reference: tuple
-    difference: tuple
-
-
 def _report(
     model: str, params: dict, values: list, mean, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> MomentReport:
-    """Report of the moments values[1:] against the Poisson law with the given mean."""
-    moments = tuple(values[1:])
+) -> dict:
+    """The body `permfix moments` prints for the moments values[1:].
+
+    Each row holds the rth moment, that of a Poisson law with the given
+    mean and their difference, the last two computed at precision_bits,
+    so they are exact whenever the moments are. The rows keep their keys
+    in this order, since the CSV header is read off the first row.
+    """
+    table = []
     with mp.workprec(precision_bits):
-        reference = tuple(+poisson_moment(r, mean) for r in range(1, len(values)))
-        difference = tuple(m - ref for m, ref in zip(moments, reference))
-    return MomentReport(model, params, mean, moments, reference, difference)
+        for r, moment in enumerate(values[1:], start=1):
+            reference = +poisson_moment(r, mean)
+            table.append({"r": r, "moment": moment, "poisson_reference": reference,
+                          "difference": moment - reference})
+    return {"model": model, "params": params, "table": table}
 
 
-def commutator_random_report(n: int, r_max: int) -> MomentReport:
+def commutator_random_report(n: int, r_max: int) -> dict:
     values = commutator_random_moments(n, r_max)
     return _report("commutator_both_random", {"n": n}, values, 1)
 
 
-def commutator_fixed_report(n: int, x, r_max: int) -> MomentReport:
+def commutator_fixed_report(n: int, x, r_max: int) -> dict:
     x = CycleType(x)
     values = commutator_fixed_moments(n, x, r_max)
     # x by its cycle counts {length: count}: a class of n fixed points is
@@ -461,7 +456,7 @@ def icycle_walk_report(
     r_max: int,
     c: float | None = None,
     precision_bits: int = DEFAULT_PRECISION_BITS,
-) -> MomentReport:
+) -> dict:
     """Walk moments with the Poisson reference implied by the step count.
 
     If c is not supplied it is recovered from k by inverting the cutoff

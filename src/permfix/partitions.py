@@ -45,27 +45,6 @@ class Partition(tuple):
                 cols[j] += 1
         return Partition(cols)
 
-    def diagonal_size(self) -> int:
-        """Largest k with the kth part >= k."""
-        m = 0
-        for idx, p in enumerate(self):
-            if p >= idx + 1:
-                m = idx + 1
-        return m
-
-    def frobenius(self) -> tuple[list[int], list[int]]:
-        """Arm and leg coordinates (a_1..a_m | b_1..b_m) along the diagonal.
-
-        a_j is the jth part minus j and b_j the jth conjugate part minus j;
-        both lists are strictly decreasing and the total (a_j + b_j + 1)
-        recovers the size.
-        """
-        conj = self.conjugate()
-        m = self.diagonal_size()
-        arms = [self[j] - (j + 1) for j in range(m)]
-        legs = [conj[j] - (j + 1) for j in range(m)]
-        return arms, legs
-
     def first_row_removed(self) -> "Partition":
         """The partition left after deleting the largest part."""
         return Partition(self[1:])
@@ -82,10 +61,6 @@ class Partition(tuple):
 
 def conjugate(lam) -> Partition:
     return Partition(lam).conjugate()
-
-
-def frobenius(lam) -> tuple[list[int], list[int]]:
-    return Partition(lam).frobenius()
 
 
 def hook_lengths(lam) -> list[int]:

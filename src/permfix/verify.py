@@ -279,8 +279,8 @@ def _poisson_rate(ns, rs):
 @_gate("asymptotics", "walk-cutoff-mean-near-poisson", n=300, i=2, c=0.0, precision_bits=128)
 def _walk_cutoff_mean(n, i, c, precision_bits):
     report = icycle_walk_report(n, i, cutoff_steps(n, i, c), 1, c=c, precision_bits=precision_bits)
-    gap = abs(float(report.difference[0]))
-    return gap < 0.1, {"n": n, "i": i, "c": c, "steps": report.params["k"], "gap": gap}
+    gap = abs(float(report["table"][0]["difference"]))
+    return gap < 0.1, {"n": n, "i": i, "c": c, "steps": report["params"]["k"], "gap": gap}
 
 
 SUITES = ("identities", "oracles", "asymptotics")

@@ -316,6 +316,19 @@ def test_csv_output_is_lossless_for_table(capsys):
     assert cells["1"] == "2/3"
 
 
+@pytest.mark.parametrize("leaf", [
+    ("commutator-random", "--n", "6"),
+    ("commutator-fixed", "--n", "6", "--x", "3,2,1"),
+    ("walk", "--n", "10", "--i", "2", "--k", "3"),
+])
+def test_moments_csv_header_is_the_table_columns(capsys, leaf):
+    code, out, _ = run_cli(capsys, "moments", *leaf, "--r-max", "2", "--format", "csv")
+    assert code == 0
+    header, *rows = out.strip().splitlines()
+    assert header == "r,moment,poisson_reference,difference"
+    assert [row.split(",")[0] for row in rows] == ["1", "2"]
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["mult", "--nope"])

@@ -257,16 +257,18 @@ def test_cutoff_steps_rounding():
 
 def test_walk_cutoff_report_near_poisson():
     report = icycle_walk_report(400, 2, cutoff_steps(400, 2, 0.0), 2, c=0.0)
-    assert report.params["k"] == cutoff_steps(400, 2, 0.0)
-    assert float(report.poisson_mean) == pytest.approx(2.0)
-    assert abs(float(report.difference[0])) < 0.1
-    assert float(report.reference[1]) == pytest.approx(float(poisson_moment(2, 2.0)))
+    assert report["params"]["k"] == cutoff_steps(400, 2, 0.0)
+    first, second = report["table"]
+    # The Poisson mean is the reference's first moment.
+    assert float(first["poisson_reference"]) == pytest.approx(2.0)
+    assert abs(float(first["difference"])) < 0.1
+    assert float(second["poisson_reference"]) == pytest.approx(float(poisson_moment(2, 2.0)))
 
 
 def test_walk_cutoff_large_c_approaches_unit_mean():
-    report = icycle_walk_report(200, 2, cutoff_steps(200, 2, 8.0), 1, c=8.0)
-    assert float(report.poisson_mean) == pytest.approx(1.0, abs=1e-6)
-    assert abs(float(report.moments[0]) - 1.0) < 0.05
+    (row,) = icycle_walk_report(200, 2, cutoff_steps(200, 2, 8.0), 1, c=8.0)["table"]
+    assert float(row["poisson_reference"]) == pytest.approx(1.0, abs=1e-6)
+    assert abs(float(row["moment"]) - 1.0) < 0.05
 
 
 def test_walk_term_trivial_shape():
@@ -292,14 +294,15 @@ def test_walk_term_validates_size():
 
 
 def test_reports_carry_reference_moments():
-    report = commutator_random_report(6, 3)
-    assert report.moments[0] == 1 + Fraction(1, 5)
-    assert report.reference == (1, 2, 5)
-    fixed = commutator_fixed_report(6, (6,), 2)
-    assert fixed.moments[0] == moment_commutator_fixed(6, (6,), 1)
-    walk = icycle_walk_report(30, 2, 10, 2, c=0.0)
-    assert len(walk.moments) == 2
-    assert float(walk.reference[0]) == pytest.approx(2.0)
+    table = commutator_random_report(6, 3)["table"]
+    assert table[0]["moment"] == 1 + Fraction(1, 5)
+    assert [row["poisson_reference"] for row in table] == [1, 2, 5]
+    assert all(row["difference"] == row["moment"] - row["poisson_reference"] for row in table)
+    fixed = commutator_fixed_report(6, (6,), 2)["table"]
+    assert fixed[0]["moment"] == moment_commutator_fixed(6, (6,), 1)
+    walk = icycle_walk_report(30, 2, 10, 2, c=0.0)["table"]
+    assert [row["r"] for row in walk] == [1, 2]
+    assert float(walk[0]["poisson_reference"]) == pytest.approx(2.0)
 
 
 def test_commutator_moment_against_group_identity():
@@ -323,6 +326,6 @@ def test_commutator_moment_against_group_identity():
 
 def test_walk_cutoff_moments_at_a_million():
     report = icycle_walk_report(10**6, 2, cutoff_steps(10**6, 2, 0.0), 3, c=0.0)
-    assert report.params["k"] == 6907755
-    for moment, target in zip(report.moments, (2, 6, 22)):
-        assert abs(moment - target) < 1e-3 * target
+    assert report["params"]["k"] == 6907755
+    for row, target in zip(report["table"], (2, 6, 22), strict=True):
+        assert abs(row["moment"] - target) < 1e-3 * target

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -58,19 +59,35 @@ def test_simulate_imports_numpy():
     assert {"numpy", "permfix.simulate"} <= modules
 
 
-def test_simulate_refused_by_its_references_exits_2_without_numpy():
-    # Order 2 * 65 = 130 is above the engine's bound: the references refuse
-    # it before the sampler, and with it numpy, is imported.
-    code = ("import sys; from permfix.cli import main; "
-            "code = main(['simulate', '--model', 'uniform', '--n', '5', '--samples', '10', "
-            "'--r-max', '65']); "
+def _run_main_without_numpy(*argv: str) -> subprocess.CompletedProcess:
+    """main(argv) in a subprocess, which exits 3 instead if numpy got imported."""
+    code = (f"import sys; from permfix.cli import main; code = main({list(argv)!r}); "
             "sys.exit(3 if 'numpy' in sys.modules else code)")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                           timeout=120)
+
+
+def test_simulate_refused_by_its_references_exits_2_without_numpy():
+    # Order 2 * 65 = 130 is above the engine's bound: the references refuse
+    # it before the sampler, and with it numpy, is imported.
+    proc = _run_main_without_numpy("simulate", "--model", "uniform", "--n", "5",
+                                   "--samples", "10", "--r-max", "65")
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert "above the 128 accepted" in proc.stderr
+
+
+def test_simulate_negative_seed_exits_2_before_its_references():
+    # The references at n = 40 and order 40 take seconds; a refused seed
+    # skips them, and numpy with them.
+    start = time.perf_counter()
+    proc = _run_main_without_numpy("simulate", "--model", "commutator", "--n", "40",
+                                   "--r-max", "20", "--samples", "10", "--seed", "-1",
+                                   "--threads", "1")
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "--seed" in proc.stderr
 
 
 def test_simulate_is_the_one_module_that_imports_numpy():

@@ -18,7 +18,6 @@ from permfix.partitions import (
     bounded_partitions,
     conjugate,
     dim,
-    frobenius,
     partition_tuples,
     partitions_with_large_first_row,
 )
@@ -52,21 +51,6 @@ def test_conjugate_examples():
     assert conjugate((5,)) == (1, 1, 1, 1, 1)
     assert conjugate((2, 1)) == (2, 1)
     assert conjugate((3, 1)) == (2, 1, 1)
-
-
-def test_frobenius_examples():
-    assert frobenius((1,)) == ([0], [0])
-    assert frobenius((6,)) == ([5], [0])
-    assert frobenius((3, 2)) == ([2, 0], [1, 0])
-
-
-@given(partitions(min_n=1))
-def test_frobenius_coordinates_recover_size(lam):
-    arms, legs = frobenius(lam)
-    assert len(arms) == len(legs) == lam.diagonal_size()
-    assert all(arms[j] > arms[j + 1] for j in range(len(arms) - 1))
-    assert all(legs[j] > legs[j + 1] for j in range(len(legs) - 1))
-    assert sum(a + b + 1 for a, b in zip(arms, legs)) == lam.n
 
 
 def test_dim_examples():
