@@ -15,10 +15,14 @@ Each tree runs all of them through ``permfix.cli.main`` in one
 subprocess that imports that tree's own ``src``, the benchmark's first
 and in their order, so caches warm up as they do in a benchmark round.
 The two subprocesses run at the same time.
+The README's ``python scripts/...`` lines then run in each tree, as
+that tree's own scripts with its ``src`` first on the path.
 The script prints how many calls it compared, how many of them were
 mult calls, how many came from the README and how many README lines ran
-again as CSV, and the argv of each call whose stdout or exit code
-differs, and exits 0 when every output is identical and 1 otherwise.
+again as CSV, how many README scripts it compared, and the argv of each
+call whose stdout or exit code differs and of each script whose stdout
+differs, and exits 0 when every output is identical and 1 otherwise. A
+script that exits with an error in either tree stops the comparison.
 """
 from __future__ import annotations
 
@@ -86,6 +90,30 @@ def csv_calls(readme: list[list[str]]) -> list[list[str]]:
     return [argv + ["--format", "csv"] for argv in readme if argv[0] in ("moments", "dist")]
 
 
+def script_lines() -> list[list[str]]:
+    """The argv of every ``python scripts/...`` line of README.md, script path first."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("python scripts/")]
+
+
+def run_script(trees: list[Path], argv: list[str]) -> list[str]:
+    """Stdout of the script line argv, run in each tree at the same time as
+    that tree's own script with that tree's src first on the path."""
+    procs = [
+        subprocess.Popen(
+            [sys.executable, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            cwd=tree, env={**os.environ, "PYTHONPATH": str((tree / "src").resolve())},
+        )
+        for tree in trees
+    ]
+    outputs = [proc.communicate() for proc in procs]
+    for tree, proc, (_, err) in zip(trees, procs, outputs):
+        if proc.returncode != 0:
+            raise SystemExit(
+                f"{' '.join(argv)} under {tree} exited {proc.returncode}:\n{err[-4000:]}")
+    return [out for out, _ in outputs]
+
+
 def start_tree(tree: Path, calls_file: Path) -> subprocess.Popen:
     """Start the permfix under tree/src on the calls in calls_file."""
     src = (tree / "src").resolve()
@@ -128,11 +156,17 @@ def main(argv=None) -> int:
             for _, proc in procs:
                 proc.kill()
                 proc.wait()
-    differ = [call for call, a, b in zip(calls, theirs, ours) if a != b]
+    differ = ["permfix " + " ".join(call) for call, a, b in zip(calls, theirs, ours) if a != b]
+    scripts = script_lines()
+    for argv in scripts:
+        theirs, ours = run_script([args.parent, ROOT], argv)
+        if theirs != ours:
+            differ.append("python " + " ".join(argv))
     print(f"compared {len(calls)} calls ({len(mult)} mult, {len(readme)} from README.md, "
-          f"{len(csv)} of them again as CSV): {len(differ)} differ")
+          f"{len(csv)} of them again as CSV) and {len(scripts)} README scripts: "
+          f"{len(differ)} differ")
     for call in differ:
-        print("differs: permfix " + " ".join(call))
+        print("differs: " + call)
     return 1 if differ else 0
 
 

@@ -24,8 +24,8 @@ def main() -> None:
     print("  ".join(f"{h:>12}" for h in header))
     for i in args.i:
         for t in args.t:
-            rows = verify_ratio_asymptotics(i, t, args.n)
-            cells = [f"{float(row.max_scaled_error):>12.6f}" for row in rows]
+            errors = verify_ratio_asymptotics(i, t, args.n)
+            cells = [f"{float(error):>12.6f}" for error in errors]
             print(f"{i:>12}  {t:>12}  " + "  ".join(cells))
 
 

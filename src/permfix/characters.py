@@ -25,6 +25,9 @@ class_character, reads the column only for classes with at most n/2
 fixed points. The moment engine's fixed-x commutator reads it when its
 shapes are all those of n, and so does the walk's class inversion.
 
+A class is a CycleType: the Partition of n by its cycle lengths, with
+the class statistics added, so one constructor checks shapes and classes.
+
 Permutations are tuples in one-line form over 0..n-1: perm_cycle_type
 reads a class off one, perm_from_cycle_type lays a class out as one, and
 compose(p, q) applies q first.
@@ -32,7 +35,6 @@ compose(p, q) applies q first.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from math import comb, factorial
@@ -42,21 +44,15 @@ from .errors import SizeMismatchError, ValidationError
 from .partitions import Partition, bounded_partitions, dim
 
 
-class CycleType(tuple):
-    """Multiset of cycle lengths of a conjugacy class, stored largest first."""
+class CycleType(Partition):
+    """Multiset of cycle lengths of a conjugacy class: a partition of n, stored largest first."""
 
     __slots__ = ()
 
     def __new__(cls, cycles=()):
         if isinstance(cycles, CycleType):
             return cycles
-        cycles = tuple(sorted(cycles, reverse=True))
-        if any(not isinstance(c, int) or c <= 0 for c in cycles):
-            raise ValueError(f"cycle lengths must be positive integers: {cycles!r}")
-        return super().__new__(cls, cycles)
-
-    def __repr__(self) -> str:
-        return f"CycleType{tuple.__repr__(self)}"
+        return super().__new__(cls, sorted(cycles, reverse=True))
 
     @classmethod
     def of_size(cls, cycles, n: int) -> "CycleType":
@@ -65,10 +61,6 @@ class CycleType(tuple):
         if x.n != n:
             raise SizeMismatchError(f"cycle type {x!r} has size {x.n}, expected {n}")
         return x
-
-    @property
-    def n(self) -> int:
-        return sum(self)
 
     @property
     def n_1(self) -> int:
@@ -342,28 +334,21 @@ def perm_from_cycle_type(ct) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class RatioDecayRow:
-    n: int
-    max_scaled_error: Fraction
-
-
-def verify_ratio_asymptotics(i: int, t: int, n_list) -> list[RatioDecayRow]:
+def verify_ratio_asymptotics(i: int, t: int, n_list) -> list[Fraction]:
     """Scaled deviation of i-cycle ratios from 1 - i*t/n across shapes.
 
-    For each n, records the maximum of |ratio - (1 - i*t/n)| * n^2 over
+    For each n, returns the maximum of |ratio - (1 - i*t/n)| * n^2 over
     the shapes with first part n - t, exactly, for monitoring; no
     universal constant is asserted here.
     """
     if i < 2 or t < 0:
         raise ValidationError("need i >= 2 and t >= 0")
-    rows = []
+    worst = []
     for n in n_list:
         if n < t + i + 2:
             raise ValidationError(f"n = {n} too small for t = {t}, i = {i}")
-        worst = max(
+        worst.append(max(
             abs(char_ratio_icycle(Partition((n - t, *rest)), i) - Fraction(n - i * t, n)) * n * n
             for rest in bounded_partitions(t, n - t)
-        )
-        rows.append(RatioDecayRow(n=n, max_scaled_error=worst))
-    return rows
+        ))
+    return worst

@@ -43,12 +43,12 @@ of the model's Poisson limit and their difference.
 The exact small-n laws sit here too: the walk's by inverting the class
 sums, the commutator's by enumerating the group, and exact_moment reads
 a moment off either. They are the oracles of the verify gates and of
-`permfix dist`.
+`permfix dist`. walk_term_at_cutoff returns one shape's cutoff term
+and its limit as a plain (term, limit) pair.
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, permutations
@@ -381,19 +381,11 @@ def exact_moment(distribution: dict[int, Fraction], r: int) -> Fraction:
     return sum((Fraction(p) * j ** r for j, p in distribution.items()), Fraction(0))
 
 
-@dataclass(frozen=True)
-class WalkTermAtCutoff:
-    shape: Partition
-    t: int
-    steps: int
-    term: mpmath.mpf
-    limit: mpmath.mpf
-
-
 def walk_term_at_cutoff(
     lam, i: int, c: float, n: int, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> WalkTermAtCutoff:
-    """Single-shape walk term dim * ratio^steps at the cutoff, with its limit.
+) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """(term, limit): the single-shape walk term dim * ratio^steps at the
+    cutoff, steps = cutoff_steps(n, i, c), and its limit.
 
     For a shape whose first part is n - t, the term approaches
     exp(-i*t*c) times the dimension of the shape below the first row,
@@ -414,7 +406,7 @@ def walk_term_at_cutoff(
             / mpmath.factorial(t)
         )
     with mp.workprec(precision_bits):
-        return WalkTermAtCutoff(shape=lam, t=t, steps=k, term=+term, limit=+limit)
+        return +term, +limit
 
 
 def _report(

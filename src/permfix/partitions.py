@@ -28,7 +28,7 @@ class Partition(tuple):
         return super().__new__(cls, parts)
 
     def __repr__(self) -> str:
-        return f"Partition{tuple.__repr__(self)}"
+        return f"{type(self).__name__}{tuple.__repr__(self)}"
 
     @property
     def n(self) -> int:

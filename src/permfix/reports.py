@@ -41,18 +41,12 @@ def encode(obj, precision_bits: int = DEFAULT_PRECISION_BITS):
             for f in dataclasses.fields(obj)
         }
     if isinstance(obj, dict):
-        return {str(encode_key(k)): encode(v, precision_bits) for k, v in obj.items()}
+        return {str(k): encode(v, precision_bits) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         if set(map(type, obj)) == {int}:
             return list(obj)
         return [encode(v, precision_bits) for v in obj]
     raise TypeError(f"cannot encode {type(obj)!r}")
-
-
-def encode_key(key) -> str:
-    if isinstance(key, tuple):
-        return ",".join(str(v) for v in key)
-    return str(key)
 
 
 def build_report(
@@ -71,15 +65,18 @@ def to_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True)
 
 
-def to_csv(report: dict, table_key: str = "table") -> str:
-    """CSV of the report's tabular section; falls back to key/value pairs."""
+def to_csv(report: dict) -> str:
+    """CSV of the report's table: its rows under a header read off the
+    first row, nothing when it has no rows. A report without a table
+    gives its key/value pairs."""
     buffer = io.StringIO()
-    table = report.get(table_key)
-    if isinstance(table, list) and table and isinstance(table[0], dict):
-        writer = csv.DictWriter(buffer, fieldnames=list(table[0].keys()))
-        writer.writeheader()
-        for row in table:
-            writer.writerow({k: _cell(v) for k, v in row.items()})
+    table = report.get("table")
+    if isinstance(table, list):
+        if table:
+            writer = csv.DictWriter(buffer, fieldnames=list(table[0].keys()))
+            writer.writeheader()
+            for row in table:
+                writer.writerow({k: _cell(v) for k, v in row.items()})
     else:
         writer = csv.writer(buffer)
         writer.writerow(["key", "value"])

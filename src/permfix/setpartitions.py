@@ -12,7 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, perm
 
-_DEFAULT_ROWS = 12
 _rows: list[list[int]] = [[1]]
 
 
@@ -24,9 +23,6 @@ def _ensure(r: int) -> None:
         for a in range(1, k + 1):
             row[a] = a * (prev[a] if a < k else 0) + prev[a - 1]
         _rows.append(row)
-
-
-_ensure(_DEFAULT_ROWS)
 
 
 def stirling(r: int, a: int) -> int:

@@ -233,7 +233,7 @@ def _shape_law_normalization(ns, rs):
 
 def _ratio_decay(i, t, ns):
     """Scaled ratio deviations along ns: bounded at the first n, then non-increasing."""
-    seq = [row.max_scaled_error for row in verify_ratio_asymptotics(i, t, ns)]
+    seq = verify_ratio_asymptotics(i, t, ns)
     ok = seq[0] < RATIO_CONSTANT_BOUND and all(a >= b for a, b in zip(seq, seq[1:]))
     return ok, {"scaled_errors": [float(v) for v in seq], "n_grid": list(ns)}
 
@@ -253,8 +253,8 @@ def _walk_term_limit(tails, ns, precision_bits):
         t = sum(tail)
         gaps = []
         for n in ns:
-            term = walk_term_at_cutoff(Partition((n - t, *tail)), 2, 0.0, n, precision_bits)
-            gaps.append(abs(float(term.term - term.limit)))
+            term, limit = walk_term_at_cutoff(Partition((n - t, *tail)), 2, 0.0, n, precision_bits)
+            gaps.append(abs(float(term - limit)))
         records.append({"t": t, "gaps": gaps})
         if any(b > a + 1e-12 for a, b in zip(gaps, gaps[1:])):
             bad.append(t)

@@ -35,6 +35,19 @@ def test_cycle_type_of_size_checks_the_size_it_is_given():
     assert str(excinfo.value) == "cycle type CycleType(3, 2) has size 5, expected 6"
 
 
+def test_cycle_type_is_a_partition():
+    ct = CycleType((1, 3, 2, 2))
+    assert isinstance(ct, Partition)
+    assert repr(ct) == "CycleType(3, 2, 2, 1)"
+    assert tuple(ct) == (3, 2, 2, 1)
+    assert CycleType(ct) is ct
+    for bad in ((2, 0, 1), (2, -1), (2.0, 1), ("2",)):
+        with pytest.raises(ValueError):
+            CycleType(bad)
+    with pytest.raises(SizeMismatchError):
+        CycleType.of_size((3, 1), 5)
+
+
 def test_cycle_type_statistics():
     ct = CycleType((1, 2, 2, 3, 1, 1))
     assert tuple(ct) == (3, 2, 2, 1, 1, 1)
@@ -250,21 +263,20 @@ def test_perm_cycle_type():
 
 
 def test_ratio_asymptotics_trivial_stratum():
-    rows = verify_ratio_asymptotics(2, 0, [50, 100])
-    assert all(row.max_scaled_error == 0 for row in rows)
+    errors = verify_ratio_asymptotics(2, 0, [50, 100])
+    assert errors == [0, 0]
 
 
 def test_ratio_asymptotics_standard_stratum():
-    rows = verify_ratio_asymptotics(2, 1, [50, 100, 200, 400])
-    for row in rows:
-        assert row.max_scaled_error == Fraction(2 * row.n, row.n - 1)
-    errors = [row.max_scaled_error for row in rows]
+    ns = [50, 100, 200, 400]
+    errors = verify_ratio_asymptotics(2, 1, ns)
+    assert errors == [Fraction(2 * n, n - 1) for n in ns]
     assert all(errors[j] > errors[j + 1] for j in range(len(errors) - 1))
 
 
 def test_ratio_asymptotics_deeper_stratum_is_finite():
-    rows = verify_ratio_asymptotics(3, 2, [50, 100, 200])
-    assert all(row.max_scaled_error < 100 for row in rows)
+    errors = verify_ratio_asymptotics(3, 2, [50, 100, 200])
+    assert len(errors) == 3 and all(error < 100 for error in errors)
 
 
 def test_ratio_asymptotics_validates_inputs():

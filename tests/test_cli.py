@@ -329,6 +329,27 @@ def test_moments_csv_header_is_the_table_columns(capsys, leaf):
     assert [row.split(",")[0] for row in rows] == ["1", "2"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("moments", "commutator-random", "--n", "5"),
+    ("simulate", "--model", "uniform", "--n", "5", "--samples", "100", "--seed", "1"),
+])
+def test_empty_table_gives_empty_csv(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--r-max", "0", "--format", "csv")
+    assert code == 0
+    assert out == ""
+
+
+def test_csv_without_a_table_gives_key_value_pairs(capsys):
+    code, out, _ = run_cli(capsys, "mult", "--lambda", "3,1", "--r", "2", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["key,value", "multiplicity,3"]
+    code, out, _ = run_cli(capsys, "ratio", "--lambda", "3,1", "--i", "2", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == [
+        "key,value", 'shape,"[3, 1]"', "i,2", "ratio,1/3", "ratio_float,0.3333333333333333",
+    ]
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["mult", "--nope"])

@@ -272,20 +272,19 @@ def test_walk_cutoff_large_c_approaches_unit_mean():
 
 
 def test_walk_term_trivial_shape():
-    term = walk_term_at_cutoff((300,), 2, 0.0, 300)
-    assert term.t == 0
-    assert float(term.term) == pytest.approx(1.0)
-    assert float(term.limit) == pytest.approx(1.0)
+    term, limit = walk_term_at_cutoff((300,), 2, 0.0, 300)
+    assert float(term) == pytest.approx(1.0)
+    assert float(limit) == pytest.approx(1.0)
 
 
 def test_walk_term_standard_and_two_row_limits():
     n = 400
-    one = walk_term_at_cutoff((n - 1, 1), 2, 0.0, n)
-    assert float(one.limit) == pytest.approx(1.0)
-    assert abs(float(one.term) - 1.0) < 0.1
-    two = walk_term_at_cutoff((n - 2, 2), 2, 0.0, n)
-    assert float(two.limit) == pytest.approx(0.5)
-    assert abs(float(two.term) - 0.5) < 0.1
+    term, limit = walk_term_at_cutoff((n - 1, 1), 2, 0.0, n)
+    assert float(limit) == pytest.approx(1.0)
+    assert abs(float(term) - 1.0) < 0.1
+    term, limit = walk_term_at_cutoff((n - 2, 2), 2, 0.0, n)
+    assert float(limit) == pytest.approx(0.5)
+    assert abs(float(term) - 0.5) < 0.1
 
 
 def test_walk_term_validates_size():

@@ -57,15 +57,16 @@ def test_walk_cutoff_scan_at_a_million():
 def test_compare_outputs_finds_no_difference_against_its_own_checkout():
     lines = run_script("compare_outputs.py", str(ROOT), "--seeds", "1")
     assert len(lines) == 1
-    compared, mult, readme, csv, differ = re.fullmatch(
-        r"compared (\d+) calls \((\d+) mult, (\d+) from README.md, (\d+) of them again as CSV\): "
-        r"(\d+) differ", lines[0]).groups()
+    compared, mult, readme, csv, scripts, differ = re.fullmatch(
+        r"compared (\d+) calls \((\d+) mult, (\d+) from README.md, (\d+) of them again as CSV\) "
+        r"and (\d+) README scripts: (\d+) differ", lines[0]).groups()
     # Every operation of the three benchmark workloads, more than 100 at one
     # seed, mult for the 66 shapes of n = 1..8 at three orders, every
-    # permfix command line of the README, and its moments and dist lines
-    # again as CSV.
-    readme_lines = [line for line in (ROOT / "README.md").read_text().splitlines()
-                    if line.startswith("permfix ")]
+    # permfix command line of the README, its moments and dist lines
+    # again as CSV, and the README's three experiment script lines.
+    readme_text = (ROOT / "README.md").read_text().splitlines()
+    readme_lines = [line for line in readme_text if line.startswith("permfix ")]
+    assert int(scripts) == sum(line.startswith("python scripts/") for line in readme_text) == 3
     assert int(readme) == len(readme_lines) >= 10
     assert int(csv) == sum(line.split()[1] in ("moments", "dist") for line in readme_lines) >= 5
     assert int(mult) == 66 * 3
