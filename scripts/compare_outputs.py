@@ -8,9 +8,12 @@ Usage, from anywhere:
 The calls are every operation that perfbench/workloads.py builds for the
 three workloads at each seed, then ``permfix mult --alg skew`` for every
 shape of n <= 8 at r in {1, 4, 9} (no benchmark operation reaches the
-skew counts of mult), then every ``permfix`` command line of this
-checkout's README.md at ``--threads 1``, then its ``moments`` and ``dist``
-lines again with ``--format csv``, all built once from this checkout.
+skew counts of mult), then whole sweeps (``--r-max n``) of
+``moments commutator-fixed`` at classes with more than n/2 fixed points
+and n from 16 to 24, above the benchmark's n <= 12, then every
+``permfix`` command line of this checkout's README.md at ``--threads 1``,
+then its ``moments`` and ``dist`` lines again with ``--format csv``, all
+built once from this checkout.
 Each tree runs all of them through ``permfix.cli.main`` in one
 subprocess that imports that tree's own ``src``, the benchmark's first
 and in their order, so caches warm up as they do in a benchmark round.
@@ -18,11 +21,12 @@ The two subprocesses run at the same time.
 The README's ``python scripts/...`` lines then run in each tree, as
 that tree's own scripts with its ``src`` first on the path.
 The script prints how many calls it compared, how many of them were
-mult calls, how many came from the README and how many README lines ran
-again as CSV, how many README scripts it compared, and the argv of each
-call whose stdout or exit code differs and of each script whose stdout
-differs, and exits 0 when every output is identical and 1 otherwise. A
-script that exits with an error in either tree stops the comparison.
+mult calls and whole sweeps, how many came from the README and how many
+README lines ran again as CSV, how many README scripts it compared, and
+the argv of each call whose stdout or exit code differs and of each
+script whose stdout differs, and exits 0 when every output is identical
+and 1 otherwise. A script that exits with an error in either tree stops
+the comparison.
 """
 from __future__ import annotations
 
@@ -76,6 +80,13 @@ def mult_calls() -> list[list[str]]:
 
     return [["mult", "--lambda", ",".join(map(str, lam)), "--r", str(r), "--alg", "skew"]
             for n in range(1, 9) for lam in partition_tuples(n, n) for r in (1, 4, 9)]
+
+
+def sweep_calls() -> list[list[str]]:
+    """The argv of whole fixed-x commutator sweeps at classes rich in fixed points."""
+    return [["moments", "commutator-fixed", "--n", str(n), "--x", x, "--r-max", str(n),
+             "--threads", "1"]
+            for n, x in ((16, "1^16"), (16, "2,1^14"), (20, "3^2,1^14"), (24, "2^3,1^18"))]
 
 
 def readme_calls() -> list[list[str]]:
@@ -143,9 +154,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     args = parser.parse_args(argv)
 
-    mult, readme = mult_calls(), readme_calls()
+    mult, sweeps, readme = mult_calls(), sweep_calls(), readme_calls()
     csv = csv_calls(readme)
-    calls = build_calls(args.seeds) + mult + readme + csv
+    calls = build_calls(args.seeds) + mult + sweeps + readme + csv
     with tempfile.TemporaryDirectory() as scratch:
         calls_file = Path(scratch) / "calls.json"
         calls_file.write_text(json.dumps(calls))
@@ -162,7 +173,8 @@ def main(argv=None) -> int:
         theirs, ours = run_script([args.parent, ROOT], argv)
         if theirs != ours:
             differ.append("python " + " ".join(argv))
-    print(f"compared {len(calls)} calls ({len(mult)} mult, {len(readme)} from README.md, "
+    print(f"compared {len(calls)} calls ({len(mult)} mult, {len(sweeps)} whole sweeps, "
+          f"{len(readme)} from README.md, "
           f"{len(csv)} of them again as CSV) and {len(scripts)} README scripts: "
           f"{len(differ)} differ")
     for call in differ:

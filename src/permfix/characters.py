@@ -19,11 +19,8 @@ lam = (n - s, nu):
 A third route serves a caller that weighs every shape of n at one class:
 class_column gives the whole column from one forward Murnaghan-Nakayama
 pass, which adds a border strip per cycle, smallest first, to beta-sets
-held as bitmasks. The forward pass adds fixed points one box at a time,
-so sweep_character, the one place that picks between the column and
-class_character, reads the column only for classes with at most n/2
-fixed points. The moment engine's fixed-x commutator reads it when its
-shapes are all those of n, and so does the walk's class inversion.
+held as bitmasks. The moment engine's fixed-x commutator reads it when
+its shapes are all those of n, and so does the walk's class inversion.
 
 A class is a CycleType: the Partition of n by its cycle lengths, with
 the class statistics added, so one constructor checks shapes and classes.
@@ -52,7 +49,12 @@ class CycleType(Partition):
     def __new__(cls, cycles=()):
         if isinstance(cycles, CycleType):
             return cycles
-        return super().__new__(cls, sorted(cycles, reverse=True))
+        cycles = tuple(cycles)
+        try:
+            ordered = sorted(cycles, reverse=True)
+        except TypeError:
+            raise ValueError(f"parts must be positive integers: {cycles!r}") from None
+        return super().__new__(cls, ordered)
 
     @classmethod
     def of_size(cls, cycles, n: int) -> "CycleType":
@@ -202,10 +204,9 @@ def _char_polynomial(counts: dict[int, int]) -> Callable[[tuple], int]:
 @cache
 def class_character(mu: tuple) -> Callable[[tuple], int]:
     """parts -> character at the class mu (largest cycle first); polynomial if 2 parts[0] >= n."""
+    n = sum(mu)
     polynomial = _char_polynomial(Counter(mu))
-    return lambda parts: (
-        polynomial(parts[1:]) if 2 * sum(parts[:1]) >= sum(parts) else _char(parts, mu)
-    )
+    return lambda parts: polynomial(parts[1:]) if 2 * sum(parts[:1]) >= n else _char(parts, mu)
 
 
 def _parts_of_beads(beads: int, count: int) -> tuple:
@@ -248,17 +249,6 @@ def class_column(mu: tuple) -> dict[tuple, int]:
                 added[child] = added.get(child, 0) + (-value if height & 1 else value)
         level = {beads: value for beads, value in added.items() if value}
     return {_parts_of_beads(beads, n): value for beads, value in level.items()}
-
-
-def sweep_character(mu: tuple, every_shape: bool) -> Callable[[tuple], int]:
-    """parts -> character at the class mu: the whole column when the caller
-    weighs every shape of n and mu has at most n/2 fixed points, which the
-    forward pass adds one box at a time where class_character ends them
-    with one dim; class_character otherwise."""
-    if every_shape and 2 * mu.count(1) <= sum(mu):
-        column = class_column(mu)
-        return lambda parts: column.get(parts, 0)
-    return class_character(mu)
 
 
 def character(lam, mu) -> int:

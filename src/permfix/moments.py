@@ -26,9 +26,9 @@ uniform permutation's weight is 1 on the one-row shape alone, so its
 F_a are 1 and need no walk.
 The fixed-x commutator weighs each shape by chi^lam(x)^2 / dim; when
 its shapes are every shape of n (n - min(r_max, n) <= 1), it reads the
-characters off the class's whole column (characters.sweep_character),
-as the walk's class inversion does for each class. Both keep the
-per-shape class_character for classes with more than n/2 fixed points.
+characters off the class's whole column (characters.class_column), as
+the walk's class inversion does for each class, and shape by shape
+(characters.class_character) otherwise.
 Commutator moments are exact rationals. The walk offers an exact
 rational path (small k) and a high-precision float path that powers
 ratios in log space, since |ratio| <= 1 and k can reach n log n.
@@ -59,7 +59,13 @@ from typing import Callable
 import mpmath
 from mpmath import mp
 
-from .characters import CycleType, char_ratio_icycle, perm_from_cycle_type, sweep_character
+from .characters import (
+    CycleType,
+    char_ratio_icycle,
+    class_character,
+    class_column,
+    perm_from_cycle_type,
+)
 from .errors import EnumerationLimitError, SizeMismatchError, ValidationError
 from .partitions import Partition, all_partitions, dim, partition_tuples
 from .setpartitions import poisson_moment, stirling_row
@@ -206,7 +212,10 @@ def commutator_fixed_moments(n: int, x, r_max: int) -> list[Fraction]:
     x = CycleType.of_size(x, n)
     if r_max < 0:
         raise ValidationError("r must be nonnegative")
-    chi = sweep_character(x, every_shape=n - min(r_max, n) <= 1)
+    # A whole sweep reads the column lazily (class_column is cached), so
+    # the engine's bounds refuse an oversized sweep before it is built.
+    whole = n - min(r_max, n) <= 1
+    chi = (lambda lam: class_column(x).get(lam, 0)) if whole else class_character(x)
     return _moments(n, r_max, lambda lam: (chi(lam) ** 2, dim(lam)))
 
 
@@ -333,12 +342,12 @@ def walk_exact_distribution(n: int, i: int, k: int) -> dict[int, Fraction]:
     numerators, over_denominator = _over_common_denominator(
         [_walk_weight(tau, i, k) for tau in shapes]
     )
+    numerator = dict(zip(shapes, numerators))
     histogram: dict[int, Fraction] = {}
     total = Fraction(0)
     for mu_parts in shapes:
         mu = CycleType(mu_parts)
-        chi = sweep_character(mu, every_shape=True)
-        acc = sum(w * chi(tau) for tau, w in zip(shapes, numerators) if w)
+        acc = sum(numerator[tau] * value for tau, value in class_column(mu).items())
         prob = over_denominator(acc) / mu.centralizer_order()
         if prob < 0:
             raise ArithmeticError(f"negative class probability at {mu!r}")

@@ -730,6 +730,10 @@ def test_engine_shape_cap_admits_every_partition_of_40():
     ("moments", "walk", "--n", "2000", "--i", "2", "--c", "0", "--r-max", "40"),
     ("moments", "commutator-random", "--n", "1000000", "--r-max", "40"),
     ("moments", "commutator-fixed", "--n", "1000", "--x", "2^500", "--r-max", "32"),
+    # Whole sweeps, whose character column alone would outgrow memory.
+    ("moments", "commutator-fixed", "--n", "100", "--x", "1^100", "--r-max", "100"),
+    ("simulate", "--model", "commutator", "--n", "100", "--x", "1^100", "--samples", "10",
+     "--r-max", "50"),
     ("simulate", "--model", "commutator", "--n", "1000", "--samples", "10", "--r-max", "16"),
     ("simulate", "--model", "walk", "--n", "1000", "--i", "2", "--k", "1", "--r-max", "16"),
 ])
@@ -867,6 +871,7 @@ def test_every_command_line_exits_with_a_documented_code(capsys, argv):
     # 139 MB for the cached Stirling rows, at five shapes.
     ("moments", "commutator-random", "--n", "5", "--r-max", "800"),
     ("moments", "commutator-random", "--n", "5", "--r-max", str(MAX_ORDER + 1)),
+    ("moments", "commutator-fixed", "--n", "200", "--x", "1^200", "--r-max", "200"),
     ("simulate", "--model", "uniform", "--n", "5", "--samples", "10",
      "--r-max", str(MAX_ORDER // 2 + 1)),
 ])

@@ -7,6 +7,7 @@ Fraction weights, while the engine takes its rational weights as integer
 (numerator, denominator) pairs.
 """
 from fractions import Fraction
+from functools import cache
 
 import mpmath
 import pytest
@@ -39,7 +40,7 @@ from permfix.moments import (
     uniform_moments,
     walk_exact_distribution,
 )
-from permfix.partitions import all_partitions, dim
+from permfix.partitions import all_partitions, dim, partition_tuples
 from permfix.setpartitions import stirling_row
 
 
@@ -314,28 +315,38 @@ def test_float_walk_far_past_mixing_reaches_the_alternating_law(k, top):
 
 
 def _per_shape_characters(monkeypatch) -> list:
-    """Serve the engines every character through class_character, recording
-    the (class, every_shape) of each request."""
+    """Serve the engines every class column through class_character, shape
+    by shape, recording each class the first time its column is asked for."""
     asked = []
 
-    def sweep_character(mu, every_shape):
-        asked.append((mu, every_shape))
-        return class_character(mu)
+    @cache
+    def class_column(mu):
+        asked.append(mu)
+        chi = class_character(mu)
+        return {lam: value for lam in partition_tuples(sum(mu), sum(mu)) if (value := chi(lam))}
 
-    monkeypatch.setattr(moments, "sweep_character", sweep_character)
+    monkeypatch.setattr(moments, "class_column", class_column)
     return asked
 
 
-@pytest.mark.parametrize("n", range(1, 10))
-def test_whole_sweeps_equal_the_per_shape_route(monkeypatch, n):
-    # Every class of n: from n >= 2 on, some have more than n/2 fixed points
-    # (class_character serves them) and some fewer (the whole column).
-    classes = [CycleType(parts) for parts in all_partitions(n)]
+@pytest.mark.parametrize("n, classes", [(n, None) for n in range(1, 10)]
+                         # 14 of the 16 points fixed: still the column for a whole sweep.
+                         + [pytest.param(16, [(2,) + (1,) * 14], id="16-2,1^14")])
+def test_whole_sweeps_equal_the_per_shape_route(monkeypatch, n, classes):
+    # Each class (every class of n by default) at orders that sweep every
+    # shape (the column) and, from n >= 2 on, at r = n - 2, which sweeps
+    # only part of them, shape by shape.
+    classes = [CycleType(parts) for parts in classes or all_partitions(n)]
     orders = sorted({n, max(n - 1, 0), max(n - 2, 0)})
     swept = {(x, r): commutator_fixed_moments(n, x, r) for x in classes for r in orders}
     asked = _per_shape_characters(monkeypatch)
+    shape_by_shape = []
+    monkeypatch.setattr(moments, "class_character",
+                        lambda mu: shape_by_shape.append(mu) or class_character(mu))
     assert [commutator_fixed_moments(n, x, r) for x, r in swept] == list(swept.values())
-    assert asked == [(x, n - min(r, n) <= 1) for x, r in swept]
+    # Every class is swept whole at r = n, so each column is asked for.
+    assert asked == classes
+    assert shape_by_shape == [x for x, r in swept if n - min(r, n) > 1]
 
 
 def test_class_inversion_is_unchanged_on_the_c08_grid(monkeypatch):
@@ -343,4 +354,4 @@ def test_class_inversion_is_unchanged_on_the_c08_grid(monkeypatch):
     laws = {point: walk_exact_distribution(*point) for point in points}
     asked = _per_shape_characters(monkeypatch)
     assert [walk_exact_distribution(*point) for point in laws] == list(laws.values())
-    assert {every_shape for _, every_shape in asked} == {True}
+    assert asked == list(dict.fromkeys(mu for n, _, _ in laws for mu in partition_tuples(n, n)))

@@ -57,17 +57,20 @@ def test_walk_cutoff_scan_at_a_million():
 def test_compare_outputs_finds_no_difference_against_its_own_checkout():
     lines = run_script("compare_outputs.py", str(ROOT), "--seeds", "1")
     assert len(lines) == 1
-    compared, mult, readme, csv, scripts, differ = re.fullmatch(
-        r"compared (\d+) calls \((\d+) mult, (\d+) from README.md, (\d+) of them again as CSV\) "
-        r"and (\d+) README scripts: (\d+) differ", lines[0]).groups()
+    compared, mult, sweeps, readme, csv, scripts, differ = re.fullmatch(
+        r"compared (\d+) calls \((\d+) mult, (\d+) whole sweeps, (\d+) from README.md, "
+        r"(\d+) of them again as CSV\) and (\d+) README scripts: (\d+) differ", lines[0]).groups()
     # Every operation of the three benchmark workloads, more than 100 at one
-    # seed, mult for the 66 shapes of n = 1..8 at three orders, every
-    # permfix command line of the README, its moments and dist lines
-    # again as CSV, and the README's three experiment script lines.
+    # seed, mult for the 66 shapes of n = 1..8 at three orders, four whole
+    # fixed-x sweeps at n = 16 to 24, every permfix command line of the
+    # README, its moments and dist lines again as CSV, and the README's
+    # three experiment script lines.
     readme_text = (ROOT / "README.md").read_text().splitlines()
     readme_lines = [line for line in readme_text if line.startswith("permfix ")]
     assert int(scripts) == sum(line.startswith("python scripts/") for line in readme_text) == 3
     assert int(readme) == len(readme_lines) >= 10
     assert int(csv) == sum(line.split()[1] in ("moments", "dist") for line in readme_lines) >= 5
     assert int(mult) == 66 * 3
-    assert int(compared) - int(csv) - int(readme) - int(mult) > 100 and differ == "0"
+    assert int(sweeps) == 4
+    assert int(compared) - int(csv) - int(readme) - int(mult) - int(sweeps) > 100
+    assert differ == "0"
