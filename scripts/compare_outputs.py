@@ -10,7 +10,9 @@ three workloads at each seed, then ``permfix mult --alg skew`` for every
 shape of n <= 8 at r in {1, 4, 9} (no benchmark operation reaches the
 skew counts of mult), then whole sweeps (``--r-max n``) of
 ``moments commutator-fixed`` at classes with more than n/2 fixed points
-and n from 16 to 24, above the benchmark's n <= 12, then every
+and n from 16 to 24, then partial sweeps on both sides of 2 r_max = n
+(the truncated column at or above, the character polynomial below), all
+above the benchmark's n <= 12, then every
 ``permfix`` command line of this checkout's README.md at ``--threads 1``,
 then its ``moments`` and ``dist`` lines again with ``--format csv``, all
 built once from this checkout.
@@ -21,11 +23,11 @@ The two subprocesses run at the same time.
 The README's ``python scripts/...`` lines then run in each tree, as
 that tree's own scripts with its ``src`` first on the path.
 The script prints how many calls it compared, how many of them were
-mult calls and whole sweeps, how many came from the README and how many
-README lines ran again as CSV, how many README scripts it compared, and
-the argv of each call whose stdout or exit code differs and of each
-script whose stdout differs, and exits 0 when every output is identical
-and 1 otherwise. A script that exits with an error in either tree stops
+mult calls, whole sweeps and partial sweeps, how many came from the
+README and how many README lines ran again as CSV, how many README
+scripts it compared, and the argv of each call whose stdout or exit
+code differs and of each script whose stdout differs, and exits 0 when
+every output is identical and 1 otherwise. A script that exits with an error in either tree stops
 the comparison.
 """
 from __future__ import annotations
@@ -82,11 +84,19 @@ def mult_calls() -> list[list[str]]:
             for n in range(1, 9) for lam in partition_tuples(n, n) for r in (1, 4, 9)]
 
 
-def sweep_calls() -> list[list[str]]:
-    """The argv of whole fixed-x commutator sweeps at classes rich in fixed points."""
-    return [["moments", "commutator-fixed", "--n", str(n), "--x", x, "--r-max", str(n),
+def sweep_calls(sweeps) -> list[list[str]]:
+    """The argv of fixed-x commutator sweeps, one per (n, x, r_max)."""
+    return [["moments", "commutator-fixed", "--n", str(n), "--x", x, "--r-max", str(r_max),
              "--threads", "1"]
-            for n, x in ((16, "1^16"), (16, "2,1^14"), (20, "3^2,1^14"), (24, "2^3,1^18"))]
+            for n, x, r_max in sweeps]
+
+
+# Whole sweeps at classes rich in fixed points.
+WHOLE_SWEEPS = ((16, "1^16", 16), (16, "2,1^14", 16), (20, "3^2,1^14", 20), (24, "2^3,1^18", 24))
+# Partial sweeps: the truncated column at 2 r_max >= n, the character
+# polynomial below.
+PARTIAL_SWEEPS = ((20, "3^2,1^14", 12), (24, "2^12", 14), (30, "2^15", 15),
+                  (64, "5^4,4^5,3^6,2^3", 12))
 
 
 def readme_calls() -> list[list[str]]:
@@ -154,9 +164,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     args = parser.parse_args(argv)
 
-    mult, sweeps, readme = mult_calls(), sweep_calls(), readme_calls()
+    mult, sweeps, partial = mult_calls(), sweep_calls(WHOLE_SWEEPS), sweep_calls(PARTIAL_SWEEPS)
+    readme = readme_calls()
     csv = csv_calls(readme)
-    calls = build_calls(args.seeds) + mult + sweeps + readme + csv
+    calls = build_calls(args.seeds) + mult + sweeps + partial + readme + csv
     with tempfile.TemporaryDirectory() as scratch:
         calls_file = Path(scratch) / "calls.json"
         calls_file.write_text(json.dumps(calls))
@@ -174,6 +185,7 @@ def main(argv=None) -> int:
         if theirs != ours:
             differ.append("python " + " ".join(argv))
     print(f"compared {len(calls)} calls ({len(mult)} mult, {len(sweeps)} whole sweeps, "
+          f"{len(partial)} partial sweeps, "
           f"{len(readme)} from README.md, "
           f"{len(csv)} of them again as CSV) and {len(scripts)} README scripts: "
           f"{len(differ)} differ")

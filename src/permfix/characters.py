@@ -1,26 +1,24 @@
 """Exact irreducible characters of S_n and character ratios on i-cycles.
 
-character (through class_character) takes one of two routes for a shape
-lam = (n - s, nu):
+Every character sweep runs on one kernel, _add_strips: the power sum p_c
+on shapes held as bitmasks of their beta numbers (first-column hook
+lengths), where adding a border strip of c cells moves one bead up c
+places onto a free one. class_character(mu, below) serves the shapes of
+n with at most below cells under the first row, by one of two products
+of power sums applied to the empty shape:
 
-* Character polynomials when s <= lam_1. Expanding the Jacobi-Trudi
-  determinant along its first row gives chi^lam(x) = sum_mu (-1)^j I_x(mu)
-  over the shapes mu that nu leaves after removing a vertical strip of j
-  cells, where I_x(mu) = sum_{rho |- |mu|} chi^mu(rho) prod_k
-  C(n_k(x), m_k(rho)) and n_k counts k-cycles. Only the rho made of cycles
-  of x contribute, so the work never depends on the number of cycles.
-* Murnaghan-Nakayama for the other shapes. Border strips are enumerated
-  through beta-sets (first-column hook lengths): removing a strip of
-  length L lowers one beta number by L onto an unoccupied value, and the
-  strip height is the number of beta numbers jumped over. Cycles are
-  consumed largest first and values are memoized per (remaining cycles,
-  shape).
+* the class's column p_mu, when 2 below >= n: class_column adds one
+  strip per cycle, smallest first, and drops each shape with more than
+  below cells under its first row as soon as it appears;
+* the character polynomial otherwise. Expanding the Jacobi-Trudi
+  determinant along its first row gives chi^(n - |nu|, nu)(x) = sum
+  (-1)^j I_x(mu) over the shapes mu that nu leaves after removing a
+  vertical strip of j cells, and the I_x(mu) are the coefficients of
+  prod_k (1 + p_k)^(n_k) up to below cells, n_k counting the k-cycles
+  of x. The work depends on the cycle lengths, not on their number.
 
-A third route serves a caller that weighs every shape of n at one class:
-class_column gives the whole column from one forward Murnaghan-Nakayama
-pass, which adds a border strip per cycle, smallest first, to beta-sets
-held as bitmasks. The moment engine's fixed-x commutator reads it when
-its shapes are all those of n, and so does the walk's class inversion.
+character(lam, mu) is a one-shape sweep at below = n - lam_1. _char,
+the plain Murnaghan-Nakayama recursion, is the gates' oracle.
 
 A class is a CycleType: the Partition of n by its cycle lengths, with
 the class statistics added, so one constructor checks shapes and classes.
@@ -33,12 +31,14 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
+from itertools import islice
 from math import comb, factorial
 from typing import Callable
 
 from .errors import SizeMismatchError, ValidationError
-from .partitions import Partition, bounded_partitions, dim
+from .limits import MAX_ENGINE_SHAPES
+from .partitions import Partition, bounded_partitions, dim, partition_tuples
 
 
 class CycleType(Partition):
@@ -120,46 +120,91 @@ def _strip_removals(parts: tuple, size: int) -> list[tuple[tuple, int]]:
     return results
 
 
-_char_memo: dict[tuple, dict[tuple, int]] = {}
-
-
+@cache
 def _char(parts: tuple, cycles: tuple) -> int:
-    """Murnaghan-Nakayama value, memoized per remaining cycles and shape.
+    """Murnaghan-Nakayama by recursion, cycles largest first, then the dimension at fixed points."""
+    if not cycles or cycles[0] == 1:
+        return dim(parts)
+    total = 0
+    for shape, height in _strip_removals(parts, cycles[0]):
+        value = _char(shape, cycles[1:])
+        total += -value if height % 2 else value
+    return total
 
-    A forward pass takes the cycles in turn and collects, level by level,
-    the shapes left by each strip removal whose value is not memoized yet;
-    a backward pass then sums the levels from the last one up. No step
-    recurses, so classes with thousands of non-fixed cycles need no
-    call-stack depth. Once only fixed points remain, the value is the
-    dimension (1 for the empty shape once no cycle remains).
+
+def _add_strips(level: dict[int, int], c: int, lowest_top: int) -> dict[int, int]:
+    """The power sum p_c on {beads: value}, a shape being the bitmask of its beta numbers.
+
+    Adding a border strip of c cells moves one bead up c places onto a
+    free one, with sign (-1) to the number of beads jumped. Shapes whose
+    top bead lands below lowest_top, and values that cancel, are dropped.
     """
-    memo = _char_memo
-    known = memo.setdefault(cycles, {})
-    if parts in known:
-        return known[parts]
-    top = known
-    levels = []
-    frontier = {parts}
-    depth = 0
-    while frontier:
-        if depth == len(cycles) or cycles[depth] == 1:
-            for shape in frontier:
-                known[shape] = dim(shape)
-            break
-        below = memo.setdefault(cycles[depth + 1:], {})
-        strips = {shape: _strip_removals(shape, cycles[depth]) for shape in frontier}
-        levels.append((known, below, strips))
-        frontier = {s for removals in strips.values() for s, _ in removals if s not in below}
-        known = below
-        depth += 1
-    for values, below, strips in reversed(levels):
-        for shape, removals in strips.items():
-            total = 0
-            for child, height in removals:
-                value = below[child]
-                total += -value if height % 2 else value
-            values[shape] = total
-    return top[parts]
+    jumped = (1 << (c - 1)) - 1
+    added: dict[int, int] = {}
+    for beads, value in level.items():
+        movable = beads & ~(beads >> c)
+        while movable:
+            bead = movable & -movable
+            movable ^= bead
+            child = beads ^ bead ^ (bead << c)
+            if child >> lowest_top:
+                height = ((beads >> bead.bit_length()) & jumped).bit_count()
+                added[child] = added.get(child, 0) + (-value if height & 1 else value)
+    return {beads: value for beads, value in added.items() if value}
+
+
+def _parts_of_beads(beads: int, count: int) -> tuple:
+    """The shape whose count beta numbers are the set bits of beads."""
+    parts = []
+    rest = count - 1  # the top bead's place in the empty shape
+    while (top := beads.bit_length() - 1) != rest:
+        parts.append(top - rest)
+        beads ^= 1 << top
+        rest -= 1
+    return tuple(parts)
+
+
+@cache
+def class_column(mu: tuple, below: int) -> dict[tuple, int]:
+    """{parts: chi^parts(mu) != 0} over the shapes of n with at most below <= n cells under row 1.
+
+    p_mu applied to the empty shape, one cycle at a time, smallest first.
+    Every shape on the way lies inside the final one, so a shape with more
+    than below cells under its first row is dropped as soon as it appears.
+    The shapes kept have at most below + 1 rows, so that many beads (n at
+    most) hold them, the empty shape being the lowest bits.
+    """
+    n = sum(mu)
+    count = min(below + 1, n)
+    level = {(1 << count) - 1: 1}
+    cells = 0
+    for c in reversed(mu):
+        cells += c
+        # A shape of cells cells has first part top - count + 1.
+        level = _add_strips(level, c, cells - below + count - 1)
+    return {_parts_of_beads(beads, count): value for beads, value in level.items()}
+
+
+def _induced_values(mu: tuple, below: int) -> dict[tuple, int]:
+    """{nu: I_x(nu) != 0} over the shapes nu of at most below cells, x = mu.
+
+    I_x(nu) = sum_rho chi^nu(rho) prod_k C(n_k, m_k(rho)) over the
+    sub-multisets rho of the cycles of x, n_k counting k-cycles, is the
+    coefficient of s_nu in prod_k (1 + p_k)^(n_k) (Macdonald, I.7). Each
+    factor runs as sum_j C(n_k, j) p_k^j, so the cost does not grow with
+    n_k. Terms are kept apart by size, on below beads.
+    """
+    by_size = [Counter() for _ in range(below + 1)]
+    by_size[0][(1 << below) - 1] = 1
+    for k, n_k in sorted(Counter(mu).items()):
+        # Larger sizes first, so each level is read before it receives terms.
+        for m in range(below - k, -1, -1):
+            term = by_size[m]
+            for j in range(1, min(n_k, (below - m) // k) + 1):
+                term = _add_strips(term, k, 0)
+                by_size[m + j * k].update({beads: comb(n_k, j) * v for beads, v in term.items()})
+    return {_parts_of_beads(beads, below): value
+            for level in by_size for beads, value in level.items() if value}
 
 
 @cache
@@ -175,89 +220,34 @@ def _vertical_strips(nu: tuple) -> list[tuple[tuple, int]]:
     return strips
 
 
-def _sub_classes(counts: dict[int, int], size: int) -> list[tuple[tuple, int]]:
-    """Each multiset rho of size cells among the cycles of x, largest first, with its binomials."""
-    terms = [((), 0, 1)]
-    for k in sorted(k for k in counts if k <= size):
-        terms = [
-            ((k,) * m + rho, cells + k * m, ways * comb(counts[k], m))
-            for rho, cells, ways in terms
-            for m in range(min(counts[k], (size - cells) // k) + 1)
-        ]
-    return [(rho, ways) for rho, cells, ways in terms if cells == size]
-
-
-def _char_polynomial(counts: dict[int, int]) -> Callable[[tuple], int]:
-    """The map nu -> chi^(n - |nu|, nu)(x) for the class x of n cells with these cycle counts.
-
-    Each I_x(mu) is computed once per class and shared by every nu above mu.
-    """
-    sub_classes = cache(partial(_sub_classes, counts))
-
-    @cache
-    def induced_value(mu: tuple) -> int:
-        return sum(ways * _char(mu, rho) for rho, ways in sub_classes(sum(mu)))
-
-    return lambda nu: sum((-1) ** j * induced_value(mu) for mu, j in _vertical_strips(nu))
-
-
 @cache
-def class_character(mu: tuple) -> Callable[[tuple], int]:
-    """parts -> character at the class mu (largest cycle first); polynomial if 2 parts[0] >= n."""
-    n = sum(mu)
-    polynomial = _char_polynomial(Counter(mu))
-    return lambda parts: polynomial(parts[1:]) if 2 * sum(parts[:1]) >= n else _char(parts, mu)
+def class_character(mu: tuple, below: int) -> Callable[[tuple], int]:
+    """parts -> chi^parts(mu) on the shapes of n with at most below cells under the first row.
 
-
-def _parts_of_beads(beads: int, count: int) -> tuple:
-    """The shape whose count beta numbers are the set bits of beads."""
-    parts = []
-    rest = count - 1  # the top bead's place in the empty shape
-    while (top := beads.bit_length() - 1) != rest:
-        parts.append(top - rest)
-        beads ^= 1 << top
-        rest -= 1
-    return tuple(parts)
-
-
-@cache
-def class_column(mu: tuple) -> dict[tuple, int]:
-    """{parts: chi^parts(mu)} over the shapes of n at which the character is not 0.
-
-    One forward Murnaghan-Nakayama pass. A shape is the bitmask of its n
-    beta numbers, parts[j] + n - 1 - j, so the empty shape is the n lowest
-    bits. Adding a border strip of c cells moves one bead up c places onto
-    a free one, and its sign is (-1) to the number of beads jumped. The
-    pass starts at the empty shape with value 1 and adds one strip per
-    cycle of mu, smallest first, to every shape of the level: a shape's
-    value is then its character at the cycles added so far. Values that
-    cancel to 0 are dropped on the way, and tuples are built only for the
-    last level.
+    The truncated column when 2 below >= n, else the character polynomial
+    sum (-1)^j I_x(mu') over the mu' that nu = parts[1:] leaves after
+    removing a vertical strip of j cells.
     """
-    n = sum(mu)
-    level = {(1 << n) - 1: 1}
-    for c in reversed(mu):
-        jumped = (1 << (c - 1)) - 1
-        added: dict[int, int] = {}
-        for beads, value in level.items():
-            movable = beads & ~(beads >> c)
-            while movable:
-                bead = movable & -movable
-                movable ^= bead
-                child = beads ^ bead ^ (bead << c)
-                height = ((beads >> bead.bit_length()) & jumped).bit_count()
-                added[child] = added.get(child, 0) + (-value if height & 1 else value)
-        level = {beads: value for beads, value in added.items() if value}
-    return {_parts_of_beads(beads, n): value for beads, value in level.items()}
+    if 2 * below >= sum(mu):
+        column = class_column(mu, below)
+        return lambda parts: column.get(parts, 0)
+    induced = _induced_values(mu, below)
+    return lambda parts: sum((-1) ** j * induced.get(nu, 0)
+                             for nu, j in _vertical_strips(parts[1:]))
 
 
 def character(lam, mu) -> int:
-    """Exact character value of the irreducible lam at the class mu."""
+    """chi^lam(mu): a one-shape sweep at below = n - lam_1, refused past the engine's shape cap."""
     lam = Partition(lam)
     mu = CycleType(mu)
-    if lam.n != mu.n:
-        raise SizeMismatchError(f"|{lam!r}| = {lam.n} but |{mu!r}| = {mu.n}")
-    return class_character(mu)(tuple(lam))
+    n = lam.n
+    if n != mu.n:
+        raise SizeMismatchError(f"|{lam!r}| = {n} but |{mu!r}| = {mu.n}")
+    below = n - sum(lam[:1])
+    if next(islice(partition_tuples(n, n, n - below), MAX_ENGINE_SHAPES, None), None) is not None:
+        raise ValidationError(f"a character with {below} cells under the first row at n = {n} "
+                              f"reads more than the {MAX_ENGINE_SHAPES} shapes accepted")
+    return class_character(mu, below)(tuple(lam))
 
 
 def char_ratio_icycle(lam, i: int) -> Fraction:

@@ -24,11 +24,10 @@ It depends only on (n, a_max), and the engine keeps the latest one, so
 a sweep over classes or step counts at one n builds it once. The
 uniform permutation's weight is 1 on the one-row shape alone, so its
 F_a are 1 and need no walk.
-The fixed-x commutator weighs each shape by chi^lam(x)^2 / dim; when
-its shapes are every shape of n (n - min(r_max, n) <= 1), it reads the
-characters off the class's whole column (characters.class_column), as
-the walk's class inversion does for each class, and shape by shape
-(characters.class_character) otherwise.
+The fixed-x commutator weighs each shape by chi^lam(x)^2 / dim, read
+from characters.class_character(x, min(r_max, n)), resolved once per
+sweep; the walk's class inversion reads each class's whole column,
+characters.class_column(mu, n).
 Commutator moments are exact rationals. The walk offers an exact
 rational path (small k) and a high-precision float path that powers
 ratios in log space, since |ratio| <= 1 and k can reach n log n.
@@ -50,7 +49,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import islice, permutations
 from math import factorial, isfinite, lcm, log
 from operator import mul
@@ -67,20 +66,12 @@ from .characters import (
     perm_from_cycle_type,
 )
 from .errors import EnumerationLimitError, SizeMismatchError, ValidationError
+from .limits import MAX_ENGINE_SHAPES
 from .partitions import Partition, all_partitions, dim, partition_tuples
 from .setpartitions import poisson_moment, stirling_row
 from .tableaux import LatticePlan
 
 DEFAULT_PRECISION_BITS = 128
-
-# The engine visits every shape whose first part is at least n - min(r_max,
-# n). The cap admits all 37338 partitions of 40 and, at large n, r_max <=
-# 31 (35471 shapes). There moments walk --n 2000 --i 2 --c 0 takes 8.6 s at
-# 128 bits and commutator-fixed --n 1000 --x 2^500 17 s and 610 MB, the
-# slowest cases tried but one: a class of many short cycles of several
-# lengths costs far more per shape (--n 100 --x 5^4,4^5,3^6,2^10,1^22:
-# 32 s at r_max 24, still running after 4 minutes at 31).
-MAX_ENGINE_SHAPES = 40000
 
 # The highest moment order computed (simulate's exact references go to
 # twice its --r-max). Every Stirling row up to it is cached, which grows as
@@ -212,11 +203,10 @@ def commutator_fixed_moments(n: int, x, r_max: int) -> list[Fraction]:
     x = CycleType.of_size(x, n)
     if r_max < 0:
         raise ValidationError("r must be nonnegative")
-    # A whole sweep reads the column lazily (class_column is cached), so
-    # the engine's bounds refuse an oversized sweep before it is built.
-    whole = n - min(r_max, n) <= 1
-    chi = (lambda lam: class_column(x).get(lam, 0)) if whole else class_character(x)
-    return _moments(n, r_max, lambda lam: (chi(lam) ** 2, dim(lam)))
+    # Resolved at the first shape, so the engine's bounds refuse an
+    # oversized sweep before the class is expanded.
+    chi = cache(lambda: class_character(x, min(r_max, n)))
+    return _moments(n, r_max, lambda lam: (chi()(lam) ** 2, dim(lam)))
 
 
 def moment_commutator_fixed(n: int, x, r: int) -> Fraction:
@@ -310,7 +300,10 @@ def cutoff_steps(n: int, i: int, c: float) -> int:
     steps = n * log(n) / i + c * n
     if not isfinite(steps):
         raise ValidationError(f"c = {c} gives no finite step count n*log(n)/i + c*n")
-    return round(steps)
+    if (k := round(steps)) < 0:
+        raise ValidationError(f"c = {c} gives the step count n*log(n)/i + c*n = {steps:.6g}, "
+                              f"which rounds below 0")
+    return k
 
 
 def cutoff_offset(n: int, i: int, k: int) -> float:
@@ -347,7 +340,7 @@ def walk_exact_distribution(n: int, i: int, k: int) -> dict[int, Fraction]:
     total = Fraction(0)
     for mu_parts in shapes:
         mu = CycleType(mu_parts)
-        acc = sum(numerator[tau] * value for tau, value in class_column(mu).items())
+        acc = sum(numerator[tau] * value for tau, value in class_column(mu, n).items())
         prob = over_denominator(acc) / mu.centralizer_order()
         if prob < 0:
             raise ArithmeticError(f"negative class probability at {mu!r}")

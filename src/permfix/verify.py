@@ -22,6 +22,7 @@ from .characters import (
     CycleType,
     _char,
     character,
+    class_character,
     class_column,
     commutator_perm,
     perm_cycle_type,
@@ -121,15 +122,17 @@ def _poisson_unit_moments(rs):
     return all(poisson_moment(r, 1) == bell(r) for r in rs), {}
 
 
-@_gate("identities", "near-one-row-closed-forms", ns=range(4, 9))
+@_gate("identities", "near-one-row-closed-forms", ns=range(1, 9))
 def _near_one_row(ns):
-    # Character polynomials against Murnaghan-Nakayama on every shape they serve.
+    # Both routes of class_character against Murnaghan-Nakayama, at every
+    # below, on every shape with at most below cells under the first row.
     bad = [
-        (tuple(lam), tuple(mu))
+        (lam, mu, below)
         for n in ns
-        for mu in all_partitions(n)
-        for lam in all_partitions(n)
-        if 2 * lam[0] >= n and character(lam, mu) != _char(tuple(lam), tuple(mu))
+        for mu in partition_tuples(n, n)
+        for below in range(n + 1)
+        for lam in partition_tuples(n, n, n - below)
+        if class_character(mu, below)(lam) != _char(lam, mu)
     ]
     return not bad, {"failures": bad}
 
@@ -144,7 +147,7 @@ def _class_columns(ns):
         bad += [
             mu
             for mu in shapes
-            if class_column(mu) != {lam: v for lam in shapes if (v := _char(lam, mu))}
+            if class_column(mu, n) != {lam: v for lam in shapes if (v := _char(lam, mu))}
         ]
     return not bad, {"failures": bad}
 

@@ -1,5 +1,5 @@
 import random
-from collections import Counter
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,16 +8,16 @@ from hypothesis import given
 from oracles import brute_character_table, char_near_one_row, character_recursive
 from permfix.characters import (
     CycleType,
-    _char,
-    _char_polynomial,
     char_ratio_icycle,
     character,
+    class_character,
     class_column,
     perm_cycle_type,
     verify_ratio_asymptotics,
 )
 from permfix.errors import SizeMismatchError, ValidationError
-from permfix.partitions import Partition, all_partitions, dim
+from permfix.limits import MAX_ENGINE_SHAPES
+from permfix.partitions import Partition, all_partitions, dim, partition_tuples
 from permfix.verify import GATES
 from strategies import partitions
 
@@ -115,14 +115,19 @@ def test_many_cycle_classes_match_closed_forms():
             assert character(lam, x) == char_near_one_row(lam, x)
 
 
-@pytest.mark.parametrize("n", range(13))
-def test_character_polynomial_equals_murnaghan_nakayama_on_every_shape(n):
-    # The polynomial holds for short first rows too, which character leaves
-    # to Murnaghan-Nakayama.
+@pytest.mark.parametrize("n", range(11))
+def test_class_character_matches_recursive_murnaghan_nakayama_at_every_below(n):
+    # Both routes: the column when 2 below >= n, the polynomial otherwise.
+    # class_column is truncated at every below, whichever route reads it.
     for mu in classes_of(n):
-        polynomial = _char_polynomial(Counter(mu))
-        for lam in all_partitions(n):
-            assert polynomial(lam[1:]) == _char(tuple(lam), tuple(mu)), (lam, mu)
+        for below in range(n + 1):
+            chi = class_character(mu, below)
+            column = class_column(mu, below)
+            assert 0 not in column.values()
+            for lam in partition_tuples(n, n, n - below):
+                expected = character_recursive(lam, tuple(mu))
+                assert chi(lam) == column.get(lam, 0) == expected, (lam, mu, below)
+            assert set(column) <= set(partition_tuples(n, n, n - below))
 
 
 def test_character_polynomial_on_long_first_rows_up_to_n_300():
@@ -131,30 +136,44 @@ def test_character_polynomial_on_long_first_rows_up_to_n_300():
         classes = [perm_cycle_type(rng.sample(range(n), n)) for _ in range(3)]
         classes.append(CycleType((2,) * (n // 2)))
         for mu in classes:
-            polynomial = _char_polynomial(Counter(mu))
             for s in range(7):
                 shapes = list(all_partitions(s))
                 for nu in rng.sample(shapes, min(4, len(shapes))):
                     lam = (n - s, *nu)
-                    assert polynomial(tuple(nu)) == _char(lam, tuple(mu)), (lam, mu)
-                    assert character(lam, mu) == _char(lam, tuple(mu))
+                    expected = character_recursive(lam, tuple(mu))
+                    assert class_character(mu, 6)(lam) == character(lam, mu) == expected
 
 
-def test_class_column_matches_recursive_murnaghan_nakayama():
-    # Independent of _char, which the class-columns gate compares it with.
-    for n in range(1, 10):
+def test_characters_never_reach_the_recursive_murnaghan_nakayama(monkeypatch):
+    # _char is the gates' oracle: the engine, the class inversion and
+    # character all run on the forward kernel.
+    from permfix import characters, moments
+
+    def refuse(*args):
+        raise AssertionError("_char called")
+
+    monkeypatch.setattr(characters, "_char", refuse)
+    for n in range(2, 9):
         for mu in classes_of(n):
-            column = class_column(mu)
-            assert 0 not in column.values()
+            for r in range(n + 1):
+                moments.commutator_fixed_moments(n, mu, r)
             for lam in all_partitions(n):
-                assert column.get(tuple(lam), 0) == character_recursive(tuple(lam), tuple(mu))
+                assert character(lam, mu) == character_recursive(tuple(lam), tuple(mu))
+        moments.walk_exact_distribution(n, 2, 3)
+
+
+def test_character_refuses_shapes_past_the_engine_cap_before_any_work():
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match=f"more than the {MAX_ENGINE_SHAPES} shapes accepted"):
+        character((45, 30, 25), (5,) * 20)
+    assert time.perf_counter() - start < 1
 
 
 def test_class_column_of_many_short_cycles():
     # Second orthogonality at n = 40, where the column sums 24842 squares.
     mu = CycleType((2,) * 20)
-    assert sum(v * v for v in class_column(mu).values()) == mu.centralizer_order()
-    assert class_column(mu)[(40,)] == 1
+    assert sum(v * v for v in class_column(mu, 40).values()) == mu.centralizer_order()
+    assert class_column(mu, 40)[(40,)] == 1
 
 
 def test_size_mismatch_raises():

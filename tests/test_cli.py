@@ -164,6 +164,15 @@ def test_moments_walk_rejects_a_non_finite_step_count(capsys, c):
     assert f"c = {float(c)}" in err
 
 
+@pytest.mark.parametrize("c", ("-5", "-0.6", "-1000000.5"))
+def test_moments_walk_rejects_a_step_count_below_0(capsys, c):
+    # No --k was given, so the message names c.
+    code, out, err = run_cli(capsys, "moments", "walk", "--n", "2", "--i", "2", "--c", c)
+    assert (code, out) == (2, "")
+    assert f"c = {float(c)}" in err and "rounds below 0" in err
+    assert "k and r" not in err
+
+
 def test_moments_walk_requires_k_or_c(capsys):
     code, _, err = run_cli(capsys, "moments", "walk", "--n", "60", "--i", "2")
     assert code == 2

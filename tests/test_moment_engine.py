@@ -7,12 +7,12 @@ Fraction weights, while the engine takes its rational weights as integer
 (numerator, denominator) pairs.
 """
 from fractions import Fraction
-from functools import cache
 
 import mpmath
 import pytest
 from mpmath import mp
 from oracles import (
+    character_recursive,
     factorial_moments_by_skew_counts,
     moments_by_fraction_weights,
     per_order_moment,
@@ -21,7 +21,7 @@ from oracles import (
 from test_acceptance import TIER1
 
 from permfix import moments, tableaux
-from permfix.characters import CycleType, char_ratio_icycle, character, class_character
+from permfix.characters import CycleType, char_ratio_icycle, character
 from permfix.errors import ValidationError
 from permfix.moments import (
     MAX_ORDER,
@@ -314,44 +314,43 @@ def test_float_walk_far_past_mixing_reaches_the_alternating_law(k, top):
     assert factorial_moments == [1] * 11 + [top, top]
 
 
-def _per_shape_characters(monkeypatch) -> list:
-    """Serve the engines every class column through class_character, shape
-    by shape, recording each class the first time its column is asked for."""
+def _oracle_characters(monkeypatch) -> list:
+    """Serve the engines characters from the recursive oracle, which shares
+    no code with characters.py, recording each (class, below) asked for."""
     asked = []
 
-    @cache
-    def class_column(mu):
-        asked.append(mu)
-        chi = class_character(mu)
-        return {lam: value for lam in partition_tuples(sum(mu), sum(mu)) if (value := chi(lam))}
+    def class_character(mu, below):
+        asked.append((mu, below))
+        return lambda lam: character_recursive(lam, tuple(mu))
 
+    def class_column(mu, below):
+        asked.append((mu, below))
+        n = sum(mu)
+        return {lam: value for lam in partition_tuples(n, n, n - below)
+                if (value := character_recursive(lam, tuple(mu)))}
+
+    monkeypatch.setattr(moments, "class_character", class_character)
     monkeypatch.setattr(moments, "class_column", class_column)
     return asked
 
 
 @pytest.mark.parametrize("n, classes", [(n, None) for n in range(1, 10)]
-                         # 14 of the 16 points fixed: still the column for a whole sweep.
+                         # 14 of the 16 points fixed, on both sides of 2 r = n.
                          + [pytest.param(16, [(2,) + (1,) * 14], id="16-2,1^14")])
-def test_whole_sweeps_equal_the_per_shape_route(monkeypatch, n, classes):
-    # Each class (every class of n by default) at orders that sweep every
-    # shape (the column) and, from n >= 2 on, at r = n - 2, which sweeps
-    # only part of them, shape by shape.
+def test_fixed_x_sweeps_equal_oracle_characters(monkeypatch, n, classes):
+    # Each class (every class of n by default) at every order, so the
+    # sweeps read the column (2 r >= n) and the polynomial (2 r < n).
     classes = [CycleType(parts) for parts in classes or all_partitions(n)]
-    orders = sorted({n, max(n - 1, 0), max(n - 2, 0)})
-    swept = {(x, r): commutator_fixed_moments(n, x, r) for x in classes for r in orders}
-    asked = _per_shape_characters(monkeypatch)
-    shape_by_shape = []
-    monkeypatch.setattr(moments, "class_character",
-                        lambda mu: shape_by_shape.append(mu) or class_character(mu))
+    swept = {(x, r): commutator_fixed_moments(n, x, r) for r in range(n + 1) for x in classes}
+    asked = _oracle_characters(monkeypatch)
     assert [commutator_fixed_moments(n, x, r) for x, r in swept] == list(swept.values())
-    # Every class is swept whole at r = n, so each column is asked for.
-    assert asked == classes
-    assert shape_by_shape == [x for x, r in swept if n - min(r, n) > 1]
+    # The class is resolved once per sweep.
+    assert asked == [(x, r) for x, r in swept]
 
 
 def test_class_inversion_is_unchanged_on_the_c08_grid(monkeypatch):
     points = dict(TIER1)["walk-moments-vs-class-inversion"][1]["points"]
     laws = {point: walk_exact_distribution(*point) for point in points}
-    asked = _per_shape_characters(monkeypatch)
+    asked = _oracle_characters(monkeypatch)
     assert [walk_exact_distribution(*point) for point in laws] == list(laws.values())
-    assert asked == list(dict.fromkeys(mu for n, _, _ in laws for mu in partition_tuples(n, n)))
+    assert asked == [(mu, n) for n, _, _ in laws for mu in partition_tuples(n, n)]

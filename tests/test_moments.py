@@ -108,7 +108,6 @@ def test_closed_forms_match_engine_at_a_million_points(x):
 def test_commutator_fixed_memory_does_not_grow_with_the_cycle_count():
     # Murnaghan-Nakayama keyed its memo by every suffix of the 5000 cycles,
     # which peaked at about 106 MB traced for this call.
-    characters._char_memo.clear()
     characters.class_character.cache_clear()
     tracemalloc.start()
     try:

@@ -57,12 +57,14 @@ def test_walk_cutoff_scan_at_a_million():
 def test_compare_outputs_finds_no_difference_against_its_own_checkout():
     lines = run_script("compare_outputs.py", str(ROOT), "--seeds", "1")
     assert len(lines) == 1
-    compared, mult, sweeps, readme, csv, scripts, differ = re.fullmatch(
-        r"compared (\d+) calls \((\d+) mult, (\d+) whole sweeps, (\d+) from README.md, "
+    compared, mult, sweeps, partial, readme, csv, scripts, differ = re.fullmatch(
+        r"compared (\d+) calls \((\d+) mult, (\d+) whole sweeps, (\d+) partial sweeps, "
+        r"(\d+) from README.md, "
         r"(\d+) of them again as CSV\) and (\d+) README scripts: (\d+) differ", lines[0]).groups()
     # Every operation of the three benchmark workloads, more than 100 at one
     # seed, mult for the 66 shapes of n = 1..8 at three orders, four whole
-    # fixed-x sweeps at n = 16 to 24, every permfix command line of the
+    # fixed-x sweeps at n = 16 to 24, four partial ones at n = 20 to 64 on
+    # both sides of 2 r_max = n, every permfix command line of the
     # README, its moments and dist lines again as CSV, and the README's
     # three experiment script lines.
     readme_text = (ROOT / "README.md").read_text().splitlines()
@@ -71,6 +73,6 @@ def test_compare_outputs_finds_no_difference_against_its_own_checkout():
     assert int(readme) == len(readme_lines) >= 10
     assert int(csv) == sum(line.split()[1] in ("moments", "dist") for line in readme_lines) >= 5
     assert int(mult) == 66 * 3
-    assert int(sweeps) == 4
-    assert int(compared) - int(csv) - int(readme) - int(mult) - int(sweeps) > 100
+    assert int(sweeps) == int(partial) == 4
+    assert int(compared) - int(csv) - int(readme) - int(mult) - int(sweeps) - int(partial) > 100
     assert differ == "0"
