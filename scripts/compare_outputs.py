@@ -11,8 +11,9 @@ shape of n <= 8 at r in {1, 4, 9} (no benchmark operation reaches the
 skew counts of mult), then whole sweeps (``--r-max n``) of
 ``moments commutator-fixed`` at classes with more than n/2 fixed points
 and n from 16 to 24, then partial sweeps on both sides of 2 r_max = n
-(the truncated column at or above, the character polynomial below), all
-above the benchmark's n <= 12, then every
+(the truncated column at or above, the character polynomial below, one
+of them at n = 100 and r_max = 16 on a class with fixed points and
+2-cycles), all above the benchmark's n <= 12, then every
 ``permfix`` command line of this checkout's README.md at ``--threads 1``,
 then its ``moments`` and ``dist`` lines again with ``--format csv``, all
 built once from this checkout.
@@ -94,9 +95,9 @@ def sweep_calls(sweeps) -> list[list[str]]:
 # Whole sweeps at classes rich in fixed points.
 WHOLE_SWEEPS = ((16, "1^16", 16), (16, "2,1^14", 16), (20, "3^2,1^14", 20), (24, "2^3,1^18", 24))
 # Partial sweeps: the truncated column at 2 r_max >= n, the character
-# polynomial below.
+# polynomial below, the last one with fixed points, 2-cycles and a deep r_max.
 PARTIAL_SWEEPS = ((20, "3^2,1^14", 12), (24, "2^12", 14), (30, "2^15", 15),
-                  (64, "5^4,4^5,3^6,2^3", 12))
+                  (64, "5^4,4^5,3^6,2^3", 12), (100, "5^4,4^5,3^6,2^10,1^22", 16))
 
 
 def readme_calls() -> list[list[str]]:

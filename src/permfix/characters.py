@@ -3,22 +3,20 @@
 Every character sweep runs on one kernel, _add_strips: the power sum p_c
 on shapes held as bitmasks of their beta numbers (first-column hook
 lengths), where adding a border strip of c cells moves one bead up c
-places onto a free one. class_character(mu, below) serves the shapes of
-n with at most below cells under the first row, by one of two products
-of power sums applied to the empty shape:
+places onto a free one. class_column(mu, below) gives {parts: chi} over
+the shapes of n with at most below cells under the first row, by one of
+two routes:
 
-* the class's column p_mu, when 2 below >= n: class_column adds one
-  strip per cycle, smallest first, and drops each shape with more than
-  below cells under its first row as soon as it appears;
-* the character polynomial otherwise. Expanding the Jacobi-Trudi
-  determinant along its first row gives chi^(n - |nu|, nu)(x) = sum
-  (-1)^j I_x(mu) over the shapes mu that nu leaves after removing a
-  vertical strip of j cells, and the I_x(mu) are the coefficients of
-  prod_k (1 + p_k)^(n_k) up to below cells, n_k counting the k-cycles
-  of x. The work depends on the cycle lengths, not on their number.
+* the class's column, p_mu applied to the empty shape, when
+  2 below >= n: one strip per cycle, smallest first, dropping each shape
+  with more than below cells under its first row as soon as it appears;
+* the character polynomial otherwise: chi^(n - |nu|, nu)(x) is the
+  coefficient of s_nu in (sum_j (-1)^j e_j) * prod_k (1 + p_k)^(n_k) up
+  to below cells, n_k counting the k-cycles of x (the dual Pieri rule).
+  The work depends on the cycle lengths, not on their number.
 
-character(lam, mu) is a one-shape sweep at below = n - lam_1. _char,
-the plain Murnaghan-Nakayama recursion, is the gates' oracle.
+character(lam, mu) reads one shape of the sweep at below = n - lam_1.
+_char, the plain Murnaghan-Nakayama recursion, is the gates' oracle.
 
 A class is a CycleType: the Partition of n by its cycle lengths, with
 the class statistics added, so one constructor checks shapes and classes.
@@ -34,7 +32,6 @@ from fractions import Fraction
 from functools import cache
 from itertools import islice
 from math import comb, factorial
-from typing import Callable
 
 from .errors import SizeMismatchError, ValidationError
 from .limits import MAX_ENGINE_SHAPES
@@ -168,34 +165,35 @@ def _parts_of_beads(beads: int, count: int) -> tuple:
 def class_column(mu: tuple, below: int) -> dict[tuple, int]:
     """{parts: chi^parts(mu) != 0} over the shapes of n with at most below <= n cells under row 1.
 
-    p_mu applied to the empty shape, one cycle at a time, smallest first.
-    Every shape on the way lies inside the final one, so a shape with more
-    than below cells under its first row is dropped as soon as it appears.
-    The shapes kept have at most below + 1 rows, so that many beads (n at
-    most) hold them, the empty shape being the lowest bits.
+    When 2 below >= n, p_mu applied to the empty shape, one cycle at a
+    time, smallest first. Every shape on the way lies inside the final
+    one, so a shape with more than below cells under its first row is
+    dropped as soon as it appears. The shapes kept have at most below + 1
+    rows, so that many beads (n at most) hold them, the empty shape being
+    the lowest bits.
+
+    Otherwise the character polynomial: by the dual Pieri rule,
+    chi^(n - |nu|, nu)(x) is the coefficient of s_nu in
+    (sum_j (-1)^j e_j) * prod_k (1 + p_k)^(n_k), n_k counting the k-cycles
+    of x (Macdonald, I.5 and I.7). Each factor runs as sum_j C(n_k, j)
+    p_k^j, so the cost does not grow with n_k. Terms are kept apart by
+    size, up to below, on below beads; (n - |nu|, nu) is a shape because
+    |nu| <= below < n - below.
     """
     n = sum(mu)
-    count = min(below + 1, n)
-    level = {(1 << count) - 1: 1}
-    cells = 0
-    for c in reversed(mu):
-        cells += c
-        # A shape of cells cells has first part top - count + 1.
-        level = _add_strips(level, c, cells - below + count - 1)
-    return {_parts_of_beads(beads, count): value for beads, value in level.items()}
-
-
-def _induced_values(mu: tuple, below: int) -> dict[tuple, int]:
-    """{nu: I_x(nu) != 0} over the shapes nu of at most below cells, x = mu.
-
-    I_x(nu) = sum_rho chi^nu(rho) prod_k C(n_k, m_k(rho)) over the
-    sub-multisets rho of the cycles of x, n_k counting k-cycles, is the
-    coefficient of s_nu in prod_k (1 + p_k)^(n_k) (Macdonald, I.7). Each
-    factor runs as sum_j C(n_k, j) p_k^j, so the cost does not grow with
-    n_k. Terms are kept apart by size, on below beads.
-    """
-    by_size = [Counter() for _ in range(below + 1)]
-    by_size[0][(1 << below) - 1] = 1
+    if 2 * below >= n:
+        count = min(below + 1, n)
+        level = {(1 << count) - 1: 1}
+        cells = 0
+        for c in reversed(mu):
+            cells += c
+            # A shape of cells cells has first part top - count + 1.
+            level = _add_strips(level, c, cells - below + count - 1)
+        return {_parts_of_beads(beads, count): value for beads, value in level.items()}
+    empty = (1 << below) - 1
+    # e_j is s_(1^j): the bead at below - j moves up to below.
+    by_size = [Counter({empty - (1 << (below - j)) + (1 << below): (-1) ** j})
+               for j in range(below + 1)]
     for k, n_k in sorted(Counter(mu).items()):
         # Larger sizes first, so each level is read before it receives terms.
         for m in range(below - k, -1, -1):
@@ -203,37 +201,8 @@ def _induced_values(mu: tuple, below: int) -> dict[tuple, int]:
             for j in range(1, min(n_k, (below - m) // k) + 1):
                 term = _add_strips(term, k, 0)
                 by_size[m + j * k].update({beads: comb(n_k, j) * v for beads, v in term.items()})
-    return {_parts_of_beads(beads, below): value
-            for level in by_size for beads, value in level.items() if value}
-
-
-@cache
-def _vertical_strips(nu: tuple) -> list[tuple[tuple, int]]:
-    """(mu, j) for each mu that nu leaves after removing a vertical strip of j cells."""
-    strips = [((), 0)]
-    for part in reversed(nu):
-        strips = [((part, *shape), j) for shape, j in strips] + [
-            ((part - 1, *shape) if part > 1 else shape, j + 1)
-            for shape, j in strips
-            if part > (shape[0] if shape else 0)
-        ]
-    return strips
-
-
-@cache
-def class_character(mu: tuple, below: int) -> Callable[[tuple], int]:
-    """parts -> chi^parts(mu) on the shapes of n with at most below cells under the first row.
-
-    The truncated column when 2 below >= n, else the character polynomial
-    sum (-1)^j I_x(mu') over the mu' that nu = parts[1:] leaves after
-    removing a vertical strip of j cells.
-    """
-    if 2 * below >= sum(mu):
-        column = class_column(mu, below)
-        return lambda parts: column.get(parts, 0)
-    induced = _induced_values(mu, below)
-    return lambda parts: sum((-1) ** j * induced.get(nu, 0)
-                             for nu, j in _vertical_strips(parts[1:]))
+    return {(n - m, *_parts_of_beads(beads, below)): value
+            for m, level in enumerate(by_size) for beads, value in level.items() if value}
 
 
 def character(lam, mu) -> int:
@@ -247,7 +216,7 @@ def character(lam, mu) -> int:
     if next(islice(partition_tuples(n, n, n - below), MAX_ENGINE_SHAPES, None), None) is not None:
         raise ValidationError(f"a character with {below} cells under the first row at n = {n} "
                               f"reads more than the {MAX_ENGINE_SHAPES} shapes accepted")
-    return class_character(mu, below)(tuple(lam))
+    return class_column(mu, below).get(tuple(lam), 0)
 
 
 def char_ratio_icycle(lam, i: int) -> Fraction:

@@ -25,8 +25,8 @@ a sweep over classes or step counts at one n builds it once. The
 uniform permutation's weight is 1 on the one-row shape alone, so its
 F_a are 1 and need no walk.
 The fixed-x commutator weighs each shape by chi^lam(x)^2 / dim, read
-from characters.class_character(x, min(r_max, n)), resolved once per
-sweep; the walk's class inversion reads each class's whole column,
+from characters.class_column(x, min(r_max, n)), swept once per call;
+the walk's class inversion reads each class's whole column,
 characters.class_column(mu, n).
 Commutator moments are exact rationals. The walk offers an exact
 rational path (small k) and a high-precision float path that powers
@@ -61,7 +61,6 @@ from mpmath import mp
 from .characters import (
     CycleType,
     char_ratio_icycle,
-    class_character,
     class_column,
     perm_from_cycle_type,
 )
@@ -205,8 +204,8 @@ def commutator_fixed_moments(n: int, x, r_max: int) -> list[Fraction]:
         raise ValidationError("r must be nonnegative")
     # Resolved at the first shape, so the engine's bounds refuse an
     # oversized sweep before the class is expanded.
-    chi = cache(lambda: class_character(x, min(r_max, n)))
-    return _moments(n, r_max, lambda lam: (chi()(lam) ** 2, dim(lam)))
+    chi = cache(lambda: class_column(x, min(r_max, n)))
+    return _moments(n, r_max, lambda lam: (chi().get(lam, 0) ** 2, dim(lam)))
 
 
 def moment_commutator_fixed(n: int, x, r: int) -> Fraction:

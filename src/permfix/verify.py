@@ -22,7 +22,6 @@ from .characters import (
     CycleType,
     _char,
     character,
-    class_character,
     class_column,
     commutator_perm,
     perm_cycle_type,
@@ -124,7 +123,8 @@ def _poisson_unit_moments(rs):
 
 @_gate("identities", "near-one-row-closed-forms", ns=range(1, 9))
 def _near_one_row(ns):
-    # Both routes of class_character against Murnaghan-Nakayama, at every
+    # Both routes of class_column, the column (2 below >= n) and the
+    # polynomial from sum (-1)^j e_j, against Murnaghan-Nakayama at every
     # below, on every shape with at most below cells under the first row.
     bad = [
         (lam, mu, below)
@@ -132,7 +132,7 @@ def _near_one_row(ns):
         for mu in partition_tuples(n, n)
         for below in range(n + 1)
         for lam in partition_tuples(n, n, n - below)
-        if class_character(mu, below)(lam) != _char(lam, mu)
+        if class_column(mu, below).get(lam, 0) != _char(lam, mu)
     ]
     return not bad, {"failures": bad}
 

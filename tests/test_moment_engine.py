@@ -319,17 +319,12 @@ def _oracle_characters(monkeypatch) -> list:
     no code with characters.py, recording each (class, below) asked for."""
     asked = []
 
-    def class_character(mu, below):
-        asked.append((mu, below))
-        return lambda lam: character_recursive(lam, tuple(mu))
-
     def class_column(mu, below):
         asked.append((mu, below))
         n = sum(mu)
         return {lam: value for lam in partition_tuples(n, n, n - below)
                 if (value := character_recursive(lam, tuple(mu)))}
 
-    monkeypatch.setattr(moments, "class_character", class_character)
     monkeypatch.setattr(moments, "class_column", class_column)
     return asked
 

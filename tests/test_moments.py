@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp
 
 from oracles import icycle_walk_laws_by_convolution
-from permfix import characters
+from permfix import characters, moments
 from permfix.characters import CycleType
 from permfix.errors import EnumerationLimitError, SizeMismatchError, ValidationError
 from permfix.moments import (
@@ -108,7 +108,7 @@ def test_closed_forms_match_engine_at_a_million_points(x):
 def test_commutator_fixed_memory_does_not_grow_with_the_cycle_count():
     # Murnaghan-Nakayama keyed its memo by every suffix of the 5000 cycles,
     # which peaked at about 106 MB traced for this call.
-    characters.class_character.cache_clear()
+    characters.class_column.cache_clear()
     tracemalloc.start()
     try:
         commutator_fixed_moments(10000, (2,) * 5000, 2)
@@ -116,6 +116,20 @@ def test_commutator_fixed_memory_does_not_grow_with_the_cycle_count():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2**20
+
+
+def test_commutator_fixed_polynomial_memory_stays_small_at_a_deep_below():
+    # The polynomial route holds its levels of at most 20 cells and nothing
+    # per swept shape (2714 here); a per-shape strip memo peaked near 14 MB.
+    characters.class_column.cache_clear()
+    moments._engine_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        commutator_fixed_moments(200, (2,) * 100, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20
 
 
 def test_closed_form_identity_class_second_moment():

@@ -63,7 +63,7 @@ def test_compare_outputs_finds_no_difference_against_its_own_checkout():
         r"(\d+) of them again as CSV\) and (\d+) README scripts: (\d+) differ", lines[0]).groups()
     # Every operation of the three benchmark workloads, more than 100 at one
     # seed, mult for the 66 shapes of n = 1..8 at three orders, four whole
-    # fixed-x sweeps at n = 16 to 24, four partial ones at n = 20 to 64 on
+    # fixed-x sweeps at n = 16 to 24, five partial ones at n = 20 to 100 on
     # both sides of 2 r_max = n, every permfix command line of the
     # README, its moments and dist lines again as CSV, and the README's
     # three experiment script lines.
@@ -73,6 +73,7 @@ def test_compare_outputs_finds_no_difference_against_its_own_checkout():
     assert int(readme) == len(readme_lines) >= 10
     assert int(csv) == sum(line.split()[1] in ("moments", "dist") for line in readme_lines) >= 5
     assert int(mult) == 66 * 3
-    assert int(sweeps) == int(partial) == 4
+    assert int(sweeps) == 4
+    assert int(partial) == 5
     assert int(compared) - int(csv) - int(readme) - int(mult) - int(sweeps) - int(partial) > 100
     assert differ == "0"
