@@ -29,7 +29,7 @@ from .partitions import (
     dim,
     partitions_with_large_first_row,
 )
-from .setpartitions import bell, occupancy_probability, poisson_moment, stirling
+from .laws import bell, occupancy_probability, poisson_moment, stirling
 from .tableaux import skew_syt_count, skew_syt_large_first_row
 
 __all__ = [

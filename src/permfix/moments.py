@@ -67,7 +67,7 @@ from .characters import (
 from .errors import EnumerationLimitError, SizeMismatchError, ValidationError
 from .limits import MAX_ENGINE_SHAPES
 from .partitions import Partition, all_partitions, dim, partition_tuples
-from .setpartitions import poisson_moment, stirling_row
+from .laws import poisson_moment, stirling_row
 from .tableaux import LatticePlan
 
 DEFAULT_PRECISION_BITS = 128

@@ -28,7 +28,7 @@ from math import factorial
 from .characters import character, perm_cycle_type
 from .errors import EnumerationLimitError, FirstRowGuardError, ValidationError
 from .partitions import Partition, all_partitions, dim
-from .setpartitions import stirling_columns, stirling_row
+from .laws import stirling_columns, stirling_row
 from .tableaux import LatticePlan, skew_syt_large_first_row
 
 

@@ -41,7 +41,7 @@ from .moments import (
 )
 from .multiplicity import exact_shape_distribution, mult_by_route, mult_skew
 from .partitions import Partition, all_partitions, dim, partition_tuples
-from .setpartitions import bell, occupancy_probability, poisson_moment
+from .laws import bell, occupancy_probability, poisson_moment
 
 # Largest scaled deviation max |ratio - limit| * n^2 accepted at the first
 # n of a ratio-decay grid.

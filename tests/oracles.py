@@ -46,7 +46,7 @@ from permfix.partitions import (
     hook_lengths,
     partitions_with_large_first_row,
 )
-from permfix.setpartitions import stirling_row
+from permfix.laws import stirling_row
 
 
 def syt_fillings(outer, inner=()) -> list[tuple[tuple[int, ...], ...]]:

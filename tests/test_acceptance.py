@@ -27,7 +27,7 @@ from permfix.moments import (
 )
 from permfix.multiplicity import mult_skew
 from permfix.partitions import all_partitions
-from permfix.setpartitions import bell, poisson_moment
+from permfix.laws import bell, poisson_moment
 from permfix.simulate import fixed_point_histogram, moment_z_score
 from permfix.verify import GATES, run_suite
 

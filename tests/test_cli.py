@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from permfix import setpartitions
+from permfix import laws
 from permfix.cli import (
     MAX_CELLS_BELOW_FIRST_ROW,
     MAX_DIST_K,
@@ -909,11 +909,11 @@ def test_orders_at_the_bound_are_accepted(capsys, argv):
 
 def test_mult_reads_its_stirling_columns_without_growing_the_table(capsys):
     # It cached every Stirling row up to r: 132 MB at r = 800 for n = 5.
-    rows = len(setpartitions._rows)
+    rows = len(laws._rows)
     code, out, err = run_cli(capsys, "mult", "--lambda", "3,2", "--r", "800")
     assert code == 0, err
     assert json.loads(out)["multiplicity"] == mult_oracle((3, 2), 800)
-    assert len(setpartitions._rows) == rows < 800
+    assert len(laws._rows) == rows < 800
 
 
 def test_mult_r_beyond_its_bound_exits_2(capsys):

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import set_partitions
-from permfix.setpartitions import (
+from permfix.laws import (
     bell,
     occupancy_probability,
     poisson_moment,

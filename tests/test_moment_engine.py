@@ -41,7 +41,7 @@ from permfix.moments import (
     walk_exact_distribution,
 )
 from permfix.partitions import all_partitions, dim, partition_tuples
-from permfix.setpartitions import stirling_row
+from permfix.laws import stirling_row
 
 
 @pytest.mark.parametrize("n", range(1, 13))

@@ -28,7 +28,7 @@ from permfix.moments import (
 )
 from permfix.multiplicity import mult_skew
 from permfix.partitions import all_partitions, dim
-from permfix.setpartitions import bell, poisson_moment
+from permfix.laws import bell, poisson_moment
 from permfix.simulate import uniform_fixed_distribution_exact
 from permfix.verify import GATES
 

@@ -10,7 +10,7 @@ from permfix.multiplicity import (
     mult_updown,
 )
 from permfix.partitions import all_partitions
-from permfix.setpartitions import bell, stirling
+from permfix.laws import bell, stirling
 from strategies import partitions
 
 
