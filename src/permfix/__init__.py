@@ -11,6 +11,7 @@ from .characters import (
     character,
     verify_ratio_asymptotics,
 )
+from .laws import bell, occupancy_probability, poisson_moment, stirling
 from .moments import (
     cutoff_steps,
     enumerate_commutator_distribution,
@@ -29,7 +30,6 @@ from .partitions import (
     dim,
     partitions_with_large_first_row,
 )
-from .laws import bell, occupancy_probability, poisson_moment, stirling
 from .tableaux import skew_syt_count, skew_syt_large_first_row
 
 __all__ = [

@@ -16,9 +16,10 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 from functools import cache
 
-from . import moments, reports
+from . import laws, moments, reports
 from .characters import CycleType, char_ratio_icycle
 from .errors import CrossCheckError, SizeMismatchError, ValidationError
 from .limits import check_row_points
@@ -271,7 +272,7 @@ def cmd_simulate(args) -> int:
     # The exact references come first: a bound they break exits 2 before any
     # sampling, and before numpy is imported with the sampler.
     exact = _exact_moments_for(args, x)
-    from .simulate import fixed_point_histogram, moment_z_score, tv_to_poisson
+    from .simulate import fixed_point_histogram
 
     dist = fixed_point_histogram(
         args.model,
@@ -283,12 +284,13 @@ def cmd_simulate(args) -> int:
         x=x,
         threads=args.threads,
     )
+    law = {j: Fraction(c, samples) for j, c in dist.histogram.items()}
     table = [
         {
             "r": r,
-            "empirical_moment": dist.moment(r),
+            "empirical_moment": laws.moment(law, r),
             "exact_moment": exact[r],
-            "z": moment_z_score(dist, r, exact[r], exact[2 * r]),
+            "z": laws.moment_z_score(law, samples, r, exact[r], exact[2 * r]),
         }
         for r in range(1, args.r_max + 1)
     ]
@@ -304,7 +306,7 @@ def cmd_simulate(args) -> int:
         "stream_version": dist.stream_version,
         "table": table,
         "poisson_reference_mean": mean,
-        "tv_to_poisson_reference": tv_to_poisson(dist, mean),
+        "tv_to_poisson_reference": laws.tv_to_poisson(law, mean),
     }
     _emit(args, "simulate", body)
     return EXIT_OK
@@ -353,13 +355,11 @@ def cmd_dist(args) -> int:
         x = CycleType(parse_parts(args.x, args.n)) if args.x is not None else None
         dist = moments.enumerate_commutator_distribution(args.n, x)
         params = {"n": args.n, "x": list(x) if x else None}
-    table = [
-        {"fixed_points": j, "probability": p} for j, p in sorted(dist.items())
-    ]
+    table = [{"fixed_points": j, "probability": p} for j, p in sorted(dist.items())]
     body = {
         "params": params,
         "table": table,
-        "mean": moments.exact_moment(dist, 1),
+        "mean": laws.moment(dist, 1),
         "total": sum(dist.values()),
     }
     _emit(args, "dist", body)

@@ -1,16 +1,20 @@
-"""Stirling numbers of the second kind, Bell numbers, and Poisson moments.
+"""The law of a fixed-point count X, {j: P(X = j)}, and what is read off it.
 
-The triangular Stirling table is built once by the standard recurrence
-and grown on demand; every moment formula in this package consumes whole
-rows of it. The multiplicities need only the first few columns of a row,
-which stirling_columns computes without growing the table. Poisson
-moments accept exact rationals or high-precision reals through the same
-code path.
+The engine returns the factorial moments F_a = E[X (X - 1) ... (X - a + 1)];
+moments takes them to moments by the one Stirling combination
+E[X^r] = sum_a S(r, a) F_a (Poisson moments are the case F_a = mean^a),
+and from_factorial_moments takes all of them to the law. The Stirling
+table is built by the standard recurrence and grown on demand;
+stirling_columns gives the first columns of a row without growing it.
+The readers of Monte Carlo laws sit here too. No numpy, no engine.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import comb, exp, factorial, lcm, perm, sqrt
+from operator import mul
+
+from .errors import ValidationError
 
 _rows: list[list[int]] = [[1]]
 
@@ -63,19 +67,20 @@ def bell(r: int) -> int:
     return sum(stirling_row(r))
 
 
-def poisson_moment(r: int, mean):
-    """rth moment of a Poisson variable with the given mean.
-
-    The mean may be an int, Fraction, float, or mpmath real; the result
-    has the same kind.
-    """
-    if r < 0:
+def moments(factorial_moments, r_max: int) -> list:
+    """Moments r = 0..r_max, sum_a S(r, a) * F_a, from the factorial moments
+    F_a (those past the list are 0), summed from a = 0 in the type of the
+    F_a: exact for ints and Fractions, rounded term by term for reals."""
+    if r_max < 0:
         raise ValueError("r must be nonnegative")
-    row = stirling_row(r)
-    total = row[0] * mean ** 0
-    for a in range(1, r + 1):
-        total += row[a] * mean ** a
-    return total
+    _ensure(r_max)
+    return [sum(map(mul, _rows[r], factorial_moments)) for r in range(r_max + 1)]
+
+
+def poisson_moment(r: int, mean):
+    """rth moment of a Poisson variable of the given mean (an int, Fraction,
+    float or mpmath real; the result has the same kind), from F_a = mean^a."""
+    return moments([mean ** a for a in range(r + 1)], r)[r]
 
 
 def occupancy_probability(a: int, r: int, n: int) -> Fraction:
@@ -85,3 +90,52 @@ def occupancy_probability(a: int, r: int, n: int) -> Fraction:
     if a < 0 or a > min(r, n):
         return Fraction(0)
     return Fraction(perm(n, a) * stirling(r, a), n ** r)
+
+
+def from_factorial_moments(factorial_moments) -> dict[int, Fraction]:
+    """The law of a count on 0..m from its F_0..F_m (ints or Fractions), by
+    Jordan's formula P(j) = sum_{a >= j} (-1)^(a - j) C(a, j) F_a / a!, each
+    an integer sum over one denominator. Values of probability 0 are left out."""
+    fs = [Fraction(f) for f in factorial_moments]
+    m = len(fs) - 1
+    denominator = lcm(*(f.denominator for f in fs)) * factorial(m)
+    scaled = [f.numerator * (denominator // f.denominator // factorial(a))
+              for a, f in enumerate(fs)]
+    totals = [sum((-1) ** (a - j) * comb(a, j) * scaled[a] for a in range(j, m + 1))
+              for j in range(m + 1)]
+    return {j: Fraction(total, denominator) for j, total in enumerate(totals) if total}
+
+
+def moment(law: dict, r: int) -> Fraction:
+    """E[X^r] of a law {j: P(X = j)} with exact probabilities."""
+    return sum((Fraction(p) * j ** r for j, p in law.items()), Fraction(0))
+
+
+def tv_to_poisson(law: dict, lam: float) -> float:
+    """Total variation distance from a law to a Poisson law with the given mean.
+
+    Poisson mass beyond the largest support point of the law is folded
+    into the distance, so the result lives in [0, 1].
+    """
+    if lam < 0:
+        raise ValidationError("mean must be nonnegative")
+    probs = {j: float(p) for j, p in law.items()}
+    top = max(probs) if probs else 0
+    acc = covered = 0.0
+    pmf = exp(-lam)
+    for j in range(top + 1):
+        if j > 0:
+            pmf *= lam / j
+        acc += abs(probs.get(j, 0.0) - pmf)
+        covered += pmf
+    return 0.5 * (acc + max(0.0, 1.0 - covered))
+
+
+def moment_z_score(law: dict, samples: int, r: int, exact_r, exact_2r) -> float:
+    """Standardized deviation of the rth moment of an empirical law of
+    samples draws from its exact value exact_r, exact_2r being E[X^2r]."""
+    variance = float(exact_2r) - float(exact_r) ** 2
+    if variance <= 0:
+        return 0.0 if moment(law, r) == exact_r else float("inf")
+    sigma = sqrt(variance / samples)
+    return (float(moment(law, r)) - float(exact_r)) / sigma

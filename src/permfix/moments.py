@@ -39,11 +39,11 @@ Each model's *_report builder returns the body `permfix moments` prints:
 the model, its parameters and one row per order r with the moment, that
 of the model's Poisson limit and their difference.
 
-The exact small-n laws sit here too: the walk's by inverting the class
-sums, the commutator's by enumerating the group, and exact_moment reads
-a moment off either. They are the oracles of the verify gates and of
-`permfix dist`. walk_term_at_cutoff returns one shape's cutoff term
-and its limit as a plain (term, limit) pair.
+The exact laws sit here too, the walk's by inverting the class sums and
+the commutator's by enumerating the group, at small n (the oracles of
+the verify gates and of `permfix dist`), and the uniform one's at any n;
+permfix.laws does their arithmetic. walk_term_at_cutoff returns one
+shape's cutoff term and its limit as a plain (term, limit) pair.
 """
 from __future__ import annotations
 
@@ -52,12 +52,12 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import islice, permutations
 from math import factorial, isfinite, lcm, log
-from operator import mul
 from typing import Callable
 
 import mpmath
 from mpmath import mp
 
+from . import laws
 from .characters import (
     CycleType,
     char_ratio_icycle,
@@ -67,7 +67,6 @@ from .characters import (
 from .errors import EnumerationLimitError, SizeMismatchError, ValidationError
 from .limits import MAX_ENGINE_SHAPES
 from .partitions import Partition, all_partitions, dim, partition_tuples
-from .laws import poisson_moment, stirling_row
 from .tableaux import LatticePlan
 
 DEFAULT_PRECISION_BITS = 128
@@ -167,22 +166,26 @@ def _moments(n: int, r_max: int, weight) -> list:
     """
     _check_order(r_max)
     sums, over_denominator = _lattice_sums(n, min(r_max, n), weight)
-    return [over_denominator(sum(map(mul, stirling_row(r), sums))) for r in range(r_max + 1)]
+    return [over_denominator(total) for total in laws.moments(sums, r_max)]
 
 
 def uniform_moments(n: int, r_max: int) -> list[Fraction]:
     """Moments r = 0..r_max of the fixed points of a uniform permutation.
 
-    In the engine's terms the shape weight is 1 on the one-row shape (n)
-    and 0 elsewhere, so F_a = f^{(n)/(n-a)} = 1 for every a <= n and the
-    rth moment is sum_{a <= min(r, n)} S(r, a). Nothing is enumerated:
-    the weight route would visit every shape with first part at least
-    n - r_max, only to multiply all but one of them by 0.
+    Its shape weight is 1 on the one-row shape (n) alone, so F_a = 1 for
+    every a <= n, and no shape is visited.
     """
     if n < 1 or r_max < 0:
         raise ValidationError("need n >= 1 and r >= 0")
     _check_order(r_max)
-    return [Fraction(sum(stirling_row(r)[: n + 1])) for r in range(r_max + 1)]
+    return [Fraction(m) for m in laws.moments([1] * (min(n, r_max) + 1), r_max)]
+
+
+def uniform_fixed_distribution_exact(n: int) -> dict[int, Fraction]:
+    """Exact fixed-point law of a uniform permutation, from F_a = 1 for a <= n."""
+    if n < 1:
+        raise ValidationError("n must be positive")
+    return laws.from_factorial_moments([1] * (n + 1))
 
 
 def commutator_random_moments(n: int, r_max: int) -> list[Fraction]:
@@ -378,10 +381,6 @@ def enumerate_commutator_distribution(n: int, x=None) -> dict[int, Fraction]:
     return {j: Fraction(c, factorial(n)) for j, c in sorted(counts.items())}
 
 
-def exact_moment(distribution: dict[int, Fraction], r: int) -> Fraction:
-    return sum((Fraction(p) * j ** r for j, p in distribution.items()), Fraction(0))
-
-
 def walk_term_at_cutoff(
     lam, i: int, c: float, n: int, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> tuple[mpmath.mpf, mpmath.mpf]:
@@ -422,8 +421,9 @@ def _report(
     """
     table = []
     with mp.workprec(precision_bits):
+        references = laws.moments([mean ** a for a in range(len(values))], len(values) - 1)
         for r, moment in enumerate(values[1:], start=1):
-            reference = +poisson_moment(r, mean)
+            reference = +references[r]
             table.append({"r": r, "moment": moment, "poisson_reference": reference,
                           "difference": moment - reference})
     return {"model": model, "params": params, "table": table}

@@ -27,8 +27,8 @@ from math import factorial
 
 from .characters import character, perm_cycle_type
 from .errors import EnumerationLimitError, FirstRowGuardError, ValidationError
-from .partitions import Partition, all_partitions, dim
 from .laws import stirling_columns, stirling_row
+from .partitions import Partition, all_partitions, dim
 from .tableaux import LatticePlan, skew_syt_large_first_row
 
 

@@ -12,9 +12,8 @@ The uniform model builds no permutations: it draws each sample's cycle
 lengths (the Feller coupling), so a sample costs about H_n bounded
 integers. Only the commutator shuffles rows of n points.
 
-Besides the sampler it holds what reads its histograms: the derangement
-law of the uniform model, the total-variation distance to a Poisson law
-and the moment z-score.
+What reads its histograms (moments, total-variation distances and
+moment z-scores) is permfix.laws.
 """
 from __future__ import annotations
 
@@ -23,14 +22,14 @@ from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, exp, factorial, sqrt
 
 import numpy as np
 
 from .characters import CycleType, perm_from_cycle_type
 from .errors import ValidationError
 from .limits import check_row_points
+# perfbench/trace.py reads the uniform law under this name.
+from .moments import uniform_fixed_distribution_exact  # noqa: F401
 
 # Version of the seeded sample streams: a histogram is reproducible from
 # its seed and parameters at one stream version. Version 2 sizes chunks
@@ -75,10 +74,6 @@ class EmpiricalDistribution:
     samples: int
     histogram: dict[int, int]
     stream_version: int = STREAM_VERSION
-
-    def moment(self, r: int) -> Fraction:
-        total = sum(count * j ** r for j, count in self.histogram.items())
-        return Fraction(total, self.samples)
 
 
 def _point_dtype(n: int):
@@ -265,55 +260,3 @@ def fixed_point_histogram(
             merged.update(future.result())
     return EmpiricalDistribution(samples, dict(sorted(merged.items())))
 
-
-def _subfactorial(m: int) -> int:
-    d = 1
-    for j in range(1, m + 1):
-        d = j * d + (-1) ** j
-    return d
-
-
-def uniform_fixed_distribution_exact(n: int) -> dict[int, Fraction]:
-    """Exact fixed-point law of a uniform permutation (derangement counts)."""
-    if n < 1:
-        raise ValidationError("n must be positive")
-    return {
-        j: Fraction(comb(n, j) * _subfactorial(n - j), factorial(n))
-        for j in range(n + 1)
-        if j != n - 1
-    }
-
-
-def tv_to_poisson(dist, lam: float) -> float:
-    """Total variation distance to a Poisson law with the given mean.
-
-    Poisson mass beyond the largest support point of dist is folded into
-    the distance, so the result lives in [0, 1].
-    """
-    if lam < 0:
-        raise ValidationError("mean must be nonnegative")
-    if isinstance(dist, EmpiricalDistribution):
-        probs = {j: c / dist.samples for j, c in dist.histogram.items()}
-    else:
-        probs = {j: float(p) for j, p in dist.items()}
-    top = max(probs) if probs else 0
-    acc = 0.0
-    covered = 0.0
-    pmf = exp(-lam)
-    for j in range(top + 1):
-        if j > 0:
-            pmf *= lam / j
-        acc += abs(probs.get(j, 0.0) - pmf)
-        covered += pmf
-    return 0.5 * (acc + max(0.0, 1.0 - covered))
-
-
-def moment_z_score(
-    empirical: EmpiricalDistribution, r: int, exact_r, exact_2r
-) -> float:
-    """Standardized deviation of the empirical rth moment from its exact value."""
-    variance = float(exact_2r) - float(exact_r) ** 2
-    if variance <= 0:
-        return 0.0 if empirical.moment(r) == exact_r else float("inf")
-    sigma = sqrt(variance / empirical.samples)
-    return (float(empirical.moment(r)) - float(exact_r)) / sigma

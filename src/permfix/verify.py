@@ -28,12 +28,12 @@ from .characters import (
     perm_from_cycle_type,
     verify_ratio_asymptotics,
 )
+from .laws import bell, moment, occupancy_probability, poisson_moment
 from .moments import (
     commutator_fixed_moments,
     commutator_random_moments,
     cutoff_steps,
     enumerate_commutator_distribution,
-    exact_moment,
     icycle_walk_moments_exact,
     icycle_walk_report,
     walk_exact_distribution,
@@ -41,7 +41,6 @@ from .moments import (
 )
 from .multiplicity import exact_shape_distribution, mult_by_route, mult_skew
 from .partitions import Partition, all_partitions, dim, partition_tuples
-from .laws import bell, occupancy_probability, poisson_moment
 
 # Largest scaled deviation max |ratio - limit| * n^2 accepted at the first
 # n of a ratio-decay grid.
@@ -174,7 +173,7 @@ def _commutator_random_enumeration(ns, rs, bell_points):
     for n in ns:
         dist = enumerate_commutator_distribution(n)
         engine = commutator_random_moments(n, max(rs))
-        bad += [(n, r) for r in rs if exact_moment(dist, r) != engine[r]]
+        bad += [(n, r) for r in rs if moment(dist, r) != engine[r]]
     orders: dict[int, list[int]] = {}
     for n, r in bell_points:
         orders.setdefault(n, []).append(r)
@@ -192,7 +191,7 @@ def _commutator_fixed_enumeration(ns, rs):
             x = CycleType(x_parts)
             dist = enumerate_commutator_distribution(n, x)
             engine = commutator_fixed_moments(n, x, max(rs))
-            bad += [(n, tuple(x), r) for r in rs if exact_moment(dist, r) != engine[r]]
+            bad += [(n, tuple(x), r) for r in rs if moment(dist, r) != engine[r]]
     return not bad, {"failures": bad}
 
 
@@ -224,7 +223,7 @@ def _walk_class_inversion(points, rs):
         if sum(dist.values()) != 1 or min(dist.values()) < 0:
             bad.append((n, i, k, "law"))
         engine = icycle_walk_moments_exact(n, i, k, max(rs))
-        bad += [(n, i, k, r) for r in rs if exact_moment(dist, r) != engine[r]]
+        bad += [(n, i, k, r) for r in rs if moment(dist, r) != engine[r]]
     return not bad, {"failures": bad}
 
 

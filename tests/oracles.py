@@ -32,13 +32,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import factorial, sqrt
+from math import comb, factorial, sqrt
 from typing import Iterator
 
 import numpy as np
 
 from permfix.characters import CycleType, commutator_perm, compose, perm_cycle_type
 from permfix.errors import EnumerationLimitError, SizeMismatchError, ValidationError
+from permfix.laws import stirling_row
 from permfix.multiplicity import exact_shape_distribution, mult_skew
 from permfix.partitions import (
     Partition,
@@ -46,7 +47,6 @@ from permfix.partitions import (
     hook_lengths,
     partitions_with_large_first_row,
 )
-from permfix.laws import stirling_row
 
 
 def syt_fillings(outer, inner=()) -> list[tuple[tuple[int, ...], ...]]:
@@ -266,6 +266,25 @@ def uniform_fixed_histogram_by_enumeration(n: int) -> dict[int, Fraction]:
         fix = sum(1 for j, v in enumerate(g) if j == v)
         counts[fix] = counts.get(fix, 0) + 1
     return {j: Fraction(c, factorial(n)) for j, c in sorted(counts.items())}
+
+
+def derangement_law(n: int) -> dict[int, Fraction]:
+    """The fixed-point law of a uniform permutation of n points, by counting:
+    C(n, j) * D(n - j) / n!, with D(m) = m * D(m - 1) + (-1)^m the
+    derangement counts. Values of probability 0 (only j = n - 1) are left out."""
+    derangements = [1]
+    for m in range(1, n + 1):
+        derangements.append(m * derangements[-1] + (-1) ** m)
+    return {
+        j: Fraction(comb(n, j) * derangements[n - j], factorial(n))
+        for j in range(n + 1)
+        if j != n - 1
+    }
+
+
+def empirical_law(dist) -> dict[int, Fraction]:
+    """The law {j: count / samples} of a sampler's histogram."""
+    return {j: Fraction(c, dist.samples) for j, c in dist.histogram.items()}
 
 
 def stick_breaking_ones_laws(n_max: int) -> list[dict[int, Fraction]]:

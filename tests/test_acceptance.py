@@ -14,7 +14,7 @@ from itertools import permutations
 import mpmath
 import pytest
 from mpmath import mp
-from oracles import top_to_random_shape_check
+from oracles import empirical_law, top_to_random_shape_check
 
 from permfix.characters import CycleType
 from permfix.moments import (
@@ -27,8 +27,8 @@ from permfix.moments import (
 )
 from permfix.multiplicity import mult_skew
 from permfix.partitions import all_partitions
-from permfix.laws import bell, poisson_moment
-from permfix.simulate import fixed_point_histogram, moment_z_score
+from permfix.laws import bell, moment_z_score, poisson_moment
+from permfix.simulate import fixed_point_histogram
 from permfix.verify import GATES, run_suite
 
 SEED = 20250809
@@ -209,7 +209,8 @@ def test_c13_monte_carlo_vs_exact_engines():
     commutator = fixed_point_histogram("commutator", 5, 1_000_000, seed=SEED)
     for r in (1, 2):
         z = moment_z_score(
-            commutator,
+            empirical_law(commutator),
+            commutator.samples,
             r,
             moment_commutator_random(5, r),
             moment_commutator_random(5, 2 * r),
@@ -218,6 +219,6 @@ def test_c13_monte_carlo_vs_exact_engines():
     walk = fixed_point_histogram("walk", 6, 1_000_000, seed=SEED + 1, i=3, k=4)
     exact = icycle_walk_moments_exact(6, 3, 4, 4)
     for r in (1, 2):
-        z = moment_z_score(walk, r, exact[r], exact[2 * r])
+        z = moment_z_score(empirical_law(walk), walk.samples, r, exact[r], exact[2 * r])
         assert abs(z) < 4, (r, z)
     _ok("C13 10^6-sample Monte Carlo within 4 sigma of exact engines (fixed seed)")

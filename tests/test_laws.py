@@ -4,15 +4,26 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import set_partitions
+from oracles import derangement_law, set_partitions
+from permfix.characters import CycleType, class_column
+from permfix.errors import ValidationError
 from permfix.laws import (
     bell,
+    from_factorial_moments,
+    moment,
     occupancy_probability,
     poisson_moment,
     stirling,
     stirling_columns,
     stirling_row,
+    tv_to_poisson,
 )
+from permfix.moments import (
+    _factorial_moments,
+    enumerate_commutator_distribution,
+    uniform_fixed_distribution_exact,
+)
+from permfix.partitions import all_partitions, dim
 from permfix.verify import GATES
 
 
@@ -100,3 +111,43 @@ def test_stirling_columns_equal_the_table_row(r):
     row = list(stirling_row(r))
     for a_max in range(r + 3):
         assert stirling_columns(r, a_max) == (row + [0, 0])[: a_max + 1]
+
+
+def test_the_law_from_unit_factorial_moments_is_the_derangement_law():
+    for n in range(1, 201):
+        assert from_factorial_moments([1] * (n + 1)) == derangement_law(n), n
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_laws_from_the_engines_factorial_moments_equal_enumeration(n):
+    both_random = _factorial_moments(n, n, lambda lam: (1, dim(lam)))
+    assert from_factorial_moments(both_random) == enumerate_commutator_distribution(n)
+    for x in all_partitions(n):
+        column = class_column(CycleType(x), n)
+        fixed = _factorial_moments(n, n, lambda lam: (column.get(lam, 0) ** 2, dim(lam)))
+        assert from_factorial_moments(fixed) == enumerate_commutator_distribution(n, x), x
+
+
+def test_empirical_law_moments_are_exact_fractions():
+    law = {0: Fraction(1, 4), 1: Fraction(2, 4), 3: Fraction(1, 4)}
+    assert moment(law, 1) == Fraction(5, 4)
+    assert moment(law, 2) == Fraction(11, 4)
+
+
+def test_tv_to_poisson_edges():
+    assert tv_to_poisson({0: Fraction(1)}, 0.0) == 0.0
+    near = tv_to_poisson(
+        {j: Fraction(2, 3) if j == 0 else Fraction(1, 3) for j in (0, 1)}, 0.0
+    )
+    assert near == pytest.approx(1 / 3)
+
+
+def test_tv_to_poisson_uniform_n6():
+    dist = uniform_fixed_distribution_exact(6)
+    tv = tv_to_poisson(dist, 1.0)
+    assert 0 < tv < 0.02
+
+
+def test_tv_to_poisson_rejects_negative_mean():
+    with pytest.raises(ValidationError):
+        tv_to_poisson({0: Fraction(1)}, -1.0)

@@ -23,6 +23,7 @@ from test_acceptance import TIER1
 from permfix import moments, tableaux
 from permfix.characters import CycleType, char_ratio_icycle, character
 from permfix.errors import ValidationError
+from permfix.laws import stirling_row
 from permfix.moments import (
     MAX_ORDER,
     _factorial_moments,
@@ -41,7 +42,6 @@ from permfix.moments import (
     walk_exact_distribution,
 )
 from permfix.partitions import all_partitions, dim, partition_tuples
-from permfix.laws import stirling_row
 
 
 @pytest.mark.parametrize("n", range(1, 13))

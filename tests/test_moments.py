@@ -15,21 +15,20 @@ from permfix.moments import (
     commutator_fixed_report,
     commutator_random_report,
     cutoff_steps,
-    exact_moment,
     icycle_walk_moments_exact,
     icycle_walk_report,
     moment_commutator_fixed,
     moment_commutator_fixed_closed,
     moment_commutator_random,
     moment_icycle_walk,
+    uniform_fixed_distribution_exact,
     uniform_moments,
     walk_exact_distribution,
     walk_term_at_cutoff,
 )
 from permfix.multiplicity import mult_skew
 from permfix.partitions import all_partitions, dim
-from permfix.laws import bell, poisson_moment
-from permfix.simulate import uniform_fixed_distribution_exact
+from permfix.laws import bell, moment, poisson_moment
 from permfix.verify import GATES
 
 
@@ -178,7 +177,7 @@ def test_half_mean_trend_for_two_cycles():
 def test_uniform_moments_equal_those_of_the_derangement_law():
     for n in range(1, 25):
         law = uniform_fixed_distribution_exact(n)
-        assert uniform_moments(n, 2 * n + 2) == [exact_moment(law, r) for r in range(2 * n + 3)]
+        assert uniform_moments(n, 2 * n + 2) == [moment(law, r) for r in range(2 * n + 3)]
 
 
 def test_walk_zero_steps_is_identity():

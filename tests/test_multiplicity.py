@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from permfix.errors import EnumerationLimitError, FirstRowGuardError
+from permfix.laws import bell, stirling
 from permfix.multiplicity import (
     mult_large_first_row,
     mult_oracle,
@@ -10,7 +11,6 @@ from permfix.multiplicity import (
     mult_updown,
 )
 from permfix.partitions import all_partitions
-from permfix.laws import bell, stirling
 from strategies import partitions
 
 

@@ -53,6 +53,11 @@ def test_importing_the_cli_leaves_numpy_out():
     assert not _numpy_modules(_imported_modules("-c", code))
 
 
+def test_importing_the_law_module_leaves_numpy_out():
+    code = "import sys, permfix.laws; assert 'numpy' not in sys.modules"
+    assert not _numpy_modules(_imported_modules("-c", code))
+
+
 def test_simulate_imports_numpy():
     modules = _imported_modules("-m", "permfix", "simulate", "--model", "uniform", "--n", "20",
                                 "--samples", "100", "--threads", "1")

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (
+    empirical_law,
     fixed_point_count,
     lis_length,
     make_rng,
@@ -31,20 +32,15 @@ from permfix.characters import (
 from permfix.errors import EnumerationLimitError, ValidationError
 from permfix.moments import (
     enumerate_commutator_distribution,
-    exact_moment,
     moment_commutator_random,
+    uniform_fixed_distribution_exact,
     walk_exact_distribution,
 )
 from permfix.multiplicity import exact_shape_distribution
 from permfix import limits, simulate
 from permfix.partitions import Partition
-from permfix.simulate import (
-    EmpiricalDistribution,
-    fixed_point_histogram,
-    moment_z_score,
-    tv_to_poisson,
-    uniform_fixed_distribution_exact,
-)
+from permfix.laws import moment, moment_z_score
+from permfix.simulate import fixed_point_histogram
 from strategies import permutation_words
 
 
@@ -214,7 +210,7 @@ def test_enumerate_commutator_distribution_tiny():
 
 def test_enumerate_commutator_fixed_examples():
     dist = enumerate_commutator_distribution(5, (5,))
-    assert exact_moment(dist, 1) == Fraction(5, 4)
+    assert moment(dist, 1) == Fraction(5, 4)
     identity = enumerate_commutator_distribution(4, (1, 1, 1, 1))
     assert identity == {4: Fraction(1)}
 
@@ -235,12 +231,6 @@ def test_stick_breaking_draws_the_derangement_law():
     laws = stick_breaking_ones_laws(30)
     for n in range(1, 31):
         assert laws[n] == uniform_fixed_distribution_exact(n), n
-
-
-def test_empirical_distribution_moments_are_exact_fractions():
-    dist = EmpiricalDistribution(samples=4, histogram={0: 1, 1: 2, 3: 1})
-    assert dist.moment(1) == Fraction(5, 4)
-    assert dist.moment(2) == Fraction(11, 4)
 
 
 def test_fixed_point_histogram_deterministic():
@@ -271,15 +261,14 @@ def test_histogram_supports_are_legal():
 def test_uniform_histogram_matches_exact_law():
     dist = fixed_point_histogram("uniform", 4, 200_000, seed=21)
     exact = uniform_fixed_distribution_exact(4)
-    z1 = moment_z_score(dist, 1, exact_moment(exact, 1), exact_moment(exact, 2))
+    z1 = moment_z_score(empirical_law(dist), dist.samples, 1, moment(exact, 1), moment(exact, 2))
     assert abs(z1) < 5
 
 
 def test_commutator_histogram_matches_engine():
     dist = fixed_point_histogram("commutator", 5, 200_000, seed=22)
-    z = moment_z_score(
-        dist, 1, moment_commutator_random(5, 1), moment_commutator_random(5, 2)
-    )
+    z = moment_z_score(empirical_law(dist), dist.samples, 1,
+                       moment_commutator_random(5, 1), moment_commutator_random(5, 2))
     assert abs(z) < 5
 
 
@@ -298,7 +287,7 @@ def test_commutator_fixed_histogram_matches_enumeration():
     x = (3, 2)
     dist = fixed_point_histogram("commutator", 5, 200_000, seed=23, x=x)
     exact = enumerate_commutator_distribution(5, x)
-    z = moment_z_score(dist, 1, exact_moment(exact, 1), exact_moment(exact, 2))
+    z = moment_z_score(empirical_law(dist), dist.samples, 1, moment(exact, 1), moment(exact, 2))
     assert abs(z) < 5
 
 
@@ -376,25 +365,6 @@ def test_uniform_sampler_hits_every_permutation_uniformly():
     p = 1 / 24
     sigma = (samples * p * (1 - p)) ** 0.5
     assert all(abs(c - samples * p) < 5 * sigma for c in counts)
-
-
-def test_tv_to_poisson_edges():
-    assert tv_to_poisson({0: Fraction(1)}, 0.0) == 0.0
-    near = tv_to_poisson(
-        {j: Fraction(2, 3) if j == 0 else Fraction(1, 3) for j in (0, 1)}, 0.0
-    )
-    assert near == pytest.approx(1 / 3)
-
-
-def test_tv_to_poisson_uniform_n6():
-    dist = uniform_fixed_distribution_exact(6)
-    tv = tv_to_poisson(dist, 1.0)
-    assert 0 < tv < 0.02
-
-
-def test_tv_to_poisson_rejects_negative_mean():
-    with pytest.raises(ValidationError):
-        tv_to_poisson({0: Fraction(1)}, -1.0)
 
 
 def test_fixed_point_histogram_validation():
