@@ -296,7 +296,7 @@ def cmd_simulate(args) -> int:
     ]
     if args.model == "walk":
         offset = moments.cutoff_offset(args.n, args.i, args.k)
-        mean = float(moments.walk_poisson_mean(args.i, offset, precision_bits=53))
+        mean = float(moments.walk_poisson_mean(args.i, offset))
     else:
         mean = 1.0
     body = {
@@ -355,7 +355,9 @@ def cmd_dist(args) -> int:
         x = CycleType(parse_parts(args.x, args.n)) if args.x is not None else None
         dist = moments.enumerate_commutator_distribution(args.n, x)
         params = {"n": args.n, "x": list(x) if x else None}
-    table = [{"fixed_points": j, "probability": p} for j, p in sorted(dist.items())]
+    table = [
+        {"fixed_points": j, "probability": p} for j, p in sorted(dist.items())
+    ]
     body = {
         "params": params,
         "table": table,

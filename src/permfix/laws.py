@@ -14,6 +14,9 @@ from fractions import Fraction
 from math import comb, exp, factorial, lcm, perm, sqrt
 from operator import mul
 
+import mpmath
+from mpmath.libmp import to_rational
+
 from .errors import ValidationError
 
 _rows: list[list[int]] = [[1]]
@@ -132,10 +135,15 @@ def tv_to_poisson(law: dict, lam: float) -> float:
 
 
 def moment_z_score(law: dict, samples: int, r: int, exact_r, exact_2r) -> float:
-    """Standardized deviation of the rth moment of an empirical law of
-    samples draws from its exact value exact_r, exact_2r being E[X^2r]."""
-    variance = float(exact_2r) - float(exact_r) ** 2
+    """z of the rth moment of a law of samples draws against its exact value
+    exact_r, exact_2r being E[X^2r]. The gap and the variance are exact (an
+    mpmath real by its binary value) and z^2 is rounded once: in doubles,
+    E[X^2r] - E[X^r]^2 cancels to nothing once far below E[X^r]^2."""
+    exact_r, exact_2r = (Fraction(*to_rational(v._mpf_)) if isinstance(v, mpmath.mpf)
+                         else Fraction(v) for v in (exact_r, exact_2r))
+    gap = moment(law, r) - exact_r
+    variance = exact_2r - exact_r ** 2
     if variance <= 0:
-        return 0.0 if moment(law, r) == exact_r else float("inf")
-    sigma = sqrt(variance / samples)
-    return (float(moment(law, r)) - float(exact_r)) / sigma
+        return 0.0 if gap == 0 else float("inf")
+    z = sqrt(gap * gap * samples / variance)
+    return z if gap >= 0 else -z

@@ -73,11 +73,7 @@ DEFAULT_PRECISION_BITS = 128
 
 # The highest moment order computed (simulate's exact references go to
 # twice its --r-max). Every Stirling row up to it is cached, which grows as
-# about r^3 log r bits whatever n is (order 800 took 139 MB at n = 5), and
-# simulate's z-scores take doubles of its moments: those stay finite here,
-# since a uniform moment of order 128 is at most B(128) ~ 10^158, and the
-# shape cap admits order 128 only for n <= 40, where a moment is at most
-# 40^128 ~ 10^205.
+# about r^3 log r bits whatever n is (order 800 took 139 MB at n = 5).
 MAX_ORDER = 128
 
 
@@ -173,7 +169,8 @@ def uniform_moments(n: int, r_max: int) -> list[Fraction]:
     """Moments r = 0..r_max of the fixed points of a uniform permutation.
 
     Its shape weight is 1 on the one-row shape (n) alone, so F_a = 1 for
-    every a <= n, and no shape is visited.
+    every a <= n. Nothing is enumerated: the weight route would visit every
+    shape with first part at least n - r_max only to weigh all but one by 0.
     """
     if n < 1 or r_max < 0:
         raise ValidationError("need n >= 1 and r >= 0")

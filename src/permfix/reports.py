@@ -18,7 +18,7 @@ import mpmath
 
 from .moments import DEFAULT_PRECISION_BITS
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 
 def _decimal_digits(precision_bits: int) -> int:

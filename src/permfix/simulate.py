@@ -63,10 +63,6 @@ def spawn_rngs(root: np.random.SeedSequence, count: int) -> list[np.random.Gener
     return [np.random.Generator(np.random.PCG64(s)) for s in root.spawn(count)]
 
 
-# ---------------------------------------------------------------------------
-# Empirical distributions and batched Monte Carlo drivers
-
-
 @dataclass
 class EmpiricalDistribution:
     """Integer histogram of fixed-point counts from one seeded run."""
@@ -259,4 +255,3 @@ def fixed_point_histogram(
         for future in pending:
             merged.update(future.result())
     return EmpiricalDistribution(samples, dict(sorted(merged.items())))
-

@@ -59,7 +59,7 @@ def test_mult_all_agree(capsys):
     code, out, _ = run_cli(capsys, "mult", "--lambda", "4,1", "--r", "1", "--alg", "all")
     assert code == 0
     report = json.loads(out)
-    assert report["schema_version"] == 5
+    assert report["schema_version"] == 6
     assert report["multiplicity"] == 1
     assert report["agree"] is True
     assert set(report["by_algorithm"]) == {"skew", "updown", "first-row", "oracle"}
@@ -148,7 +148,7 @@ def test_moments_rows_hold_moment_reference_and_difference(capsys, argv):
     code, out, _ = run_cli(capsys, "moments", *argv, "--r-max", "2")
     assert code == 0
     report = json.loads(out)
-    assert report["schema_version"] == 5
+    assert report["schema_version"] == 6
     assert [set(row) for row in report["table"]] == [
         {"r", "moment", "poisson_reference", "difference"}
     ] * 2
@@ -605,6 +605,17 @@ def test_simulate_report_carries_the_stream_version(capsys):
     assert json.loads(out)["stream_version"] == 5
 
 
+def test_simulate_walk_reference_mean_is_rounded_once(capsys):
+    # 1 + exp(-i c) at the c of k = 1 step, rounded from 128 bits to a
+    # double; rounding it to 53 bits first gave 2.540251357097776.
+    code, out, _ = run_cli(
+        capsys, "simulate", "--model", "walk", "--n", "3", "--i", "2", "--k", "1",
+        "--samples", "10", "--seed", "1", "--threads", "1",
+    )
+    assert code == 0
+    assert json.loads(out)["poisson_reference_mean"] == "2.5402513570977763"
+
+
 def test_commutator_fixed_report_gives_the_class_by_cycle_counts(capsys):
     code, out, err = run_cli(
         capsys, "moments", "commutator-fixed", "--n", "1000000", "--x", "1^1000000"
@@ -658,7 +669,7 @@ def test_lambda_cells_below_the_first_row_are_capped(capsys, argv):
     at_limit = f"1^{MAX_CELLS_BELOW_FIRST_ROW + 1}"
     code, out, _ = run_cli(capsys, *argv, "--lambda", at_limit)
     assert code == 0
-    assert json.loads(out)["schema_version"] == 5
+    assert json.loads(out)["schema_version"] == 6
     for over in (f"1^{MAX_CELLS_BELOW_FIRST_ROW + 2}", f"7,2^{MAX_CELLS_BELOW_FIRST_ROW // 2}, 1"):
         code, out, err = run_cli(capsys, *argv, "--lambda", over)
         assert (code, out) == (2, "")

@@ -1,4 +1,7 @@
 from fractions import Fraction
+from math import comb
+
+import mpmath
 
 import pytest
 from hypothesis import given
@@ -11,6 +14,7 @@ from permfix.laws import (
     bell,
     from_factorial_moments,
     moment,
+    moment_z_score,
     occupancy_probability,
     poisson_moment,
     stirling,
@@ -21,6 +25,7 @@ from permfix.laws import (
 from permfix.moments import (
     _factorial_moments,
     enumerate_commutator_distribution,
+    moment_commutator_fixed_closed,
     uniform_fixed_distribution_exact,
 )
 from permfix.partitions import all_partitions, dim
@@ -151,3 +156,33 @@ def test_tv_to_poisson_uniform_n6():
 def test_tv_to_poisson_rejects_negative_mean():
     with pytest.raises(ValidationError):
         tv_to_poisson({0: Fraction(1)}, -1.0)
+
+
+def test_moment_z_score_keeps_a_variance_far_below_the_squared_moment():
+    # With x a transposition the commutator is x times a uniform
+    # transposition: the identity, a 3-cycle or two 2-cycles. At n = 10^6
+    # Var fix^r is below 10^-16 of (E fix^r)^2, under a double's last bit.
+    n = 10 ** 6
+    pairs = comb(n, 2)
+    law = {n: Fraction(1, pairs), n - 3: Fraction(2 * (n - 2), pairs),
+           n - 4: Fraction(comb(n - 2, 2), pairs)}
+    x = (2,) + (1,) * (n - 2)
+    assert [moment(law, r) for r in (1, 2)] == [moment_commutator_fixed_closed(n, x, r)
+                                                for r in (1, 2)]
+    samples, empirical = 200, {n - 4: Fraction(1)}
+    for r in (1, 2):
+        exact_r, exact_2r = moment(law, r), moment(law, 2 * r)
+        with mpmath.workprec(200):
+            gap, variance = _mpf(moment(empirical, r) - exact_r), _mpf(exact_2r - exact_r ** 2)
+            z = float(gap / mpmath.sqrt(variance / samples))
+        assert -1 < z < 0
+        z_score = moment_z_score(empirical, samples, r, exact_r, exact_2r)
+        assert z_score == pytest.approx(z, rel=1e-12)
+        # mpmath moments are read exactly from their binary values.
+        with mpmath.workprec(128):
+            reals = _mpf(exact_r), _mpf(exact_2r)
+        assert moment_z_score(empirical, samples, r, *reals) == pytest.approx(z, rel=1e-6)
+
+
+def _mpf(q: Fraction) -> mpmath.mpf:
+    return mpmath.mpf(q.numerator) / q.denominator
