@@ -17,6 +17,7 @@ from mpmath import mp
 from oracles import empirical_law, top_to_random_shape_check
 
 from permfix.characters import CycleType
+from permfix.laws import bell, moment_z_score, poisson_moment
 from permfix.moments import (
     cutoff_steps,
     icycle_walk_moments_exact,
@@ -27,7 +28,6 @@ from permfix.moments import (
 )
 from permfix.multiplicity import mult_skew
 from permfix.partitions import all_partitions
-from permfix.laws import bell, moment_z_score, poisson_moment
 from permfix.simulate import fixed_point_histogram
 from permfix.verify import GATES, run_suite
 

@@ -30,6 +30,7 @@ from permfix.characters import (
     perm_from_cycle_type,
 )
 from permfix.errors import EnumerationLimitError, ValidationError
+from permfix.laws import moment, moment_z_score
 from permfix.moments import (
     enumerate_commutator_distribution,
     moment_commutator_random,
@@ -39,7 +40,6 @@ from permfix.moments import (
 from permfix.multiplicity import exact_shape_distribution
 from permfix import limits, simulate
 from permfix.partitions import Partition
-from permfix.laws import moment, moment_z_score
 from permfix.simulate import fixed_point_histogram
 from strategies import permutation_words
 
