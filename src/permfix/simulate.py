@@ -6,11 +6,13 @@ Randomness contract: every sampler draws from a numpy PCG64 generator.
 A run is identified by a 64-bit master seed; one stream per chunk is
 derived with SeedSequence(seed).spawn, so threaded runs produce the same
 histogram as a sequential run with the same seed and stream version;
-a random x factor comes from the chunk's generator jumped ahead.
+the class of a random x factor comes from the chunk's generator jumped
+ahead.
 
 The uniform model builds no permutations: it draws each sample's cycle
 lengths (the Feller coupling), so a sample costs about H_n bounded
-integers. Only the commutator shuffles rows of n points.
+integers. The commutator shuffles one row of n points per sample, its
+g; a random x enters only through its cycle type, drawn the same way.
 
 What reads its histograms (moments, total-variation distances and
 moment z-scores) is permfix.laws.
@@ -38,20 +40,31 @@ from .moments import uniform_fixed_distribution_exact  # noqa: F401
 # histogram and no other. Version 4 draws a random x factor from a child
 # of the chunk's generator, which changes only both-random commutators.
 # Version 5 draws uniform samples by cycle lengths instead of shuffling
-# them, which changes every uniform histogram and no other.
-STREAM_VERSION = 5
+# them, which changes every uniform histogram and no other. Version 6
+# draws a random x factor as the canonical permutation of a uniform cycle
+# type and gives uniform chunks 2^17 rows at every n, which changes the
+# both-random commutator histograms and the uniform ones of n > 128 only.
+STREAM_VERSION = 6
 
-# A chunk of samples holds min(2^17, 2^24 // n) rows, so every n <= 128
-# keeps the 2^17-row chunks of version 1; only the walk holds a chunk's
-# points, near 2^24 entries. The commutator kernel shuffles and compares
-# _SUB_CELLS entries at a time; that size changes no result.
+# A uniform chunk holds _CHUNK_ROWS samples, a few int64 entries each
+# whatever n is. The row kernels hold min(2^17, 2^24 // n) rows, so every
+# n <= 128 keeps the 2^17-row chunks of version 1; only the walk holds a
+# chunk's points, near 2^24 entries. The commutator kernel shuffles and
+# compares _SUB_CELLS entries at a time, a size that changes no result,
+# and draws random x classes _CLASS_CELLS entries at a time, a size that
+# is part of the stream version.
 _CHUNK_ROWS = 1 << 17
 _CHUNK_CELLS = 1 << 24
 _SUB_CELLS = 1 << 16
+_CLASS_CELLS = 1 << 20
 
 
 def _chunk_rows(n: int) -> int:
     return max(1, min(_CHUNK_ROWS, _CHUNK_CELLS // n))
+
+
+def _uniform_chunk_rows(n: int) -> int:
+    return _CHUNK_ROWS
 
 
 def spawn_rngs(root: np.random.SeedSequence, count: int) -> list[np.random.Generator]:
@@ -85,53 +98,96 @@ def _shuffled(rows, rng) -> np.ndarray:
     return rng.permuted(rows, axis=1, out=rows)
 
 
-def _uniform_fix_counts(n, count, rng, params) -> np.ndarray:
-    """Fixed points of count uniform permutations, from their cycle lengths.
+def _feller_passes(n, keys, rng, visit) -> None:
+    """The Feller coupling of one uniform permutation of n points per key.
 
     The cycle through the lowest unplaced point of a uniform permutation
-    of `left` points has a length uniform on 1..left, and the other points
-    form a uniform permutation of left - length points; a fixed point is a
-    cycle of length 1. Each pass draws one length for every live sample
-    and drops the samples with no points left: a sample takes one draw per
-    cycle, about H_n = 1 + 1/2 + ... + 1/n, and no row of n points is built.
+    of m points has a length uniform on 1..m, and the other points form a
+    uniform permutation of m - length points. Each pass draws one length
+    for every live sample, calls visit(keys, left, length) on them, left
+    being the points that remain after the cycle, and drops the samples
+    with none left: a sample takes one draw per cycle, about
+    H_n = 1 + 1/2 + ... + 1/n. (A callback, not a generator: a loop over
+    a generator would hold one pass's arrays while the next is drawn.)
     """
-    fix = np.zeros(count, dtype=np.int64)
-    rows = np.arange(count)
-    left = np.full(count, n, dtype=np.int64)
-    while rows.size:
+    left = np.full(len(keys), n, dtype=np.int64)
+    while left.size:
         length = rng.integers(1, left, endpoint=True)
-        fix[rows] += length == 1
         left -= length
+        visit(keys, left, length)
         live = left > 0
-        rows, left = rows[live], left[live]
+        keys, left = keys[live], left[live]
+
+
+def _uniform_fix_counts(n, count, rng, params) -> np.ndarray:
+    """Fixed points of count uniform permutations: the cycles of length 1
+    of their Feller couplings. No row of n points is built."""
+    fix = np.zeros(count, dtype=np.int64)
+
+    def count_fixed_points(rows, left, length):
+        fix[rows] += length == 1
+
+    _feller_passes(n, np.arange(count), rng, count_fixed_points)
     return fix
+
+
+def _class_rows(n, rng, out) -> np.ndarray:
+    """Fill the rows of out, each with the canonical permutation of a
+    uniform cycle type, and return out.
+
+    A row starts as the n-cycle 0 -> 1 -> ... -> n-1 -> 0. The Feller
+    coupling lays each cycle on the next run of points s..e, and the row
+    maps e back to s.
+    """
+    out[:] = np.roll(np.arange(n, dtype=out.dtype), -1)
+    flat = out.reshape(-1)
+
+    # Keyed by the flat index of each row's last point: the cycle ends
+    # left points before it and starts at n - left - length.
+    def close_cycle(last, left, length):
+        flat[last - left] = n - left - length
+
+    _feller_passes(n, np.arange(n - 1, out.size, n), rng, close_cycle)
+    return out
 
 
 def _shuffle_fix_counts(n, count, rng, params) -> np.ndarray:
     """Fixed points of count commutators g^-1 x^-1 g x of a uniform g: the
-    points where g.x and x.g agree, x being the row params["x"], or uniform
-    where that is None. g and x are each shuffled from one generator (x from
-    a child jumped from rng) in int64 sub-batches, numpy's fast path; those
+    points where g.x and x.g agree, x being the row params["x"], or a
+    uniform permutation where that is None.
+
+    g is shuffled from rng in int64 sub-batches, numpy's fast path; those
     draw what one shuffle of all rows would, so the sub-batch size changes
-    no result.
+    no result. A uniform x counts through its class alone: for any sigma,
+    [g, sigma p sigma^-1] = sigma [sigma^-1 g sigma, p] sigma^-1, and
+    sigma^-1 g sigma is uniform too, so x is the canonical permutation p
+    of a uniform cycle type, drawn by _class_rows from a child jumped
+    from rng in blocks of about _CLASS_CELLS entries.
     """
     dtype, x_row = _point_dtype(n), params["x"]
-    g = np.empty((min(count, max(1, _SUB_CELLS // n)), n), dtype=np.int64)
+    sub = min(count, max(1, _SUB_CELLS // n))
+    g = np.empty((sub, n), dtype=np.int64)
     if x_row is None:
         x_rng = np.random.Generator(rng.bit_generator.jumped())
-        x = np.empty_like(g)
+        block = max(1, _CLASS_CELLS // n)
+        x = np.empty((min(count, block), n), dtype=dtype)
+    else:
+        block = count
     fix = np.empty(count, dtype=np.int64)
-    for start in range(0, count, len(g)):
-        gs = _shuffled(g[: count - start], rng)
+    for first in range(0, count, block):
+        rows = min(block, count - first)
         if x_row is None:
-            xs = _shuffled(x[: count - start], x_rng)
-            # Flat gathers from narrow copies beat take_along_axis.
-            cells = np.arange(0, xs.size, n)[:, None]
-            narrow_g, narrow_x = gs.astype(dtype).ravel(), xs.astype(dtype).ravel()
-            same = narrow_g[xs + cells] == narrow_x[gs + cells]
-        else:
-            same = gs.astype(dtype)[:, x_row] == x_row[gs]
-        fix[start : start + len(gs)] = same.sum(axis=1)
+            _class_rows(n, x_rng, x[:rows])
+        for start in range(0, rows, sub):
+            gs = _shuffled(g[: rows - start], rng)
+            if x_row is None:
+                # Flat gathers from a narrow copy beat take_along_axis.
+                xs = x[start : start + len(gs)]
+                cells = np.arange(0, xs.size, n)[:, None]
+                same = gs.astype(dtype).ravel()[xs + cells] == xs.ravel()[gs + cells]
+            else:
+                same = gs.astype(dtype)[:, x_row] == x_row[gs]
+            fix[first + start : first + start + len(gs)] = same.sum(axis=1)
     return fix
 
 
@@ -168,18 +224,20 @@ def _walk_fix_counts(n, count, rng, params) -> np.ndarray:
     h = np.tile(np.arange(n, dtype=_point_dtype(n)), (count, 1))
     flat = h.reshape(-1)
     offsets = np.arange(0, count * n, n)
+    cells = np.empty((i, count), dtype=np.int64)
     for _ in range(k):
-        cells = offsets + _distinct_tuples(n, i, count, rng, dtype)
+        np.add(offsets, _distinct_tuples(n, i, count, rng, dtype), out=cells)
         moved = flat[cells]
         flat[cells[1:]] = moved[:-1]
         flat[cells[0]] = moved[-1]
     return (h == np.arange(n, dtype=h.dtype)).sum(axis=1)
 
 
+# Each model's kernel and its rows per chunk at n.
 _KERNELS = {
-    "uniform": _uniform_fix_counts,
-    "commutator": _shuffle_fix_counts,
-    "walk": _walk_fix_counts,
+    "uniform": (_uniform_fix_counts, _uniform_chunk_rows),
+    "commutator": (_shuffle_fix_counts, _chunk_rows),
+    "walk": (_walk_fix_counts, _chunk_rows),
 }
 
 
@@ -203,10 +261,10 @@ def fixed_point_histogram(
 ) -> EmpiricalDistribution:
     """Seeded histogram of fixed-point counts for one model.
 
-    Work is split into chunks of _chunk_rows(n) samples, one spawned
-    stream per chunk; merging integer histograms is order-independent, so
-    the result depends only on the seed, the parameters and the stream
-    version, not on the thread count.
+    Work is split into chunks of the model's rows per chunk at n, one
+    spawned stream per chunk; merging integer histograms is
+    order-independent, so the result depends only on the seed, the
+    parameters and the stream version, not on the thread count.
     """
     if model not in _KERNELS:
         raise ValidationError(f"unknown model {model!r}")
@@ -228,8 +286,8 @@ def fixed_point_histogram(
             x = CycleType.of_size(x, n)
             params["x"] = np.array(perm_from_cycle_type(x), dtype=_point_dtype(n))
 
-    kernel = _KERNELS[model]
-    rows = _chunk_rows(n)
+    kernel, chunk_rows = _KERNELS[model]
+    rows = chunk_rows(n)
     root = np.random.SeedSequence(seed)
 
     def run_chunk(size, rng) -> Counter:

@@ -3,7 +3,7 @@
 Everything here is deliberately independent of the package's production
 algorithms: tableaux are enumerated cell by cell, characters come from
 permutation-module fixed-point counts plus exact Gram-Schmidt, and the
-longest increasing subsequence uses dynamic programming. Six exceptions
+longest increasing subsequence uses dynamic programming. Seven exceptions
 keep a production path's former form as the reference for its
 replacement: bounded_partitions_recursive, the recursive shape
 enumerator; per_order_moment, the moment engines' per-order shape sum;
@@ -11,9 +11,11 @@ factorial_moments_by_skew_counts, the engine's former per-shape route to
 the factorial moments, with its skew counts from the memoized
 corner-peeling recursion skew_count_by_corner_peeling; dim_hook_product,
 the uncancelled hook length formula; character_recursive, the
-Murnaghan-Nakayama recursion with one call per cycle; and
+Murnaghan-Nakayama recursion with one call per cycle;
 char_near_one_row, the closed forms that character polynomials replaced
-for the three shapes nearest one row.
+for the three shapes nearest one row; and
+two_shuffle_commutator_fix_counts, the both-random commutator kernel
+that shuffled x as well as g before x was drawn by its cycle type.
 skew_syt_count_determinant is an independent determinant evaluation of
 the skew tableau counts, and icycle_walk_laws_by_convolution an
 independent route to the walk's fixed-point law, by convolving the
@@ -503,6 +505,23 @@ def sample_commutator(n: int, rng: np.random.Generator, x=None) -> tuple[int, ..
     elif len(x) != n:
         raise SizeMismatchError(f"fixed factor has size {len(x)}, expected {n}")
     return commutator_perm(g, x)
+
+
+def two_shuffle_commutator_fix_counts(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Fixed points of count commutators of two uniform permutations, each
+    a shuffle of n points: g from rng and x from a child jumped from rng,
+    as permfix.simulate drew them at stream versions 4 and 5, in rows of
+    about 2^16 entries."""
+    x_rng = np.random.Generator(rng.bit_generator.jumped())
+    rows = max(1, (1 << 16) // n)
+    fix = np.empty(count, dtype=np.int64)
+    for start in range(0, count, rows):
+        points = np.tile(np.arange(n), (min(rows, count - start), 1))
+        g = rng.permuted(points, axis=1)
+        x = x_rng.permuted(points, axis=1)
+        same = np.take_along_axis(g, x, axis=1) == np.take_along_axis(x, g, axis=1)
+        fix[start : start + len(same)] = same.sum(axis=1)
+    return fix
 
 
 def sample_icycle(n: int, i: int, rng: np.random.Generator) -> tuple[int, ...]:

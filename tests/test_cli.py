@@ -602,7 +602,7 @@ def test_simulate_report_carries_the_stream_version(capsys):
         capsys, "simulate", "--model", "uniform", "--n", "5", "--samples", "100", "--seed", "1"
     )
     assert code == 0
-    assert json.loads(out)["stream_version"] == 5
+    assert json.loads(out)["stream_version"] == 6
 
 
 def test_simulate_walk_reference_mean_is_rounded_once(capsys):

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -19,6 +20,7 @@ from oracles import (
     stick_breaking_ones_laws,
     top_to_random_shape_check,
     top_to_random_step,
+    two_shuffle_commutator_fix_counts,
     uniform_fixed_histogram_by_enumeration,
 )
 from permfix.characters import (
@@ -39,7 +41,7 @@ from permfix.moments import (
 )
 from permfix.multiplicity import exact_shape_distribution
 from permfix import limits, simulate
-from permfix.partitions import Partition
+from permfix.partitions import Partition, all_partitions
 from permfix.simulate import fixed_point_histogram
 from strategies import permutation_words
 
@@ -272,15 +274,97 @@ def test_commutator_histogram_matches_engine():
     assert abs(z) < 5
 
 
-def test_commutator_histogram_matches_enumerated_law():
-    dist = fixed_point_histogram("commutator", 6, 200_000, seed=27)
-    exact = enumerate_commutator_distribution(6)
-    assert set(dist.histogram) <= set(exact)
-    chi_sq = sum(
-        (dist.histogram.get(j, 0) - float(p) * dist.samples) ** 2 / (float(p) * dist.samples)
-        for j, p in exact.items()
-    )
-    assert chi_sq < _chi_square_bound(len(exact)), chi_sq
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("kernel", ["class-draw", "two-shuffle"])
+def test_commutator_histogram_matches_enumerated_law(kernel, n):
+    # The sampler, which draws x by its cycle type, and the two-shuffle
+    # kernel it replaced, against the law enumerated over S_n x S_n.
+    samples = 200_000
+    if kernel == "class-draw":
+        histogram = fixed_point_histogram("commutator", n, samples, seed=27).histogram
+    else:
+        counts = two_shuffle_commutator_fix_counts(n, samples, make_rng(27))
+        histogram = Counter(counts.tolist())
+    exact = enumerate_commutator_distribution(n)
+    assert set(histogram) <= {j for j, p in exact.items() if p}
+    chi_sq, cells = _pooled_chi_square(histogram, exact, samples)
+    assert chi_sq <= _chi_square_bound(cells), chi_sq
+
+
+def test_two_shuffle_oracle_redraws_the_version_5_histogram():
+    # The version 5 pin of the both-random run in PINNED_HISTOGRAMS, chunk
+    # by chunk from the same spawned streams.
+    import numpy as np
+
+    histogram: Counter = Counter()
+    rngs = simulate.spawn_rngs(np.random.SeedSequence(62), 2)
+    for size, rng in zip((1 << 17, PINNED_SAMPLES - (1 << 17)), rngs):
+        histogram.update(two_shuffle_commutator_fix_counts(32, size, rng).tolist())
+    assert histogram == {0: 48365, 1: 50051, 2: 25958, 3: 8851, 4: 2280, 5: 469, 6: 81, 7: 16,
+                         8: 1}
+
+
+def _draw_classes(n, count, seed):
+    import numpy as np
+
+    return simulate._class_rows(n, make_rng(seed), np.empty((count, n), dtype=simulate._point_dtype(n)))
+
+
+def test_class_rows_draw_each_cycle_type_of_s6_with_probability_one_over_z():
+    import numpy as np
+
+    n, samples = 6, 200_000
+    rows, counts = np.unique(_draw_classes(n, samples, seed=28), axis=0,
+                             return_counts=True)
+    observed: Counter = Counter()
+    for row, count in zip(rows.tolist(), counts.tolist()):
+        # Each cycle is a run of consecutive points s -> s+1 -> ... -> e -> s.
+        start = 0
+        for j, v in enumerate(row):
+            if v != j + 1:
+                assert v == start, row
+                start = j + 1
+        assert start == n, row
+        observed[perm_cycle_type(row)] += count
+    law = {CycleType(p): Fraction(1, CycleType(p).centralizer_order()) for p in all_partitions(n)}
+    assert set(observed) <= set(law)
+    chi_sq, cells = _pooled_chi_square(observed, law, samples)
+    assert cells == 11
+    assert chi_sq <= _chi_square_bound(cells), chi_sq
+
+
+@pytest.mark.parametrize("n", [127, 128, 129])
+def test_class_rows_hold_cycles_of_length_n_at_the_dtype_edge(n):
+    # A cycle may have length n, one more than the largest point: at
+    # n = 128 a length no longer fits the points' int8.
+    import numpy as np
+
+    samples = 20_000
+    x = _draw_classes(n, samples, seed=n)
+    assert (np.sort(x, axis=1) == np.arange(n)).all()
+    one_cycle = (x == np.roll(np.arange(n), -1)).all(axis=1).sum()
+    sigma = (samples * (1 / n) * (1 - 1 / n)) ** 0.5
+    assert abs(one_cycle - samples / n) < 5 * sigma
+    dist = fixed_point_histogram("commutator", n, samples, seed=n)
+    assert set(dist.histogram) <= set(range(n + 1)) - {n - 1}
+    z = moment_z_score(empirical_law(dist), samples, 1,
+                       moment_commutator_random(n, 1), moment_commutator_random(n, 2))
+    assert abs(z) < 5
+
+
+def test_class_kernel_counts_the_commutator_fixed_points_of_its_draws():
+    # Redraw one chunk's g and x from its stream and count by definition.
+    import numpy as np
+
+    n, count = 7, 300
+    fix = simulate._shuffle_fix_counts(n, count, make_rng(29), {"x": None})
+    rng = make_rng(29)
+    x_rng = np.random.Generator(rng.bit_generator.jumped())
+    g = simulate._shuffled(np.empty((count, n), dtype=np.int64), rng)
+    x = simulate._class_rows(n, x_rng, np.empty((count, n), dtype=np.int64))
+    expected = [fixed_point_count(commutator_perm(tuple(gr), tuple(xr)))
+                for gr, xr in zip(g.tolist(), x.tolist())]
+    assert fix.tolist() == expected
 
 
 def test_commutator_fixed_histogram_matches_enumeration():
@@ -387,11 +471,11 @@ PINNED_HISTOGRAMS = [
         ("uniform", 64, 61, {}),
         {0: 50046, 1: 50197, 2: 24932, 3: 8392, 4: 2063, 5: 361, 6: 76, 7: 3, 8: 1, 9: 1},
     ),
-    # Both-random x rows come from a child stream since version 4; this is
-    # its version 4 histogram.
+    # A both-random x is drawn by its cycle type since version 6; this is
+    # its version 6 histogram.
     (
         ("commutator", 32, 62, {}),
-        {0: 48365, 1: 50051, 2: 25958, 3: 8851, 4: 2280, 5: 469, 6: 81, 7: 16, 8: 1},
+        {0: 48598, 1: 50029, 2: 25779, 3: 8808, 4: 2273, 5: 487, 6: 84, 7: 13, 8: 1},
     ),
     (
         ("commutator", 32, 63, {"x": (5, 4, 3, 3, 3, 3, 3, 2, 2, 2, 2)}),
@@ -413,13 +497,18 @@ def test_seeded_histograms_at_small_n_are_pinned(run, histogram):
     model, n, seed, kwargs = run
     dist = fixed_point_histogram(model, n, PINNED_SAMPLES, seed=seed, **kwargs)
     assert dist.histogram == histogram
-    assert dist.stream_version == 5
+    assert dist.stream_version == 6
 
 
 def test_chunks_shrink_only_beyond_n_128():
-    assert all(simulate._chunk_rows(n) == 1 << 17 for n in range(1, 129))
-    assert simulate._chunk_rows(129) < 1 << 17
-    assert simulate._chunk_rows(10 ** 9) == 1
+    # Only the row models' chunks shrink; uniform chunks hold 2^17 rows at any n.
+    uniform_rows = simulate._KERNELS["uniform"][1]
+    row_rows = simulate._KERNELS["commutator"][1]
+    assert simulate._KERNELS["walk"][1] is row_rows
+    assert all(uniform_rows(n) == 1 << 17 for n in (1, 128, 129, 10 ** 6, 10 ** 9))
+    assert all(row_rows(n) == 1 << 17 for n in range(1, 129))
+    assert row_rows(129) < 1 << 17
+    assert row_rows(10 ** 9) == 1
 
 
 @pytest.mark.parametrize("sub_cells", [1, 7, 100, 1 << 20])
@@ -434,6 +523,18 @@ def test_sub_batch_size_changes_no_histogram(monkeypatch, sub_cells):
     monkeypatch.setattr(simulate, "_SUB_CELLS", sub_cells)
     for (model, n, kwargs), histogram in zip(runs, expected):
         assert fixed_point_histogram(model, n, 3000, seed=5, **kwargs).histogram == histogram
+
+
+@pytest.mark.parametrize("n", [40, 300])
+def test_class_blocks_feed_any_sub_batch_size_alike(monkeypatch, n):
+    # Blocks of 7 classes: sub-batches of every size cross their boundaries.
+    monkeypatch.setattr(simulate, "_CLASS_CELLS", 7 * n)
+    histograms = []
+    for sub_cells in (1, 5 * n, 100 * n, 1 << 20):
+        monkeypatch.setattr(simulate, "_SUB_CELLS", sub_cells)
+        histograms.append(fixed_point_histogram("commutator", n, 500, seed=5).histogram)
+    assert all(h == histograms[0] for h in histograms)
+    assert sum(histograms[0].values()) == 500
 
 
 def test_walk_threads_do_not_change_result_over_many_chunks(monkeypatch):
@@ -478,20 +579,26 @@ def _chi_square_bound(cells: int) -> float:
     return cells - 1 + 5 * (2 * (cells - 1)) ** 0.5
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 6, 64])
-def test_uniform_histogram_matches_the_derangement_law(n):
-    # Cells expected to hold fewer than 5 samples are pooled into one.
-    samples = 200_000
-    dist = fixed_point_histogram("uniform", n, samples, seed=70 + n)
-    exact = uniform_fixed_distribution_exact(n)
-    assert set(dist.histogram) <= {j for j, p in exact.items() if p}
-    cells = [(dist.histogram.get(j, 0), float(p) * samples) for j, p in exact.items()]
+def _pooled_chi_square(histogram, law, samples) -> tuple[float, int]:
+    """Pearson's chi-square of histogram against law, and its cell count;
+    cells expected to hold fewer than 5 samples are pooled into one."""
+    cells = [(histogram.get(key, 0), float(p) * samples) for key, p in law.items()]
     tail = [cell for cell in cells if cell[1] < 5]
     cells = [cell for cell in cells if cell[1] >= 5]
     if tail:
         cells.append((sum(o for o, _ in tail), sum(e for _, e in tail)))
     chi_sq = sum((observed - expected) ** 2 / expected for observed, expected in cells)
-    assert chi_sq <= _chi_square_bound(len(cells)), chi_sq
+    return chi_sq, len(cells)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 64, 300])
+def test_uniform_histogram_matches_the_derangement_law(n):
+    samples = 200_000
+    dist = fixed_point_histogram("uniform", n, samples, seed=70 + n)
+    exact = uniform_fixed_distribution_exact(n)
+    assert set(dist.histogram) <= {j for j, p in exact.items() if p}
+    chi_sq, cells = _pooled_chi_square(dist.histogram, exact, samples)
+    assert chi_sq <= _chi_square_bound(cells), chi_sq
 
 
 @pytest.mark.parametrize("n, i", [(5, 3), (7, 2), (4, 4), (6, 6)])
@@ -564,9 +671,10 @@ def test_many_chunks_in_flight_do_not_change_result(monkeypatch):
 def test_commutator_memory_is_bounded_by_the_sub_batch(x):
     # 2000 commutators at n = 3000. One int16 copy of the chunk is 12 MB;
     # stream version 3 held g, and x when random, as such copies and peaked
-    # at 24 MB (both random) and 12 MB (fixed x). The kernel now holds only
+    # at 24 MB (both random) and 12 MB (fixed x). The kernel now holds
     # int64 sub-batch buffers of 2^16 entries (0.5 MB each) and their
-    # temporaries.
+    # temporaries, and a random x's classes as a block of 2^20 int16
+    # entries (2 MB).
     tracemalloc.start()
     try:
         fixed_point_histogram("commutator", 3000, 2000, seed=1, x=x)
