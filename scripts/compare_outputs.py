@@ -13,7 +13,10 @@ skew counts of mult), then whole sweeps (``--r-max n``) of
 and n from 16 to 24, then partial sweeps on both sides of 2 r_max = n
 (the truncated column at or above, the character polynomial below, one
 of them at n = 100 and r_max = 16 on a class with fixed points and
-2-cycles), all above the benchmark's n <= 12, then every
+2-cycles), all above the benchmark's n <= 12, then ``permfix dist`` on
+the grid the group enumeration and the class inversion reach (both
+factors random at n <= 6, every class of n <= 7, and the walk at every
+i of n <= 8 and k in {0, 1, 5, 12}), then every
 ``permfix`` command line of this checkout's README.md at ``--threads 1``,
 then its ``moments`` and ``dist`` lines again with ``--format csv``, all
 built once from this checkout.
@@ -24,9 +27,9 @@ The two subprocesses run at the same time.
 The README's ``python scripts/...`` lines then run in each tree, as
 that tree's own scripts with its ``src`` first on the path.
 The script prints how many calls it compared, how many of them were
-mult calls, whole sweeps and partial sweeps, how many came from the
-README and how many README lines ran again as CSV, how many README
-scripts it compared, and the argv of each call whose stdout or exit
+mult calls, whole sweeps, partial sweeps and dist calls, how many came
+from the README and how many README lines ran again as CSV, how many
+README scripts it compared, and the argv of each call whose stdout or exit
 code differs and of each script whose stdout differs, and exits 0 when
 every output is identical and 1 otherwise. A script that exits with an error in either tree stops
 the comparison.
@@ -76,13 +79,19 @@ def build_calls(seeds: list[int]) -> list[list[str]]:
     return [op["argv"] for seed in seeds for name in workloads.WORKLOADS for op in workloads.build(name, seed)]
 
 
-def mult_calls() -> list[list[str]]:
-    """The argv of mult --alg skew for every shape of n = 1..8, at r = 1, 4 and 9."""
-    sys.path.insert(0, str(ROOT / "src"))
+def _shapes(n: int) -> list[tuple[int, ...]]:
+    """Every partition of n, as this checkout enumerates them."""
+    if str(ROOT / "src") not in sys.path:
+        sys.path.insert(0, str(ROOT / "src"))
     from permfix.partitions import partition_tuples
 
+    return list(partition_tuples(n, n))
+
+
+def mult_calls() -> list[list[str]]:
+    """The argv of mult --alg skew for every shape of n = 1..8, at r = 1, 4 and 9."""
     return [["mult", "--lambda", ",".join(map(str, lam)), "--r", str(r), "--alg", "skew"]
-            for n in range(1, 9) for lam in partition_tuples(n, n) for r in (1, 4, 9)]
+            for n in range(1, 9) for lam in _shapes(n) for r in (1, 4, 9)]
 
 
 def sweep_calls(sweeps) -> list[list[str]]:
@@ -98,6 +107,19 @@ WHOLE_SWEEPS = ((16, "1^16", 16), (16, "2,1^14", 16), (20, "3^2,1^14", 20), (24,
 # polynomial below, the last one with fixed points, 2-cycles and a deep r_max.
 PARTIAL_SWEEPS = ((20, "3^2,1^14", 12), (24, "2^12", 14), (30, "2^15", 15),
                   (64, "5^4,4^5,3^6,2^3", 12), (100, "5^4,4^5,3^6,2^10,1^22", 16))
+
+
+def dist_calls() -> list[list[str]]:
+    """The argv of dist on the grid of the brute-force laws: the commutator
+    with both factors random at n = 0..6 and at every class of n = 1..7,
+    and the walk at every i of n = 2..8 and k in {0, 1, 5, 12}."""
+    common = ["--threads", "1"]
+    calls = [["dist", "commutator", "--n", str(n), *common] for n in range(7)]
+    calls += [["dist", "commutator", "--n", str(n), "--x", ",".join(map(str, x)), *common]
+              for n in range(1, 8) for x in _shapes(n)]
+    calls += [["dist", "walk", "--n", str(n), "--i", str(i), "--k", str(k), *common]
+              for n in range(2, 9) for i in range(2, n + 1) for k in (0, 1, 5, 12)]
+    return calls
 
 
 def readme_calls() -> list[list[str]]:
@@ -166,9 +188,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     mult, sweeps, partial = mult_calls(), sweep_calls(WHOLE_SWEEPS), sweep_calls(PARTIAL_SWEEPS)
+    dist = dist_calls()
     readme = readme_calls()
     csv = csv_calls(readme)
-    calls = build_calls(args.seeds) + mult + sweeps + partial + readme + csv
+    calls = build_calls(args.seeds) + mult + sweeps + partial + dist + readme + csv
     with tempfile.TemporaryDirectory() as scratch:
         calls_file = Path(scratch) / "calls.json"
         calls_file.write_text(json.dumps(calls))
@@ -186,7 +209,7 @@ def main(argv=None) -> int:
         if theirs != ours:
             differ.append("python " + " ".join(argv))
     print(f"compared {len(calls)} calls ({len(mult)} mult, {len(sweeps)} whole sweeps, "
-          f"{len(partial)} partial sweeps, "
+          f"{len(partial)} partial sweeps, {len(dist)} dist, "
           f"{len(readme)} from README.md, "
           f"{len(csv)} of them again as CSV) and {len(scripts)} README scripts: "
           f"{len(differ)} differ")

@@ -61,12 +61,18 @@ MAX_MULT_R = 2000
 # dist walk prints each probability and the mean as exact fractions. Their
 # denominators divide L^k * lcm(z_mu), where L is the lcm of the reduced
 # denominators of the i-cycle character ratios and z_mu runs over the
-# centralizer orders; at n <= 8 (the class inversion's own limit) L is at
-# most 2880 (n = 8, i = 7) and lcm(z_mu) divides 8! = 40320. A numerator is
-# at most 8 times its denominator, so a printed int has at most
-# 3.46 k + 6 digits, within Python's default limit of 4300 digits up to
-# k = 1240: at this k, --n 8 --i 7 prints 4148 digits in about 0.2 s.
+# centralizer orders; at n <= MAX_DIST_N, L is at most 2880 (n = 8, i = 7)
+# and lcm(z_mu) divides 8! = 40320. A numerator is at most 8 times its
+# denominator, so a printed int has at most 3.46 k + 6 digits, within
+# Python's default limit of 4300 digits up to k = 1240: at this k,
+# --n 8 --i 7 prints 4148 digits in about 0.2 s.
 MAX_DIST_K = 1200
+
+# The engine gives the walk's law at any n its shapes fit, but the digit
+# bound above is derived only for n <= 8, so this bound guards the printed
+# digits: at n = 12 the i-cycle class has up to 11! elements, and k = 1200
+# could not print. A wider n needs a digit bound in (n, i, k).
+MAX_DIST_N = 8
 
 # --samples is parsed as a double, which past 2^53 cannot tell a whole count
 # from its neighbours (2^53 + 1 reads as 2^53), so the check that it is
@@ -186,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", required=True, metavar="PARTS")
     p.add_argument("--i", type=int, required=True)
 
-    p = sub.add_parser("dist", help="exact small-n distributions")
+    p = sub.add_parser("dist", help="exact fixed-point laws from the factorial moments")
     dist_sub = p.add_subparsers(dest="dist_model", required=True)
     q = _leaf(dist_sub, "walk", "format")
     q.add_argument("--n", type=int, required=True)
@@ -347,13 +353,15 @@ def cmd_ratio(args) -> int:
 
 def cmd_dist(args) -> int:
     if args.dist_model == "walk":
+        if args.n > MAX_DIST_N:
+            raise ValidationError(f"--n must be at most {MAX_DIST_N}, got {args.n}")
         if args.k > MAX_DIST_K:
             raise ValidationError(f"--k must be at most {MAX_DIST_K}, got {args.k}")
-        dist = moments.walk_exact_distribution(args.n, args.i, args.k)
+        dist = moments.icycle_walk_distribution(args.n, args.i, args.k)
         params = {"n": args.n, "i": args.i, "k": args.k}
     else:
         x = CycleType(parse_parts(args.x, args.n)) if args.x is not None else None
-        dist = moments.enumerate_commutator_distribution(args.n, x)
+        dist = moments.commutator_distribution(args.n, x)
         params = {"n": args.n, "x": list(x) if x else None}
     table = [
         {"fixed_points": j, "probability": p} for j, p in sorted(dist.items())

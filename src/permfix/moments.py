@@ -25,9 +25,9 @@ a sweep over classes or step counts at one n builds it once. The
 uniform permutation's weight is 1 on the one-row shape alone, so its
 F_a are 1 and need no walk.
 The fixed-x commutator weighs each shape by chi^lam(x)^2 / dim, read
-from characters.class_column(x, min(r_max, n)), swept once per call;
-the walk's class inversion reads each class's whole column,
-characters.class_column(mu, n).
+from characters.class_column(x, min(r_max, n)), swept once per call.
+Each model's weight has one home here, shared by its moments and its
+law.
 Commutator moments are exact rationals. The walk offers an exact
 rational path (small k) and a high-precision float path that powers
 ratios in log space, since |ratio| <= 1 and k can reach n log n.
@@ -39,11 +39,13 @@ Each model's *_report builder returns the body `permfix moments` prints:
 the model, its parameters and one row per order r with the moment, that
 of the model's Poisson limit and their difference.
 
-The exact laws sit here too, the walk's by inverting the class sums and
-the commutator's by enumerating the group, at small n (the oracles of
-the verify gates and of `permfix dist`), and the uniform one's at any n;
-permfix.laws does their arithmetic. walk_term_at_cutoff returns one
-shape's cutoff term and its limit as a plain (term, limit) pair.
+The exact laws of the three models come from the same engine: every
+F_a to a = n, taken to the law by permfix.laws.from_factorial_moments,
+which is what `permfix dist` prints. The walk's law by inverting the
+class sums and the commutator's by enumerating the group stay here, at
+small n, only as oracles of the verify gates and the tests.
+walk_term_at_cutoff returns one shape's cutoff term and its limit as a
+plain (term, limit) pair.
 """
 from __future__ import annotations
 
@@ -185,11 +187,32 @@ def uniform_fixed_distribution_exact(n: int) -> dict[int, Fraction]:
     return laws.from_factorial_moments([1] * (n + 1))
 
 
+def _law(n: int, weight) -> dict[int, Fraction]:
+    """The exact fixed-point law of the shape weight, from every F_a, a = 0..n."""
+    return laws.from_factorial_moments(_factorial_moments(n, n, weight))
+
+
+def _commutator_random_weight(lam: tuple) -> tuple[int, int]:
+    """1 / dim(lam), the both-random commutator's shape weight, as an integer pair."""
+    return 1, dim(lam)
+
+
+def _commutator_fixed_weight(x: CycleType, below: int) -> Callable[[tuple], tuple[int, int]]:
+    """lam -> chi^lam(x)^2 / dim(lam), the fixed-x commutator's shape weight,
+    over the shapes with at most below cells under the first row.
+
+    The column is resolved at the first shape, so the engine's bounds
+    refuse an oversized sweep before the class is expanded.
+    """
+    chi = cache(lambda: class_column(x, below))
+    return lambda lam: (chi().get(lam, 0) ** 2, dim(lam))
+
+
 def commutator_random_moments(n: int, r_max: int) -> list[Fraction]:
     """Moments r = 0..r_max of the fixed points of a commutator of two uniform factors."""
     if n < 1 or r_max < 0:
         raise ValidationError("need n >= 1 and r >= 0")
-    return _moments(n, r_max, lambda lam: (1, dim(lam)))
+    return _moments(n, r_max, _commutator_random_weight)
 
 
 def moment_commutator_random(n: int, r: int) -> Fraction:
@@ -202,10 +225,18 @@ def commutator_fixed_moments(n: int, x, r_max: int) -> list[Fraction]:
     x = CycleType.of_size(x, n)
     if r_max < 0:
         raise ValidationError("r must be nonnegative")
-    # Resolved at the first shape, so the engine's bounds refuse an
-    # oversized sweep before the class is expanded.
-    chi = cache(lambda: class_column(x, min(r_max, n)))
-    return _moments(n, r_max, lambda lam: (chi().get(lam, 0) ** 2, dim(lam)))
+    return _moments(n, r_max, _commutator_fixed_weight(x, min(r_max, n)))
+
+
+def commutator_distribution(n: int, x=None) -> dict[int, Fraction]:
+    """Exact fixed-point law of the commutator, with x the class of one
+    factor or None for two uniform factors, from the engine's F_0..F_n."""
+    if x is None:
+        if n < 0:
+            raise ValidationError("n must be nonnegative")
+        return _law(n, _commutator_random_weight)
+    x = CycleType.of_size(x, n)
+    return _law(n, _commutator_fixed_weight(x, n))
 
 
 def moment_commutator_fixed(n: int, x, r: int) -> Fraction:
@@ -254,6 +285,13 @@ def _walk_weight(lam: tuple, i: int, k: int) -> tuple[int, int]:
     """dim(lam) * ratio^k, with ratio the character ratio on an i-cycle, as an integer pair."""
     ratio = char_ratio_icycle(lam, i)
     return dim(lam) * ratio.numerator ** k, ratio.denominator ** k
+
+
+def icycle_walk_distribution(n: int, i: int, k: int) -> dict[int, Fraction]:
+    """Exact fixed-point law after k steps of the i-cycle walk, from the
+    engine's F_0..F_n with the exact path's weight."""
+    _validate_walk(n, i, k, 0)
+    return _law(n, lambda lam: _walk_weight(lam, i, k))
 
 
 def _ratio_power(ratio: Fraction, k: int) -> mpmath.mpf:
@@ -323,7 +361,9 @@ def walk_exact_distribution(n: int, i: int, k: int) -> dict[int, Fraction]:
 
     Inverts the class-function expansion of the walk over all conjugacy
     classes, so it is feasible only at small n. Probabilities are exact
-    rationals, nonnegative, and sum to one.
+    rationals, nonnegative, and sum to one. It stays as an oracle: the
+    verify gates check the walk's moments against it, and the tests
+    icycle_walk_distribution.
     """
     if n > 8:
         raise EnumerationLimitError(f"class-sum inversion limited to n <= 8, got {n}")
@@ -357,7 +397,9 @@ def enumerate_commutator_distribution(n: int, x=None) -> dict[int, Fraction]:
     With x given, g runs over the whole group; fix(g^-1 x^-1 g x) equals
     the number of points where g.x and x.g agree, so no inverses are formed
     in the inner loop. With x absent the law is the average of the fixed-x
-    laws over the classes C, weighted by |C| / n!.
+    laws over the classes C, weighted by |C| / n!. It stays as an oracle:
+    the verify gates check the commutator moments against it, and the
+    tests commutator_distribution.
     """
     if x is None:
         if n > 6:

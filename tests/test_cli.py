@@ -15,6 +15,7 @@ from permfix import laws
 from permfix.cli import (
     MAX_CELLS_BELOW_FIRST_ROW,
     MAX_DIST_K,
+    MAX_DIST_N,
     MAX_MULT_R,
     MAX_MULT_SKEW_CELLS,
     MAX_SAMPLES,
@@ -23,7 +24,12 @@ from permfix.cli import (
     parse_parts,
 )
 from permfix.errors import SizeMismatchError, ValidationError
-from permfix.moments import MAX_ENGINE_SHAPES, MAX_ORDER, moment_commutator_fixed_closed
+from permfix.moments import (
+    MAX_ENGINE_SHAPES,
+    MAX_ORDER,
+    commutator_random_moments,
+    moment_commutator_fixed_closed,
+)
 from permfix.multiplicity import mult_oracle, mult_skew
 from permfix.limits import MAX_ROW_POINTS
 from oracles import stratum_sizes
@@ -756,6 +762,9 @@ def test_engine_shape_cap_admits_every_partition_of_40():
      "--r-max", "50"),
     ("simulate", "--model", "commutator", "--n", "1000", "--samples", "10", "--r-max", "16"),
     ("simulate", "--model", "walk", "--n", "1000", "--i", "2", "--k", "1", "--r-max", "16"),
+    # The whole law of 41 points reaches all 44583 partitions of 41.
+    ("dist", "commutator", "--n", "41"),
+    ("dist", "commutator", "--n", "41", "--x", "1^41"),
 ])
 def test_engine_shapes_beyond_the_cap_exit_2_before_any_work(capsys, argv):
     start = time.perf_counter()
@@ -848,7 +857,8 @@ _COMMAND_LINES = (
 _PRECISION_LINES = ("moments walk", "simulate")
 _VALUES = {
     "N": st.integers(-2, 12).map(str),
-    # 7 exceeds the both-random enumeration's limit, 8 the fixed-x one's.
+    # -1 is refused; every law from 0 to 8 points takes the engine well
+    # under a second.
     "D": st.sampled_from(("-1", "0", "1", "2", "3", "4", "5", "6", "7", "8")),
     "C": st.floats(-5, 5).map(str) | st.sampled_from(("nan", "-inf", "1e300")),
     "S": st.integers(-5, 3000).map(str) | st.sampled_from(("0.5", "1e3", "nan")),
@@ -945,6 +955,36 @@ def test_dist_walk_k_beyond_its_bound_exits_2_at_once():
     assert time.perf_counter() - start < 1
     assert (proc.returncode, proc.stdout) == (2, "")
     assert f"--k must be at most {MAX_DIST_K}" in proc.stderr
+
+
+def test_dist_walk_n_beyond_its_bound_exits_2(capsys):
+    assert run_cli(capsys, "dist", "walk", "--n", str(MAX_DIST_N), "--i", "2", "--k", "1")[0] == 0
+    code, out, err = run_cli(capsys, "dist", "walk", "--n", str(MAX_DIST_N + 1), "--i", "2",
+                             "--k", "1")
+    assert (code, out) == (2, "")
+    assert f"--n must be at most {MAX_DIST_N}" in err
+
+
+@pytest.mark.parametrize("x", [None, "1^40"], ids=["both-random", "fixed-x"])
+def test_dist_commutator_prints_the_law_of_every_partition_of_40(x):
+    # The fixed class of 40 fixed points is the slowest tried; its
+    # commutator is the identity.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    argv = ["dist", "commutator", "--n", "40", "--threads", "1"] + (["--x", x] if x else [])
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "permfix", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    law = {row["fixed_points"]: as_fraction(row["probability"]) for row in report["table"]}
+    assert as_fraction(report["total"]) == sum(law.values()) == 1
+    if x:
+        assert law == {40: 1}
+    else:
+        assert min(law.values()) > 0
+        assert as_fraction(report["mean"]) == commutator_random_moments(40, 1)[1]
 
 
 @pytest.mark.parametrize("i", range(2, 9))

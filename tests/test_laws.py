@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import derangement_law, set_partitions
-from permfix.characters import CycleType, class_column
+from permfix.cli import MAX_DIST_K
 from permfix.errors import ValidationError
 from permfix.laws import (
     bell,
@@ -23,12 +23,14 @@ from permfix.laws import (
     tv_to_poisson,
 )
 from permfix.moments import (
-    _factorial_moments,
+    commutator_distribution,
     enumerate_commutator_distribution,
+    icycle_walk_distribution,
     moment_commutator_fixed_closed,
     uniform_fixed_distribution_exact,
+    walk_exact_distribution,
 )
-from permfix.partitions import all_partitions, dim
+from permfix.partitions import all_partitions
 from permfix.verify import GATES
 
 
@@ -123,14 +125,18 @@ def test_the_law_from_unit_factorial_moments_is_the_derangement_law():
         assert from_factorial_moments([1] * (n + 1)) == derangement_law(n), n
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(0, 9))
 def test_laws_from_the_engines_factorial_moments_equal_enumeration(n):
-    both_random = _factorial_moments(n, n, lambda lam: (1, dim(lam)))
-    assert from_factorial_moments(both_random) == enumerate_commutator_distribution(n)
-    for x in all_partitions(n):
-        column = class_column(CycleType(x), n)
-        fixed = _factorial_moments(n, n, lambda lam: (column.get(lam, 0) ** 2, dim(lam)))
-        assert from_factorial_moments(fixed) == enumerate_commutator_distribution(n, x), x
+    # The both-random enumeration stops at n = 6, the fixed-x one at n = 7
+    # and the class inversion at n = 8.
+    if n <= 6:
+        assert commutator_distribution(n) == enumerate_commutator_distribution(n)
+    if 1 <= n <= 7:
+        for x in all_partitions(n):
+            assert commutator_distribution(n, x) == enumerate_commutator_distribution(n, x), x
+    for i in range(2, n + 1):
+        for k in [*range(13)] + ([MAX_DIST_K] if n == 8 else []):
+            assert icycle_walk_distribution(n, i, k) == walk_exact_distribution(n, i, k), (i, k)
 
 
 def test_empirical_law_moments_are_exact_fractions():
