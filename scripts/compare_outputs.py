@@ -16,7 +16,9 @@ of them at n = 100 and r_max = 16 on a class with fixed points and
 2-cycles), all above the benchmark's n <= 12, then ``permfix dist`` on
 the grid the group enumeration and the class inversion reach (both
 factors random at n <= 6, every class of n <= 7, and the walk at every
-i of n <= 8 and k in {0, 1, 5, 12}), then every
+i of n <= 8 and k in {0, 1, 5, 12}), then ``permfix moments`` of each
+model at n = 10^7 (the shapes with a long first row, read at an n whose
+full partition list no pass could hold), then every
 ``permfix`` command line of this checkout's README.md at ``--threads 1``,
 then its ``moments`` and ``dist`` lines again with ``--format csv``, all
 built once from this checkout.
@@ -27,8 +29,8 @@ The two subprocesses run at the same time.
 The README's ``python scripts/...`` lines then run in each tree, as
 that tree's own scripts with its ``src`` first on the path.
 The script prints how many calls it compared, how many of them were
-mult calls, whole sweeps, partial sweeps and dist calls, how many came
-from the README and how many README lines ran again as CSV, how many
+mult calls, whole sweeps, partial sweeps, dist calls and large-n calls,
+how many came from the README and how many README lines ran again as CSV, how many
 README scripts it compared, and the argv of each call whose stdout or exit
 code differs and of each script whose stdout differs, and exits 0 when
 every output is identical and 1 otherwise. A script that exits with an error in either tree stops
@@ -122,6 +124,18 @@ def dist_calls() -> list[list[str]]:
     return calls
 
 
+def large_n_calls() -> list[list[str]]:
+    """The argv of moments of each model at n = 10^7: both factors random to
+    r_max = 4, the walk at i in {2, 3} and c in {-1, 0, 1} to r_max = 3, and
+    x = 2^(n/2) fixed to r_max = 2."""
+    n, common = str(10**7), ["--threads", "1"]
+    calls = [["moments", "commutator-random", "--n", n, "--r-max", "4", *common]]
+    calls += [["moments", "walk", "--n", n, "--i", i, "--c", c, "--r-max", "3", *common]
+              for i in ("2", "3") for c in ("-1", "0", "1")]
+    calls += [["moments", "commutator-fixed", "--n", n, "--x", f"2^{10**7 // 2}", "--r-max", "2", *common]]
+    return calls
+
+
 def readme_calls() -> list[list[str]]:
     """The argv of every ``permfix`` command line of README.md, at --threads 1."""
     lines = (ROOT / "README.md").read_text().splitlines()
@@ -188,10 +202,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     mult, sweeps, partial = mult_calls(), sweep_calls(WHOLE_SWEEPS), sweep_calls(PARTIAL_SWEEPS)
-    dist = dist_calls()
+    dist, large_n = dist_calls(), large_n_calls()
     readme = readme_calls()
     csv = csv_calls(readme)
-    calls = build_calls(args.seeds) + mult + sweeps + partial + dist + readme + csv
+    calls = build_calls(args.seeds) + mult + sweeps + partial + dist + large_n + readme + csv
     with tempfile.TemporaryDirectory() as scratch:
         calls_file = Path(scratch) / "calls.json"
         calls_file.write_text(json.dumps(calls))
@@ -209,7 +223,7 @@ def main(argv=None) -> int:
         if theirs != ours:
             differ.append("python " + " ".join(argv))
     print(f"compared {len(calls)} calls ({len(mult)} mult, {len(sweeps)} whole sweeps, "
-          f"{len(partial)} partial sweeps, {len(dist)} dist, "
+          f"{len(partial)} partial sweeps, {len(dist)} dist, {len(large_n)} large-n, "
           f"{len(readme)} from README.md, "
           f"{len(csv)} of them again as CSV) and {len(scripts)} README scripts: "
           f"{len(differ)} differ")

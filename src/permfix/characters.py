@@ -35,7 +35,7 @@ from math import comb, factorial
 
 from .errors import SizeMismatchError, ValidationError
 from .limits import MAX_ENGINE_SHAPES
-from .partitions import Partition, bounded_partitions, dim, partition_tuples
+from .partitions import Partition, dim, large_first_row_tuples, partition_tuples
 
 
 class CycleType(Partition):
@@ -213,7 +213,7 @@ def character(lam, mu) -> int:
     if n != mu.n:
         raise SizeMismatchError(f"|{lam!r}| = {n} but |{mu!r}| = {mu.n}")
     below = n - sum(lam[:1])
-    if next(islice(partition_tuples(n, n, n - below), MAX_ENGINE_SHAPES, None), None) is not None:
+    if next(islice(large_first_row_tuples(n, below), MAX_ENGINE_SHAPES, None), None) is not None:
         raise ValidationError(f"a character with {below} cells under the first row at n = {n} "
                               f"reads more than the {MAX_ENGINE_SHAPES} shapes accepted")
     return class_column(mu, below).get(tuple(lam), 0)
@@ -298,6 +298,6 @@ def verify_ratio_asymptotics(i: int, t: int, n_list) -> list[Fraction]:
             raise ValidationError(f"n = {n} too small for t = {t}, i = {i}")
         worst.append(max(
             abs(char_ratio_icycle(Partition((n - t, *rest)), i) - Fraction(n - i * t, n)) * n * n
-            for rest in bounded_partitions(t, n - t)
+            for rest in partition_tuples(t, n - t)
         ))
     return worst

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from .errors import ValidationError
 
-# The engine visits every shape whose first part is at least n - min(r_max,
-# n). The cap admits all 37338 partitions of 40 and, at large n, r_max <=
-# 31 (35471 shapes). There moments walk --n 2000 --i 2 --c 0 takes 8.6 s at
-# 128 bits, commutator-fixed --n 1000 --x 2^500 14 s and 590 MB and
-# --n 100 --x 5^4,4^5,3^6,2^10,1^22 12 s and 600 MB, the slowest cases
-# tried.
+# The engine visits every shape with at most min(r_max, n) cells under the
+# first row. The cap admits all 37338 partitions of 40 and, at large n,
+# r_max <= 31 (35471 shapes). There, as subprocesses on a 2-core Xeon VM,
+# moments walk --n 2000 --i 2 --c 0 takes 4.4-5.0 s and 61 MB at 128 bits,
+# commutator-fixed --n 1000 --x 2^500 2.2 s and 54 MB and --n 100
+# --x 5^4,4^5,3^6,2^10,1^22 4.6 s and 52 MB, the slowest cases tried.
 MAX_ENGINE_SHAPES = 40000
 
 # The commutator and the walk hold rows of n points, so their memory grows

@@ -68,7 +68,7 @@ from .characters import (
 )
 from .errors import EnumerationLimitError, SizeMismatchError, ValidationError
 from .limits import MAX_ENGINE_SHAPES
-from .partitions import Partition, all_partitions, dim, partition_tuples
+from .partitions import Partition, all_partitions, dim, large_first_row_tuples, partition_tuples
 from .tableaux import LatticePlan
 
 DEFAULT_PRECISION_BITS = 128
@@ -117,13 +117,13 @@ def _over_common_denominator(weights: list) -> tuple[list[int], Callable[[int], 
 
 @lru_cache(maxsize=1)
 def _engine_plan(n: int, a_max: int, cap: int) -> LatticePlan:
-    """The walk from every shape of n with first part >= n - a_max to the row (n - a_max).
+    """The walk from every shape of n with at most a_max cells under the first row to (n - a_max).
 
     It raises ValidationError, building nothing, past cap shapes. The
     engine keeps its latest plan: a sweep over classes or step counts at
     one n repeats the key, and a new key replaces it.
     """
-    shapes = list(islice(partition_tuples(n, n, n - a_max), cap + 1))
+    shapes = list(islice(large_first_row_tuples(n, a_max), cap + 1))
     if len(shapes) > cap:
         raise ValidationError(f"moments to order {a_max} at n = {n} visit more than the "
                               f"{cap} shapes accepted")

@@ -102,23 +102,19 @@ def dim(lam) -> int:
     return q
 
 
-def partition_tuples(n: int, cap: int, first_min: int = 0) -> Iterator[tuple[int, ...]]:
-    """Partitions of n as plain tuples in reverse lexicographic order, (n) first.
+def partition_tuples(n: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n into parts <= cap as plain tuples, in reverse lexicographic order.
 
-    Only parts of at most cap are used, and only partitions whose first
-    part (0 for the empty one) is at least first_min are yielded. The
-    partitions with parts <= cap form a tail of the reverse lexicographic
-    order, and a first-part floor cuts that tail short, so one pass of
-    Zoghbi and Stojmenovic's ZS1 from [cap, ..., cap, rest] covers both:
-    no recursion, and each step moves only the parts after the last part
-    larger than 1 (h below), which it rebuilds from the cells it frees.
+    They are a tail of that order, so one pass of Zoghbi and Stojmenovic's
+    ZS1 from [cap, ..., cap, rest], on a list of n parts, yields them: each
+    step moves only the parts after the last part larger than 1 (h below),
+    which it rebuilds from the cells it frees.
     """
     if n == 0:
-        if first_min <= 0:
-            yield ()
+        yield ()
         return
     cap = min(cap, n)
-    if cap < max(first_min, 1):
+    if cap < 1:
         return
     q, rest = divmod(n, cap)
     parts = [cap] * q + [rest] * (rest > 0)
@@ -145,8 +141,19 @@ def partition_tuples(n: int, cap: int, first_min: int = 0) -> Iterator[tuple[int
             if free > 1:
                 h += 1
                 parts[h] = free
-        if parts[0] < first_min:
-            return
+
+
+def large_first_row_tuples(n: int, t_max: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n with at most t_max cells under the first row, as plain tuples.
+
+    For t = 0..min(t_max, n), the row n - t and then each partition of the t
+    cells under it into parts <= n - t: reverse lexicographic order, at a
+    cost per stratum that grows with t, not n. n = 0 yields () if t_max >= 0.
+    """
+    for t in range(min(t_max, n) + 1):
+        row = (n - t,) if t < n else ()  # the stratum t = n is nonempty only at n = 0
+        for rest in partition_tuples(t, n - t):
+            yield row + rest
 
 
 # The enumerator's tuples are partitions by construction, so they become
@@ -162,17 +169,8 @@ def all_partitions(n: int) -> Iterator[Partition]:
 
 
 def partitions_with_large_first_row(n: int, t_max: int) -> Iterator[Partition]:
-    """Partitions of n whose first part is at least n - t_max.
-
-    Yields stratum by stratum: first all shapes with first part n, then
-    n - 1, and so on. t_max larger than n is clamped, which yields every
-    partition of n.
-    """
+    """The strata of large_first_row_tuples as Partitions: first part n, then
+    n - 1, and so on down to n - t_max (every partition of n if t_max >= n)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    yield from _as_partitions(partition_tuples(n, n, n - t_max))
-
-
-def bounded_partitions(n: int, cap: int) -> Iterator[Partition]:
-    """Partitions of n with every part at most cap, largest-first."""
-    yield from _as_partitions(partition_tuples(n, cap))
+    yield from _as_partitions(large_first_row_tuples(n, t_max))

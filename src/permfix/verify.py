@@ -40,7 +40,7 @@ from .moments import (
     walk_term_at_cutoff,
 )
 from .multiplicity import exact_shape_distribution, mult_by_route, mult_skew
-from .partitions import Partition, all_partitions, dim, partition_tuples
+from .partitions import Partition, all_partitions, dim, large_first_row_tuples, partition_tuples
 
 # Largest scaled deviation max |ratio - limit| * n^2 accepted at the first
 # n of a ratio-decay grid.
@@ -130,7 +130,7 @@ def _near_one_row(ns):
         for n in ns
         for mu in partition_tuples(n, n)
         for below in range(n + 1)
-        for lam in partition_tuples(n, n, n - below)
+        for lam in large_first_row_tuples(n, below)
         if class_column(mu, below).get(lam, 0) != _char(lam, mu)
     ]
     return not bad, {"failures": bad}

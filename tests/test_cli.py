@@ -803,22 +803,42 @@ finally:
 """
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
-def test_commutator_fixed_at_a_million_points_as_a_subprocess():
+def _run_reporting_peak(argv: list[str]) -> tuple[list[dict], int]:
+    """Run the CLI as a subprocess; return its table and its peak resident KiB."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    argv = ["moments", "commutator-fixed", "--n", "1000000", "--x", "2^500000", "--r-max", "4"]
     proc = subprocess.run(
         [sys.executable, "-c", _PEAK_REPORTING_MAIN, *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    peak_kib = int(proc.stderr.split()[-2])
+    return json.loads(proc.stdout)["table"], int(proc.stderr.split()[-2])
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_commutator_fixed_at_a_million_points_as_a_subprocess():
+    argv = ["moments", "commutator-fixed", "--n", "1000000", "--x", "2^500000", "--r-max", "4"]
+    rows, peak_kib = _run_reporting_peak(argv)
     assert peak_kib < 60 * 1024
-    rows = json.loads(proc.stdout)["table"]
     x = (2,) * 500000
     for row in rows[:2]:
         assert as_fraction(row["moment"]) == moment_commutator_fixed_closed(10**6, x, row["r"])
+
+
+# The engine enumerates its shapes stratum by stratum, so its memory does
+# not grow with n: each run reads a handful of shapes, and n = 10^12
+# reads the exact mean n/(n - 1) = 1 + G_1 with G_1 = 1/(n - 1).
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("command, mean", [
+    ("moments commutator-random --n 100000000 --r-max 2", None),
+    ("moments walk --n 100000000 --i 2 --c 0 --r-max 2", None),
+    ("moments commutator-random --n 1000000000000 --r-max 1", Fraction(10**12, 10**12 - 1)),
+])
+def test_engine_memory_does_not_grow_with_n(command, mean):
+    rows, peak_kib = _run_reporting_peak(command.split())
+    assert peak_kib < 40 * 1024
+    if mean is not None:
+        assert as_fraction(rows[0]["moment"]) == mean
 
 
 _JUNK = st.sampled_from(("", " ", "x", "^", "2^", "^2", "2^^2", "1.5", "+2", "-0", "1_0", "٣"))

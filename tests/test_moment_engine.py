@@ -41,7 +41,7 @@ from permfix.moments import (
     uniform_moments,
     walk_exact_distribution,
 )
-from permfix.partitions import all_partitions, dim, partition_tuples
+from permfix.partitions import all_partitions, dim, large_first_row_tuples, partition_tuples
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -322,7 +322,7 @@ def _oracle_characters(monkeypatch) -> list:
     def class_column(mu, below):
         asked.append((mu, below))
         n = sum(mu)
-        return {lam: value for lam in partition_tuples(n, n, n - below)
+        return {lam: value for lam in large_first_row_tuples(n, below)
                 if (value := character_recursive(lam, tuple(mu)))}
 
     monkeypatch.setattr(moments, "class_column", class_column)

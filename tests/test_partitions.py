@@ -15,9 +15,9 @@ from oracles import (
 from permfix.partitions import (
     Partition,
     all_partitions,
-    bounded_partitions,
     conjugate,
     dim,
+    large_first_row_tuples,
     partition_tuples,
     partitions_with_large_first_row,
 )
@@ -147,9 +147,9 @@ def test_strata_cover_all_partitions():
         assert set(partitions_with_large_first_row(n, n)) == set(all_partitions(n))
 
 
-def test_bounded_partitions_respects_cap():
+def test_partition_tuples_respects_cap():
     for cap in range(1, 6):
-        for lam in bounded_partitions(6, cap):
+        for lam in partition_tuples(6, cap):
             assert all(p <= cap for p in lam)
 
 
@@ -166,16 +166,18 @@ def test_iterative_enumerator_equals_the_recursive_one(n):
     for cap in range(0, n + 2):
         expected = list(bounded_partitions_recursive(n, cap))
         assert list(partition_tuples(n, cap)) == expected
-        assert list(bounded_partitions(n, cap)) == expected
-    # A first-part floor cuts the full list short at the same place.
+    # The strata of at most t_max cells under the first row are a head of
+    # the full list, in its order, as plain tuples.
     everything = list(bounded_partitions_recursive(n, n))
-    for first_min in range(0, n + 2):
-        expected = [lam for lam in everything if sum(lam[:1]) >= first_min]
-        assert list(partition_tuples(n, n, first_min)) == expected
-        assert list(partitions_with_large_first_row(n, n - first_min)) == expected
+    for t_max in range(-1, n + 2):
+        expected = [lam for lam in everything if sum(lam[:1]) >= n - t_max]
+        strata = list(large_first_row_tuples(n, t_max))
+        assert strata == expected
+        assert all(type(lam) is tuple for lam in strata)
+        assert list(partitions_with_large_first_row(n, t_max)) == expected
 
 
 def test_enumerator_yields_plain_tuples_and_wrappers_yield_partitions():
-    assert all(type(lam) is tuple for lam in partition_tuples(7, 7))
-    for shapes in (all_partitions(7), bounded_partitions(7, 3), partitions_with_large_first_row(7, 3)):
+    assert all(type(lam) is tuple for lam in partition_tuples(7, 3))
+    for shapes in (all_partitions(7), partitions_with_large_first_row(7, 3)):
         assert all(type(lam) is Partition for lam in shapes)

@@ -57,15 +57,16 @@ def test_walk_cutoff_scan_at_a_million():
 def test_compare_outputs_finds_no_difference_against_its_own_checkout():
     lines = run_script("compare_outputs.py", str(ROOT), "--seeds", "1")
     assert len(lines) == 1
-    compared, mult, sweeps, partial, dist, readme, csv, scripts, differ = re.fullmatch(
+    compared, mult, sweeps, partial, dist, large_n, readme, csv, scripts, differ = re.fullmatch(
         r"compared (\d+) calls \((\d+) mult, (\d+) whole sweeps, (\d+) partial sweeps, "
-        r"(\d+) dist, (\d+) from README.md, "
+        r"(\d+) dist, (\d+) large-n, (\d+) from README.md, "
         r"(\d+) of them again as CSV\) and (\d+) README scripts: (\d+) differ", lines[0]).groups()
     # Every operation of the three benchmark workloads, more than 100 at one
     # seed, mult for the 66 shapes of n = 1..8 at three orders, four whole
     # fixed-x sweeps at n = 16 to 24, five partial ones at n = 20 to 100 on
     # both sides of 2 r_max = n, dist on the grid of the brute-force laws
     # (7 both-random, 44 classes of n = 1..7, 28 walks at 4 step counts),
+    # moments of the three models at n = 10^7 (1 both-random, 6 walks, 1 class),
     # every permfix command line of the README, its moments and dist lines
     # again as CSV, and the README's three experiment script lines.
     readme_text = (ROOT / "README.md").read_text().splitlines()
@@ -77,6 +78,7 @@ def test_compare_outputs_finds_no_difference_against_its_own_checkout():
     assert int(sweeps) == 4
     assert int(partial) == 5
     assert int(dist) == 7 + 44 + 28 * 4
+    assert int(large_n) == 1 + 6 + 1
     assert (int(compared) - int(csv) - int(readme) - int(mult) - int(sweeps) - int(partial)
-            - int(dist) > 100)
+            - int(dist) - int(large_n) > 100)
     assert differ == "0"

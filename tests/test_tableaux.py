@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import count_syt, skew_count_by_corner_peeling, skew_syt_count_determinant
 from permfix.errors import FirstRowGuardError
-from permfix.partitions import Partition, all_partitions, dim, partition_tuples
+from permfix.partitions import Partition, all_partitions, dim, large_first_row_tuples
 from permfix import tableaux
 from permfix.tableaux import LatticePlan, skew_syt_count, skew_syt_large_first_row
 from strategies import partitions
@@ -104,7 +104,7 @@ def test_plan_sums_on_the_engine_tops_equal_corner_peeling_on_signed_weights(n):
     # and one plan serves several sets of weights.
     rng = random.Random(n)
     for a_max in range(n + 1):
-        shapes = list(partition_tuples(n, n, n - a_max))
+        shapes = list(large_first_row_tuples(n, a_max))
         floor = (n - a_max,) if a_max < n else ()
         assert _targets(floor, a_max) == [(n - a,) if a < n else () for a in range(a_max + 1)]
         plan = LatticePlan(shapes, floor)
