@@ -16,6 +16,8 @@ two routes:
   The work depends on the cycle lengths, not on their number.
 
 character(lam, mu) reads one shape of the sweep at below = n - lam_1.
+char_ratio_icycle needs no sweep: Frobenius's formula gives the ratio on
+an i-cycle from the beta numbers of the one shape.
 _char, the plain Murnaghan-Nakayama recursion, is the gates' oracle.
 
 A class is a CycleType: the Partition of n by its cycle lengths, with
@@ -31,11 +33,11 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import islice
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from .errors import SizeMismatchError, ValidationError
 from .limits import MAX_ENGINE_SHAPES
-from .partitions import Partition, dim, large_first_row_tuples, partition_tuples
+from .partitions import Partition, as_parts, dim, large_first_row_tuples, partition_tuples
 
 
 class CycleType(Partition):
@@ -220,21 +222,44 @@ def character(lam, mu) -> int:
 
 
 def char_ratio_icycle(lam, i: int) -> Fraction:
-    """Exact normalized character on the class of a single i-cycle.
+    """Exact normalized character chi^lam / f^lam on the class of a single i-cycle.
 
-    A single strip removal reduces the value to dimension counts, so the
-    cost is a handful of hook-formula evaluations even for shapes with a
-    very long first row.
+    Frobenius's formula on the beta numbers beta_j = lam_j + l - j of the
+    l rows, with x^(i) = x (x - 1) ... (x - i + 1):
+
+        chi^lam / f^lam = (1 / n^(i)) * sum_j beta_j^(i)
+                          * prod_{k != j} (beta_j - i - beta_k) / (beta_j - beta_k).
+
+    Term j is the Murnaghan-Nakayama term of the border strip that lowers
+    beta_j by i, (-1)^height f^(lam - strip) / f^lam, read off the hook
+    length formula in beta numbers, f^lam = n! prod_{j < k} (beta_j - beta_k)
+    / prod_j beta_j!. So the sum runs only over the j with beta_j >= i and
+    beta_j - i free, the rows a strip leaves from; every other term has a
+    zero factor. No dimension is computed: a shape costs O(strips * l)
+    products, however long its first row.
     """
-    lam = Partition(lam)
-    n = lam.n
+    parts = as_parts(lam)
+    n = sum(parts)
     if not 2 <= i <= n:
         raise ValidationError(f"need 2 <= i <= {n}, got i = {i}")
-    numerator = 0
-    for shape, height in _strip_removals(tuple(lam), i):
-        d = dim(shape)
-        numerator += -d if height % 2 else d
-    return Fraction(numerator, dim(lam))
+    length = len(parts)
+    beta = [p + length - 1 - j for j, p in enumerate(parts)]
+    occupied = set(beta)
+    numerator, denominator = 0, 1
+    for b in beta:
+        low = b - i
+        if low < 0:
+            break  # beta decreases, so no later row has i cells to give
+        if low in occupied:
+            continue
+        top, bottom = perm(b, i), 1
+        for c in beta:
+            if c != b:
+                top *= low - c
+                bottom *= b - c
+        numerator = numerator * bottom + top * denominator
+        denominator *= bottom
+    return Fraction(numerator, denominator * perm(n, i))
 
 
 def perm_cycle_type(perm) -> CycleType:

@@ -29,8 +29,11 @@ from characters.class_column(x, min(r_max, n)), swept once per call.
 Each model's weight has one home here, shared by its moments and its
 law.
 Commutator moments are exact rationals. The walk offers an exact
-rational path (small k) and a high-precision float path that powers
-ratios in log space, since |ratio| <= 1 and k can reach n log n.
+rational path (small k) and a high-precision float path, which raises
+each ratio to the kth power by binary powering, rounded once, so k can
+reach n log n and beyond. The weights read each dimension from
+_shape_dim, whose memo holds the dims of the engine's latest plan: a
+new plan clears it.
 
 The engine bounds its own work, whoever calls it: past MAX_ENGINE_SHAPES
 shapes or above order MAX_ORDER it raises ValidationError before any work.
@@ -58,6 +61,7 @@ from typing import Callable
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_int, mpf_div, mpf_pow_int
 
 from . import laws
 from .characters import (
@@ -127,7 +131,16 @@ def _engine_plan(n: int, a_max: int, cap: int) -> LatticePlan:
     if len(shapes) > cap:
         raise ValidationError(f"moments to order {a_max} at n = {n} visit more than the "
                               f"{cap} shapes accepted")
+    _shape_dim.cache_clear()  # the dims of the plan this one replaces go with it
     return LatticePlan(shapes, (n - a_max,) if a_max < n else ())
+
+
+# f^lam for the weights. _engine_plan clears the memo whenever it builds a
+# plan, so it holds the dims of the shapes weighed since: those of the latest
+# plan, at most MAX_ENGINE_SHAPES, and the partitions of n <= 8 (66 in all)
+# that walk_exact_distribution weighs; never a former plan's. A plain dict
+# (no LRU links) keeps it as small as the shapes it holds.
+_shape_dim = lru_cache(maxsize=None)(dim)
 
 
 def _lattice_sums(n: int, a_max: int, weight) -> tuple[list[int], Callable[[int], object]]:
@@ -194,7 +207,7 @@ def _law(n: int, weight) -> dict[int, Fraction]:
 
 def _commutator_random_weight(lam: tuple) -> tuple[int, int]:
     """1 / dim(lam), the both-random commutator's shape weight, as an integer pair."""
-    return 1, dim(lam)
+    return 1, _shape_dim(lam)
 
 
 def _commutator_fixed_weight(x: CycleType, below: int) -> Callable[[tuple], tuple[int, int]]:
@@ -205,7 +218,7 @@ def _commutator_fixed_weight(x: CycleType, below: int) -> Callable[[tuple], tupl
     refuse an oversized sweep before the class is expanded.
     """
     chi = cache(lambda: class_column(x, below))
-    return lambda lam: (chi().get(lam, 0) ** 2, dim(lam))
+    return lambda lam: (chi().get(lam, 0) ** 2, _shape_dim(lam))
 
 
 def commutator_random_moments(n: int, r_max: int) -> list[Fraction]:
@@ -284,7 +297,7 @@ def icycle_walk_moments_exact(n: int, i: int, k: int, r_max: int) -> list[Fracti
 def _walk_weight(lam: tuple, i: int, k: int) -> tuple[int, int]:
     """dim(lam) * ratio^k, with ratio the character ratio on an i-cycle, as an integer pair."""
     ratio = char_ratio_icycle(lam, i)
-    return dim(lam) * ratio.numerator ** k, ratio.denominator ** k
+    return _shape_dim(lam) * ratio.numerator ** k, ratio.denominator ** k
 
 
 def icycle_walk_distribution(n: int, i: int, k: int) -> dict[int, Fraction]:
@@ -295,13 +308,17 @@ def icycle_walk_distribution(n: int, i: int, k: int) -> dict[int, Fraction]:
 
 
 def _ratio_power(ratio: Fraction, k: int) -> mpmath.mpf:
-    """ratio**k at the working precision, as sign^k * exp(k * log|ratio|)."""
-    if ratio == 0:
-        return mpmath.mpf(1) if k == 0 else mpmath.mpf(0)
-    magnitude = mpmath.exp(
-        k * mpmath.log(mpmath.mpf(abs(ratio.numerator)) / ratio.denominator)
-    )
-    return -magnitude if (ratio < 0 and k % 2) else magnitude
+    """ratio**k at the working precision p, by binary powering, rounded once.
+
+    The ratio is rounded to p + bitlength(k) + 8 bits, so its error, k times
+    over, stays below 2^-(p + 8) relative. mpmath's integer power keeps
+    p + 4 bitlength(k) + 4 bits through its squarings (or the exact power,
+    when that is short) and rounds to p bits once, at the end. The sign is
+    the ratio's to the power k, and 0**0 = 1.
+    """
+    prec = mp.prec
+    base = mpf_div(from_int(ratio.numerator), from_int(ratio.denominator), prec + k.bit_length() + 8, "n")
+    return mpmath.mpf(mpf_pow_int(base, k, prec, "n"))
 
 
 def icycle_walk_moments(
@@ -315,7 +332,7 @@ def icycle_walk_moments(
     _validate_walk(n, i, k, r_max)
 
     def weight(lam):
-        return mpmath.mpf(dim(lam)) * _ratio_power(char_ratio_icycle(lam, i), k)
+        return mpmath.mpf(_shape_dim(lam)) * _ratio_power(char_ratio_icycle(lam, i), k)
 
     with mp.workprec(precision_bits + 40):
         values = _moments(n, r_max, weight)

@@ -1,4 +1,4 @@
-"""Integer partitions, hook lengths, and dimensions of S_n irreducibles.
+"""Integer partitions, and dimensions of S_n irreducibles by the hook length formula.
 
 Partitions are immutable tuples, so they hash cheaply and key the memo
 tables used by the tableau and character modules. All counts are exact
@@ -6,8 +6,8 @@ Python integers.
 """
 from __future__ import annotations
 
-from functools import lru_cache, partial
-from math import perm, prod
+from functools import partial
+from math import perm
 from typing import Iterator
 
 
@@ -17,15 +17,7 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts=()):
-        parts = tuple(parts)
-        prev = None
-        for p in parts:
-            if not isinstance(p, int) or p <= 0:
-                raise ValueError(f"parts must be positive integers: {parts!r}")
-            if prev is not None and p > prev:
-                raise ValueError(f"parts must be weakly decreasing: {parts!r}")
-            prev = p
-        return super().__new__(cls, parts)
+        return super().__new__(cls, as_parts(parts))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}{tuple.__repr__(self)}"
@@ -63,42 +55,48 @@ def conjugate(lam) -> Partition:
     return Partition(lam).conjugate()
 
 
-def hook_lengths(lam) -> list[int]:
-    """Hook lengths of every cell, row-major order."""
-    lam = Partition(lam)
-    conj = lam.conjugate()
-    hooks = []
-    for i, p in enumerate(lam):
-        for j in range(p):
-            hooks.append(p + conj[j] - i - j - 1)
-    return hooks
+def as_parts(lam) -> tuple:
+    """lam as a plain tuple; ValueError unless its parts are positive and weakly decreasing integers."""
+    parts = tuple(lam)
+    prev = None
+    for p in parts:
+        if not isinstance(p, int) or p <= 0:
+            raise ValueError(f"parts must be positive integers: {parts!r}")
+        if prev is not None and p > prev:
+            raise ValueError(f"parts must be weakly decreasing: {parts!r}")
+        prev = p
+    return parts
 
 
-@lru_cache(maxsize=None)
 def dim(lam) -> int:
-    """Number of standard Young tableaux of the given shape.
+    """Number of standard Young tableaux of the given shape, by the hook length formula on the tuple.
 
-    The hook length formula n!/prod(hooks), with the first row's trailing
-    hooks 1, ..., lam_1 - lam_2 cancelled against n!:
+    With lam_{l+1} = 0, the columns lam_{s+1} <= c < lam_s have their last
+    cell in row s, so in each row r <= s their hooks run over consecutive
+    integers, lam_r - lam_s + s - r + 1 .. lam_r - lam_{s+1} + s - r: one
+    perm() per row r and row s with lam_s > lam_{s+1}. The first row's own
+    block, its trailing hooks 1 .. lam_1 - lam_2, cancels against n!:
 
-        dim(lam) = perm(n, n - lam_1 + lam_2)
-                   / (prod_{j <= lam_2} (lam_1 - j + 1 + bar'_j) * prod hooks(bar))
+        dim(lam) = perm(n, n - lam_1 + lam_2) / (product of the other blocks).
 
-    where bar is lam without its first row and bar' its conjugate. A shape
-    with first part n - t costs O(t + lam_2) small products, however large
-    n is. The division is exact and verified, so the result is never
-    silently truncated.
+    That is O(t + d) perm() calls for t cells under the first row and d
+    distinct parts, however large n is, with no memo. The division is
+    exact and verified, so the result is never silently truncated.
     """
-    lam = Partition(lam)
-    if not lam:
-        return 1
-    bar = lam.first_row_removed()
-    first, n = lam[0], lam.n
-    product = prod(first - j + col for j, col in enumerate(bar.conjugate()))
-    product *= prod(hook_lengths(bar))
-    q, rem = divmod(perm(n, n - first + (bar[0] if bar else 0)), product)
+    parts = as_parts(lam)
+    # (s, lam_s - lam_{s+1}, lam_{s+1} - s) for each row s > 0 longer than the next.
+    ends = [(s, p - below, below - s) for s, (p, below) in enumerate(zip(parts, parts[1:] + (0,)))
+            if p > below and s]
+    product = 1
+    for r, p in enumerate(parts):
+        if ends and ends[0][0] < r:
+            del ends[0]
+        for _, width, shift in ends:
+            product *= perm(p - shift - r, width)
+    n = sum(parts)
+    q, rem = divmod(perm(n, n - sum(parts[:1]) + sum(parts[1:2])), product)
     if rem:
-        raise ArithmeticError(f"hook product does not divide {n}! for {lam!r}")
+        raise ArithmeticError(f"hook product does not divide {n}! for {parts!r}")
     return q
 
 

@@ -42,9 +42,11 @@ def _descend(shapes, bound: tuple):
     floor. Returns the children in order of first reach (a dict from
     shape to index) and the edges as parallel arrays of parent and child
     indices, each as narrow as the size of the level it indexes allows.
+    The child indices start in the narrowest typecode and widen, once, on
+    the first index it cannot hold.
     """
     index: dict[tuple, int] = {}
-    parents, children = array(_typecode(len(shapes))), array("I")
+    parents, children = array(_typecode(len(shapes))), array(_typecode(1))
     add_parent, add_child = parents.append, children.append
     for j, parts in enumerate(shapes):
         last = len(parts) - 1
@@ -52,9 +54,14 @@ def _descend(shapes, bound: tuple):
             if (i == last or p > parts[i + 1]) and p > bound[i]:
                 child = parts[:i] + (p - 1,) + parts[i + 1:] if p > 1 else parts[:i]
                 add_parent(j)
-                add_child(index.setdefault(child, len(index)))
-    code = _typecode(len(index))
-    return index, parents, children if code == "I" else array(code, children)
+                c = index.setdefault(child, len(index))
+                try:
+                    add_child(c)
+                except OverflowError:
+                    children = array(_typecode(c + 1), children)
+                    add_child = children.append
+                    add_child(c)
+    return index, parents, children
 
 
 class LatticePlan:

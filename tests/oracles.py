@@ -3,14 +3,18 @@
 Everything here is deliberately independent of the package's production
 algorithms: tableaux are enumerated cell by cell, characters come from
 permutation-module fixed-point counts plus exact Gram-Schmidt, and the
-longest increasing subsequence uses dynamic programming. Seven exceptions
+longest increasing subsequence uses dynamic programming. Nine exceptions
 keep a production path's former form as the reference for its
 replacement: bounded_partitions_recursive, the recursive shape
 enumerator; per_order_moment, the moment engines' per-order shape sum;
 factorial_moments_by_skew_counts, the engine's former per-shape route to
 the factorial moments, with its skew counts from the memoized
 corner-peeling recursion skew_count_by_corner_peeling; dim_hook_product,
-the uncancelled hook length formula; character_recursive, the
+the uncancelled hook length formula; dim_first_row_cancelled, the hook
+length formula over the conjugate's columns with the first row's trailing
+hooks cancelled against n!; char_ratio_by_strip_removal, the i-cycle
+ratio from one border strip removal and the dimensions of the shapes it
+leaves; character_recursive, the
 Murnaghan-Nakayama recursion with one call per cycle;
 char_near_one_row, the closed forms that character polynomials replaced
 for the three shapes nearest one row; and
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import comb, factorial, sqrt
+from math import comb, factorial, perm, prod, sqrt
 from typing import Iterator
 
 import numpy as np
@@ -46,7 +50,7 @@ from permfix.multiplicity import exact_shape_distribution, mult_skew
 from permfix.partitions import (
     Partition,
     all_partitions,
-    hook_lengths,
+    dim,
     partitions_with_large_first_row,
 )
 
@@ -107,6 +111,17 @@ def dim_branching(parts: tuple) -> int:
     return total
 
 
+def hook_lengths(lam) -> list[int]:
+    """Hook lengths of every cell, row-major order."""
+    lam = Partition(lam)
+    conj = lam.conjugate()
+    hooks = []
+    for i, p in enumerate(lam):
+        for j in range(p):
+            hooks.append(p + conj[j] - i - j - 1)
+    return hooks
+
+
 def dim_hook_product(lam) -> int:
     """Dimension as n! over the product of every hook length, nothing cancelled."""
     lam = Partition(lam)
@@ -115,6 +130,21 @@ def dim_hook_product(lam) -> int:
         product *= h
     q, rem = divmod(factorial(lam.n), product)
     assert rem == 0, f"hook product does not divide {lam.n}! for {lam!r}"
+    return q
+
+
+def dim_first_row_cancelled(lam) -> int:
+    """Dimension as perm(n, n - lam_1 + lam_2) over the hooks of the first row's
+    first lam_2 cells, read off the conjugate of the shape below it, and that shape's hooks."""
+    lam = Partition(lam)
+    if not lam:
+        return 1
+    bar = lam.first_row_removed()
+    first, n = lam[0], lam.n
+    product = prod(first - j + col for j, col in enumerate(bar.conjugate()))
+    product *= prod(hook_lengths(bar))
+    q, rem = divmod(perm(n, n - first + (bar[0] if bar else 0)), product)
+    assert rem == 0, f"hook product does not divide {n}! for {lam!r}"
     return q
 
 
@@ -135,6 +165,15 @@ def _beta_strip_removals(parts: tuple, size: int) -> list[tuple[tuple, int]]:
             shape = shape[:-1]
         results.append((shape, height))
     return results
+
+
+def char_ratio_by_strip_removal(lam, i: int) -> Fraction:
+    """chi^lam / f^lam on an i-cycle: the signed dimensions of the shapes one
+    border strip of i cells removal leaves, over the dimension of lam."""
+    numerator = 0
+    for shape, height in _beta_strip_removals(tuple(lam), i):
+        numerator += (-1) ** height * dim(shape)
+    return Fraction(numerator, dim(lam))
 
 
 @lru_cache(maxsize=None)

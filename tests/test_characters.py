@@ -5,7 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from oracles import brute_character_table, char_near_one_row, character_recursive
+from oracles import (
+    brute_character_table,
+    char_near_one_row,
+    char_ratio_by_strip_removal,
+    character_recursive,
+)
 from permfix.characters import (
     CycleType,
     char_ratio_icycle,
@@ -252,6 +257,32 @@ def test_ratio_consistent_with_character():
             for i in range(2, n + 1):
                 mu = CycleType((i,) + (1,) * (n - i))
                 assert char_ratio_icycle(lam, i) == Fraction(character(lam, mu), dim(lam))
+
+
+def test_frobenius_ratio_equals_strip_removal_on_every_shape_and_cycle_of_n_up_to_12():
+    pairs = [(lam, i) for n in range(2, 13) for lam in all_partitions(n) for i in range(2, n + 1)]
+    assert len(pairs) == 2375
+    for lam, i in pairs:
+        assert char_ratio_icycle(lam, i) == char_ratio_by_strip_removal(lam, i), (lam, i)
+
+
+@pytest.mark.parametrize("i", (2, 3, 5))
+def test_frobenius_ratio_equals_strip_removal_at_a_million_points(i):
+    shapes = list(large_first_row_tuples(10**6, 4))
+    assert len(shapes) == 12
+    for lam in shapes:
+        assert char_ratio_icycle(lam, i) == char_ratio_by_strip_removal(lam, i), lam
+
+
+@pytest.mark.parametrize("lam", [(10000,) + (1,) * 5000, (5001,) + (2,) * 2500],
+                         ids=["10000,1^5000", "5001,2^2500"])
+def test_frobenius_ratio_of_a_long_column_takes_well_under_a_second(lam):
+    # Summed over every row, not only the rows a strip of 3 cells leaves
+    # from, Frobenius's formula takes 5001 terms of 5000 factors each.
+    start = time.perf_counter()
+    ratio = char_ratio_icycle(lam, 3)
+    assert time.perf_counter() - start < 1.0
+    assert ratio == char_ratio_by_strip_removal(lam, 3)
 
 
 def test_ratio_rejects_bad_cycle_length():

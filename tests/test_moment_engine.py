@@ -314,6 +314,29 @@ def test_float_walk_far_past_mixing_reaches_the_alternating_law(k, top):
     assert factorial_moments == [1] * 11 + [top, top]
 
 
+@pytest.mark.parametrize("precision_bits", (53, 168))
+@pytest.mark.parametrize("k", (0, 1, 17, 77443, 10**9))
+def test_ratio_power_is_within_one_rounding_of_a_512_bit_reference(k, precision_bits):
+    ratios = [Fraction(1999, 2000), Fraction(-3, 7), Fraction(1, 3), Fraction(-1), Fraction(0),
+              char_ratio_icycle((1998, 2), 2), char_ratio_icycle((1997, 1, 1, 1), 3)]
+    for ratio in ratios:
+        with mp.workprec(precision_bits):
+            value = _ratio_power(ratio, k)
+        with mp.workprec(512):
+            reference = (mpmath.mpf(ratio.numerator) / ratio.denominator) ** k
+            assert abs(value - reference) <= abs(reference) * mpmath.mpf(2) ** -precision_bits, ratio
+        assert (value < 0) == (ratio < 0 and k % 2 == 1), ratio
+
+
+def test_engine_dims_are_those_of_its_latest_plan_alone():
+    commutator_fixed_moments(1000, (2,) * 500, 20)
+    commutator_fixed_moments(1200, (2,) * 600, 20)
+    # The second plan cleared the memo, then weighed each of its shapes
+    # once: no dim of n = 1000 is left, and the memo is bounded by the plan.
+    assert moments._shape_dim.cache_info().currsize == sum(stratum_sizes(1200, 20)) == 2714
+    assert moments._engine_plan.cache_info().currsize == 1
+
+
 def _oracle_characters(monkeypatch) -> list:
     """Serve the engines characters from the recursive oracle, which shares
     no code with characters.py, recording each (class, below) asked for."""

@@ -9,6 +9,7 @@ from oracles import (
     bounded_partitions_recursive,
     count_syt,
     dim_branching,
+    dim_first_row_cancelled,
     dim_hook_product,
     stratum_sizes,
 )
@@ -68,9 +69,26 @@ def test_dim_matches_explicit_enumeration_small():
 
 
 def test_dim_matches_branching_recursion():
-    for n in range(0, 10):
-        for lam in all_partitions(n):
-            assert dim(lam) == dim_branching(tuple(lam))
+    # f^lam = sum over the corners of f^(lam - corner), every shape of n <= 20.
+    for n in range(0, 21):
+        for lam in partition_tuples(n, n):
+            assert dim(lam) == dim_branching(lam)
+
+
+@pytest.mark.parametrize("n, t_max", [(1000, 12), (10**6, 8)])
+def test_dim_matches_the_first_row_cancelled_formula_at_large_n(n, t_max):
+    for lam in large_first_row_tuples(n, t_max):
+        assert dim(lam) == dim_first_row_cancelled(lam), lam
+
+
+@pytest.mark.parametrize("lam", [(1, 2), (2, 0), (2, -1), (0,), (2.5, 1), (3, "1"), (2, 2, 3, 1)])
+def test_dim_rejects_what_is_not_a_partition(lam):
+    with pytest.raises(ValueError):
+        dim(lam)
+
+
+def test_dim_keeps_no_memo():
+    assert not hasattr(dim, "cache_info")
 
 
 def test_dim_squares_sum_to_factorial():
