@@ -50,7 +50,6 @@ from permfix.multiplicity import exact_shape_distribution, mult_skew
 from permfix.partitions import (
     Partition,
     all_partitions,
-    dim,
     partitions_with_large_first_row,
 )
 
@@ -168,12 +167,12 @@ def _beta_strip_removals(parts: tuple, size: int) -> list[tuple[tuple, int]]:
 
 
 def char_ratio_by_strip_removal(lam, i: int) -> Fraction:
-    """chi^lam / f^lam on an i-cycle: the signed dimensions of the shapes one
-    border strip of i cells removal leaves, over the dimension of lam."""
+    """chi^lam / f^lam on an i-cycle: the signed dimensions of the shapes left by
+    removing one border strip of i cells, over the dimension of lam."""
     numerator = 0
     for shape, height in _beta_strip_removals(tuple(lam), i):
-        numerator += (-1) ** height * dim(shape)
-    return Fraction(numerator, dim(lam))
+        numerator += (-1) ** height * dim_first_row_cancelled(shape)
+    return Fraction(numerator, dim_first_row_cancelled(lam))
 
 
 @lru_cache(maxsize=None)
