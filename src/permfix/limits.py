@@ -13,8 +13,8 @@ from .errors import ValidationError
 # first row. The cap admits all 37338 partitions of 40 and, at large n,
 # r_max <= 31 (35471 shapes). There, as subprocesses on a 2-core Xeon VM
 # (medians of 5 runs), moments walk --n 2000 --i 2 --c 0 takes 2.2 s and
-# 48 MB at 128 bits, commutator-fixed --n 1000 --x 2^500 1.4 s and 53 MB
-# and --n 100 --x 5^4,4^5,3^6,2^10,1^22 3.3 s and 51 MB, the slowest
+# 46 MB at 128 bits, commutator-fixed --n 1000 --x 2^500 1.2 s and 42 MB
+# and --n 100 --x 5^4,4^5,3^6,2^10,1^22 3.2 s and 46 MB, the slowest
 # cases tried.
 MAX_ENGINE_SHAPES = 40000
 

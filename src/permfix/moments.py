@@ -11,29 +11,28 @@ Models:
 
 One engine serves the three models, which differ only in the shape
 weight: the rth moment is sum_a S(r, a) * F_a, with factorial moments
-F_a = sum_lam weight(lam) * f^{lam/(n-a)} over the shapes whose first
-part is at least n - r. A rational weight is an integer pair
+F_a = sum_lam weight(lam, f^lam) * f^{lam/(n-a)} over the shapes whose
+first part is at least n - r. A rational weight is an integer pair
 (numerator, denominator), a real one an mpf; either way the weights go
-over a common denominator D as integer numerators. Every F_a comes from
-one walk down the Young lattice on those numerators, and the Stirling
-combination runs on the integer sums N_a = D * F_a too: the rth moment
-is (sum_a S(r, a) * N_a) / D, one exact division (or one rounding, for
-reals) per moment. The walk is a tableaux.LatticePlan from those shapes
-to the row (n - a_max), whose target at level n - a is the row (n - a).
-It depends only on (n, a_max), and the engine keeps the latest one, so
-a sweep over classes or step counts at one n builds it once. The
-uniform permutation's weight is 1 on the one-row shape alone, so its
-F_a are 1 and need no walk.
+over a common denominator D as integer numerators N_lam. On Aitken's row
+terms of each shape (tableaux.row_terms), one pass sums
+H_s = sum of N_lam * (-1)^(i-1) * f^{kappa_i} over the rows with m_i = s,
+and N_a = D * F_a = sum_s C(a, s) * H_s. The Stirling combination runs on
+those integers too: the rth moment is (sum_a S(r, a) * N_a) / D, one
+exact division (or one rounding, for reals) per moment. The engine keeps
+its latest table of shapes, dims and row terms, keyed by (n, a_max), so
+a sweep over classes or step counts at one n builds it once. The uniform
+permutation's weight is 1 on the one-row shape alone, so its F_a are 1
+and need no table.
 The fixed-x commutator weighs each shape by chi^lam(x)^2 / dim, read
-from characters.class_column(x, min(r_max, n)), swept once per call.
+from characters.class_column(x, min(r_max, n)), swept once per call; a
+shape of character 0 weighs (0, 1), and the engine skips it.
 Each model's weight has one home here, shared by its moments and its
 law.
 Commutator moments are exact rationals. The walk offers an exact
 rational path (small k) and a high-precision float path, which raises
 each ratio to the kth power by binary powering, rounded once, so k can
-reach n log n and beyond. The weights read each dimension from
-_shape_dim, whose memo holds the dims of the engine's latest plan: a
-new plan clears it.
+reach n log n and beyond.
 
 The engine bounds its own work, whoever calls it: past MAX_ENGINE_SHAPES
 shapes or above order MAX_ORDER it raises ValidationError before any work.
@@ -73,7 +72,7 @@ from .characters import (
 from .errors import EnumerationLimitError, SizeMismatchError, ValidationError
 from .limits import MAX_ENGINE_SHAPES
 from .partitions import Partition, all_partitions, dim, large_first_row_tuples, partition_tuples
-from .tableaux import LatticePlan
+from .tableaux import one_row_counts, row_terms
 
 DEFAULT_PRECISION_BITS = 128
 
@@ -120,44 +119,40 @@ def _over_common_denominator(weights: list) -> tuple[list[int], Callable[[int], 
 
 
 @lru_cache(maxsize=1)
-def _engine_plan(n: int, a_max: int, cap: int) -> LatticePlan:
-    """The walk from every shape of n with at most a_max cells under the first row to (n - a_max).
+def _engine_table(n: int, a_max: int, cap: int) -> tuple[list[tuple], list[int], list[tuple]]:
+    """Every shape of n with at most a_max cells under the first row, its dim and its row terms.
 
-    It raises ValidationError, building nothing, past cap shapes. The
-    engine keeps its latest plan: a sweep over classes or step counts at
-    one n repeats the key, and a new key replaces it.
+    The three lists run in parallel. It raises ValidationError, building
+    nothing, past cap shapes; a new key replaces the table the engine held.
     """
     shapes = list(islice(large_first_row_tuples(n, a_max), cap + 1))
     if len(shapes) > cap:
         raise ValidationError(f"moments to order {a_max} at n = {n} visit more than the "
                               f"{cap} shapes accepted")
-    _shape_dim.cache_clear()  # the dims of the plan this one replaces go with it
-    return LatticePlan(shapes, (n - a_max,) if a_max < n else ())
+    dims = list(map(dim, shapes))
+    return shapes, dims, [row_terms(lam, f, a_max) for lam, f in zip(shapes, dims)]
 
 
-# f^lam for the weights. _engine_plan clears the memo whenever it builds a
-# plan, so it holds the dims of the shapes weighed since: those of the latest
-# plan, at most MAX_ENGINE_SHAPES, and the partitions of n <= 8 (66 in all)
-# that walk_exact_distribution weighs; never a former plan's. A plain dict
-# (no LRU links) keeps it as small as the shapes it holds.
-_shape_dim = lru_cache(maxsize=None)(dim)
-
-
-def _lattice_sums(n: int, a_max: int, weight) -> tuple[list[int], Callable[[int], object]]:
+def _factorial_moment_sums(n: int, a_max: int, weight) -> tuple[list[int], Callable[[int], object]]:
     """Integers N_a with F_a = N_a / D for a = 0..a_max, and the map N -> N / D.
 
-    F_a = sum over lam of size n of weight(lam) * f^{lam/(n-a)}; the
-    shapes, at most MAX_ENGINE_SHAPES of them, reach weight as plain
-    tuples, and the sums are read at the one-row target of each level.
+    The shapes, at most MAX_ENGINE_SHAPES of them, reach weight as plain
+    tuples with their dims; a zero numerator adds nothing to any H_s.
     """
-    plan = _engine_plan(n, a_max, MAX_ENGINE_SHAPES)
-    numerators, over_denominator = _over_common_denominator([weight(lam) for lam in plan.shapes])
-    return plan.sums(numerators), over_denominator
+    shapes, dims, row_terms_of = _engine_table(n, a_max, MAX_ENGINE_SHAPES)
+    numerators, over_denominator = _over_common_denominator(list(map(weight, shapes, dims)))
+    sums = [0] * (a_max + 1)
+    for numerator, terms in zip(numerators, row_terms_of):
+        if numerator:
+            terms = iter(terms)
+            for m, c in zip(terms, terms):
+                sums[m] += numerator * c
+    return one_row_counts(sums), over_denominator
 
 
 def _factorial_moments(n: int, a_max: int, weight) -> list:
-    """F_a = sum over lam of size n of weight(lam) * f^{lam/(n-a)}, for a = 0..a_max."""
-    sums, over_denominator = _lattice_sums(n, a_max, weight)
+    """F_a = sum over lam of size n of weight(lam, f^lam) * f^{lam/(n-a)}, for a = 0..a_max."""
+    sums, over_denominator = _factorial_moment_sums(n, a_max, weight)
     return [over_denominator(f) for f in sums]
 
 
@@ -167,16 +162,16 @@ def _check_order(r_max: int) -> None:
 
 
 def _moments(n: int, r_max: int, weight) -> list:
-    """Moments r = 0..r_max of the shape sum of weight(lam) * mult(lam, r).
+    """Moments r = 0..r_max of the shape sum of weight(lam, f^lam) * mult(lam, r).
 
     Since mult(lam, r) = sum_a S(r, a) * f^{lam/(n-a)}, the rth moment is
     sum_a S(r, a) * F_a. The Stirling combination runs on the integer
-    lattice sums N_a = D * F_a, so each moment takes one division by D:
+    sums N_a = D * F_a, so each moment takes one division by D:
     an exact Fraction for rational weights, one rounding at the working
     precision for reals.
     """
     _check_order(r_max)
-    sums, over_denominator = _lattice_sums(n, min(r_max, n), weight)
+    sums, over_denominator = _factorial_moment_sums(n, min(r_max, n), weight)
     return [over_denominator(total) for total in laws.moments(sums, r_max)]
 
 
@@ -205,20 +200,26 @@ def _law(n: int, weight) -> dict[int, Fraction]:
     return laws.from_factorial_moments(_factorial_moments(n, n, weight))
 
 
-def _commutator_random_weight(lam: tuple) -> tuple[int, int]:
+def _commutator_random_weight(lam: tuple, f: int) -> tuple[int, int]:
     """1 / dim(lam), the both-random commutator's shape weight, as an integer pair."""
-    return 1, _shape_dim(lam)
+    return 1, f
 
 
-def _commutator_fixed_weight(x: CycleType, below: int) -> Callable[[tuple], tuple[int, int]]:
-    """lam -> chi^lam(x)^2 / dim(lam), the fixed-x commutator's shape weight,
+def _commutator_fixed_weight(x: CycleType, below: int) -> Callable[[tuple, int], tuple[int, int]]:
+    """(lam, f) -> chi^lam(x)^2 / f, the fixed-x commutator's shape weight,
     over the shapes with at most below cells under the first row.
 
-    The column is resolved at the first shape, so the engine's bounds
-    refuse an oversized sweep before the class is expanded.
+    A shape of character 0 weighs (0, 1), keeping its dim out of the
+    common denominator. The column is resolved at the first shape, so the
+    engine's bounds refuse an oversized sweep before the class is expanded.
     """
     chi = cache(lambda: class_column(x, below))
-    return lambda lam: (chi().get(lam, 0) ** 2, _shape_dim(lam))
+
+    def weight(lam: tuple, f: int) -> tuple[int, int]:
+        value = chi().get(lam, 0)
+        return (value * value, f) if value else (0, 1)
+
+    return weight
 
 
 def commutator_random_moments(n: int, r_max: int) -> list[Fraction]:
@@ -291,20 +292,20 @@ def icycle_walk_moments_exact(n: int, i: int, k: int, r_max: int) -> list[Fracti
     the float path below handles cutoff-scale step counts.
     """
     _validate_walk(n, i, k, r_max)
-    return _moments(n, r_max, lambda lam: _walk_weight(lam, i, k))
+    return _moments(n, r_max, lambda lam, f: _walk_weight(lam, f, i, k))
 
 
-def _walk_weight(lam: tuple, i: int, k: int) -> tuple[int, int]:
-    """dim(lam) * ratio^k, with ratio the character ratio on an i-cycle, as an integer pair."""
+def _walk_weight(lam: tuple, f: int, i: int, k: int) -> tuple[int, int]:
+    """f * ratio^k, f = dim(lam) and ratio its i-cycle character ratio, as an integer pair."""
     ratio = char_ratio_icycle(lam, i)
-    return _shape_dim(lam) * ratio.numerator ** k, ratio.denominator ** k
+    return f * ratio.numerator ** k, ratio.denominator ** k
 
 
 def icycle_walk_distribution(n: int, i: int, k: int) -> dict[int, Fraction]:
     """Exact fixed-point law after k steps of the i-cycle walk, from the
     engine's F_0..F_n with the exact path's weight."""
     _validate_walk(n, i, k, 0)
-    return _law(n, lambda lam: _walk_weight(lam, i, k))
+    return _law(n, lambda lam, f: _walk_weight(lam, f, i, k))
 
 
 def _ratio_power(ratio: Fraction, k: int) -> mpmath.mpf:
@@ -331,8 +332,8 @@ def icycle_walk_moments(
     """
     _validate_walk(n, i, k, r_max)
 
-    def weight(lam):
-        return mpmath.mpf(_shape_dim(lam)) * _ratio_power(char_ratio_icycle(lam, i), k)
+    def weight(lam, f):
+        return mpmath.mpf(f) * _ratio_power(char_ratio_icycle(lam, i), k)
 
     with mp.workprec(precision_bits + 40):
         values = _moments(n, r_max, weight)
@@ -389,7 +390,7 @@ def walk_exact_distribution(n: int, i: int, k: int) -> dict[int, Fraction]:
     # The weights over one denominator D, so each class sums integers:
     # P(mu) = (sum_tau N_tau * chi^tau(mu)) / D / z_mu.
     numerators, over_denominator = _over_common_denominator(
-        [_walk_weight(tau, i, k) for tau in shapes]
+        [_walk_weight(tau, dim(tau), i, k) for tau in shapes]
     )
     numerator = dict(zip(shapes, numerators))
     histogram: dict[int, Fraction] = {}

@@ -3,8 +3,8 @@
 Four routes to the same number m(lam, r):
 
 * mult_skew: Stirling-weighted sum of skew tableau counts with single-row
-  inner shapes, all read off one walk down Young's lattice from lam (the
-  production algorithm, valid for every lam and r).
+  inner shapes, all read off the row terms of Aitken's determinant for
+  lam (the production algorithm, valid for every lam and r).
 * mult_updown: expansion in box-removal/box-addition operators applied to
   the one-row shape, with path counts accumulated on weighted states.
 * mult_large_first_row: the same Stirling sum over the closed-form skew
@@ -29,24 +29,25 @@ from .characters import character, perm_cycle_type
 from .errors import EnumerationLimitError, FirstRowGuardError, ValidationError
 from .laws import stirling_columns, stirling_row
 from .partitions import Partition, all_partitions, dim
-from .tableaux import LatticePlan, skew_syt_large_first_row
+from .tableaux import one_row_counts, row_terms, skew_syt_large_first_row
 
 
 def mult_skew(lam, r: int) -> int:
     """Stirling-weighted skew-count formula; total in lam and r.
 
-    One tableaux.LatticePlan from lam down to the row (n - min(r, n))
-    reads f^{lam/(n-a)} at the one-row target (n - a) of each level.
+    The row terms of lam, tableaux.row_terms to m_i <= min(r, n), give
+    f^{lam/(n-a)} for every a <= min(r, n) at once; a shape containing
+    none of those rows (n - a) has no terms, and multiplicity 0.
     """
     lam = Partition(lam)
     if r < 0:
         raise ValueError("r must be nonnegative")
-    n = lam.n
-    a_max = min(r, n)
-    if lam and lam[0] < n - a_max:
-        return 0  # lam contains none of the rows (n - a), a <= r
-    counts = LatticePlan([tuple(lam)], (n - a_max,) if a_max < n else ()).sums([1])
-    return sum(s * f for s, f in zip(stirling_columns(r, a_max), counts))
+    a_max = min(r, lam.n)
+    sums = [0] * (a_max + 1)
+    terms = iter(row_terms(tuple(lam), dim(lam), a_max))
+    for m, c in zip(terms, terms):
+        sums[m] = c
+    return sum(s * f for s, f in zip(stirling_columns(r, a_max), one_row_counts(sums)))
 
 
 def _box_additions(parts: tuple) -> list[tuple]:

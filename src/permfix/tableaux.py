@@ -1,110 +1,98 @@
-"""Exact counts of standard Young tableaux of skew shape, by walking Young's lattice.
+"""Exact counts of standard Young tableaux of skew shape, by Aitken's determinant.
 
-f^{lam/mu} counts the paths down Young's lattice from lam to mu, one
-corner at a time. A LatticePlan is the one walker: it takes a top level
-of shapes of one size down to a floor shape, a level at a time, keeping
-only the shapes that contain the floor, and stores each level's edges as
-two integer arrays. Its sums(values) pushes weights on the top shapes
-down those edges and reads, at each level, the weighted count at that
-level's target: the floor with the level's extra cells added to its
-first row. So one plan gives sum_lam values[lam] * f^{lam/target} for
-every target on the way, with no shapes built and no dicts hashed:
+Aitken's formula (Stanley, EC2, Cor. 7.16.3) is f^{lam/mu} =
+|lam/mu|! * det[1 / (lam_i - mu_j - i + j)!], with 1/k! = 0 for k < 0.
+For a one-row mu = (n - a), expanding along that row's column leaves one
+term per row i of lam:
 
-* the moment engine's top is every shape of size n with first part at
-  least n - a_max, over the floor (n - a_max), and mult_skew's is a
-  single shape; both read the one-row shapes (n - a);
-* skew_syt_count's top is the outer shape, and the bottom target is the
-  inner shape itself.
+    f^{lam/(n-a)} = sum_i (-1)^(i-1) * C(a, m_i) * f^{kappa_i},
 
-A closed form covers shapes whose inner part is a long single row.
+with m_i = n - lam_i + i - 1 and kappa_i, of m_i cells, the shape lam
+with row i removed and each row above it lengthened by one. row_terms
+gives a shape's terms up to a_max, and one_row_counts takes terms summed
+by m_i to every a at once; the moment engine, mult_skew and
+skew_syt_count read them. skew_syt_count takes the whole determinant for
+an inner shape of two rows or more. A closed form covers shapes whose
+inner part is a long single row.
 """
 from __future__ import annotations
 
-from array import array
-from math import comb
+from fractions import Fraction
+from math import comb, factorial, perm, prod
 
 from .errors import FirstRowGuardError
 from .partitions import Partition, dim
 
 
-def _typecode(size: int) -> str:
-    """The narrowest array typecode that indexes a level of size shapes."""
-    return "H" if size <= 1 << 16 else "I"
+def row_terms(lam: tuple, f: int, a_max: int) -> tuple[int, ...]:
+    """m_1, c_1, m_2, c_2, ... for the rows of lam with m_i <= a_max; c_i = (-1)^(i-1) f^{kappa_i}.
 
+    The pairs lie flat, since the moment engine holds every shape's terms
+    and a tuple per pair would add about 7 MB at n = 40. lam is a plain
+    tuple of n cells, f is dim(lam) and a_max <= n. Row 1's kappa is the
+    shape below the first row, whose hook length dim costs what its own
+    cells cost. Below it, kappa_i has the beta numbers of lam
+    (beta_k = lam_k + len(lam) - k) without beta_i, so its dim is read off f:
 
-def _descend(shapes, bound: tuple):
-    """One level down: the edges from shapes to the shapes one corner below that contain the floor.
+        f^{kappa_i} = f * beta_i! / (perm(n, n - m_i) * prod_{k != i} |beta_i - beta_k|),
 
-    shapes (tuples of one size, in index order) is the level above; bound
-    is the floor padded with zeros to the longest shape. Every child
-    keeps the floor in the rows it does not change, so one comparison,
-    on the row it loses a cell from, decides whether it contains the
-    floor. Returns the children in order of first reach (a dict from
-    shape to index) and the edges as parallel arrays of parent and child
-    indices, each as narrow as the size of the level it indexes allows.
-    The child indices start in the narrowest typecode and widen, once, on
-    the first index it cannot hold.
+    one exact division, checked like dim's. m_2 > a_max unless n < 2 a_max,
+    so at large n only row 1 counts. The empty shape of n = 0 has no rows,
+    yet f^{()/()} = 1: its one term is (0, 1).
     """
-    index: dict[tuple, int] = {}
-    parents, children = array(_typecode(len(shapes))), array(_typecode(1))
-    add_parent, add_child = parents.append, children.append
-    for j, parts in enumerate(shapes):
-        last = len(parts) - 1
-        for i, p in enumerate(parts):
-            if (i == last or p > parts[i + 1]) and p > bound[i]:
-                child = parts[:i] + (p - 1,) + parts[i + 1:] if p > 1 else parts[:i]
-                add_parent(j)
-                c = index.setdefault(child, len(index))
-                try:
-                    add_child(c)
-                except OverflowError:
-                    children = array(_typecode(c + 1), children)
-                    add_child = children.append
-                    add_child(c)
-    return index, parents, children
+    if not lam:
+        return (0, 1)
+    n = sum(lam)
+    m = n - lam[0]
+    if m > a_max:
+        return ()
+    terms = [m, dim(lam[1:])]
+    rows = len(lam)
+    beta = [p + rows - 1 - k for k, p in enumerate(lam)]
+    for i in range(1, rows):
+        m = n - lam[i] + i
+        if m > a_max:
+            break
+        b = beta[i]
+        gaps = prod(c - b for c in beta[:i]) * prod(b - c for c in beta[i + 1:])
+        q, rem = divmod(f * factorial(b), perm(n, n - m) * gaps)
+        if rem:
+            raise ArithmeticError(f"f^kappa_{i + 1} is not an integer for {lam!r}")
+        terms += (m, -q if i % 2 else q)
+    return tuple(terms)
 
 
-class LatticePlan:
-    """The walk from shapes (the top level) down to floor, and its targets.
+def one_row_counts(sums: list[int]) -> list[int]:
+    """sum over s <= a of C(a, s) * sums[s], for a = 0..len(sums) - 1.
 
-    shapes is a list of tuples of one size, each containing the tuple
-    floor. levels holds, for each step down, the edges as parallel
-    arrays of parent and child indices and the number of shapes below,
-    children numbered in order of first reach; targets holds, top level
-    first, the index of each level's target (floor with the level's
-    extra cells added to its first row), or None where the level lacks
-    it.
+    With sums[s] the term of row_terms at m_i = s, of one shape or summed
+    with weights over many, entry a is f^{lam/(n-a)}, or its weighted sum.
     """
+    return [sum(comb(a, s) * h for s, h in enumerate(sums[:a + 1]) if h)
+            for a in range(len(sums))]
 
-    __slots__ = ("shapes", "levels", "targets")
 
-    def __init__(self, shapes: list[tuple], floor: tuple) -> None:
-        self.shapes = shapes
-        row, rest = (floor[0], floor[1:]) if floor else (0, ())
-
-        def target(extra: int) -> tuple:
-            return ((row + extra,) if row + extra else ()) + rest
-
-        height = sum(shapes[0]) - sum(floor)
-        bound = floor + (0,) * (max(map(len, shapes)) - len(floor))
-        index = {shape: j for j, shape in enumerate(shapes)}
-        self.levels, self.targets = [], [index.get(target(height))]
-        for extra in reversed(range(height)):
-            index, parents, children = _descend(index, bound)
-            self.levels.append((parents, children, len(index)))
-            self.targets.append(index.get(target(extra)))
-
-    def sums(self, values: list[int]) -> list[int]:
-        """sum over j of values[j] * f^{shapes[j]/target}, at each level's target, top first."""
-        t = self.targets[0]
-        out = [0 if t is None else values[t]]
-        for (parents, children, size), t in zip(self.levels, self.targets[1:]):
-            below = [0] * size
-            for p, c in zip(parents, children):
-                below[c] += values[p]
-            values = below
-            out.append(0 if t is None else values[t])
-        return out
+def _aitken_determinant(outer: Partition, inner: Partition) -> int:
+    """f^{outer/inner} = |outer/inner|! * det[1/(outer_i - inner_j - i + j)!], in Fractions."""
+    ell = len(outer)
+    inner = tuple(inner) + (0,) * (ell - len(inner))
+    rows = [[Fraction(1, factorial(e)) if (e := outer[i] - inner[j] - i + j) >= 0 else Fraction(0)
+             for j in range(ell)] for i in range(ell)]
+    det = Fraction(factorial(outer.n - sum(inner)))
+    for col in range(ell):
+        pivot = next((r for r in range(col, ell) if rows[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, ell):
+            if factor := rows[r][col] / rows[col][col]:
+                rows[r][col:] = [x - factor * y for x, y in zip(rows[r][col:], rows[col][col:])]
+    if det.denominator != 1:
+        raise ArithmeticError(f"determinant count is not integral for {outer}/{inner}")
+    return int(det)
 
 
 def skew_syt_count(outer, inner=()) -> int:
@@ -112,13 +100,19 @@ def skew_syt_count(outer, inner=()) -> int:
 
     Containment failure contributes nothing to the sums this feeds, so it
     returns 0 rather than raising. An inner shape equal to outer counts 1
-    (the empty filling).
+    (the empty filling). An inner shape of at most one row reads the row
+    expansion, a product per row; a longer one, Aitken's whole
+    determinant in Fractions, which costs about rows^3 Fraction steps.
     """
     outer = Partition(outer)
     inner = Partition(inner)
     if not outer.contains(inner):
         return 0
-    return LatticePlan([tuple(outer)], tuple(inner)).sums([1])[-1]
+    if len(inner) > 1:
+        return _aitken_determinant(outer, inner)
+    a = outer.n - inner.n
+    terms = iter(row_terms(tuple(outer), dim(outer), a))
+    return sum(comb(a, m) * c for m, c in zip(terms, terms))
 
 
 def skew_syt_large_first_row(lam, a: int) -> int:

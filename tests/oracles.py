@@ -20,10 +20,10 @@ char_near_one_row, the closed forms that character polynomials replaced
 for the three shapes nearest one row; and
 two_shuffle_commutator_fix_counts, the both-random commutator kernel
 that shuffled x as well as g before x was drawn by its cycle type.
-skew_syt_count_determinant is an independent determinant evaluation of
-the skew tableau counts, and icycle_walk_laws_by_convolution an
-independent route to the walk's fixed-point law, by convolving the
-uniform i-cycle law over all of S_n. stratum_sizes counts the shapes of
+Corner peeling and the cell-by-cell enumeration count_syt check the
+package's skew counts, Aitken's row expansion and determinant alike.
+icycle_walk_laws_by_convolution is an independent route to the walk's
+fixed-point law, by convolving the uniform i-cycle law over all of S_n. stratum_sizes counts the shapes of
 each first part from partition numbers, not by enumerating them, as an
 independent check on the engine's enumeration and its shape cap. The
 scalar samplers draw one permutation at a time with plain Python loops,
@@ -440,8 +440,9 @@ def skew_count_by_corner_peeling(outer: tuple, inner: tuple) -> int:
 def factorial_moments_by_skew_counts(n: int, a_max: int, weight, total=sum) -> list:
     """F_a = total of weight(lam) * f^{lam/(n-a)}, for a = 0..a_max.
 
-    This is the route the moment engine took before its lattice pass: one
-    product per (shape, a), each skew count a corner-peeling memo lookup.
+    This is the route the moment engine took before it summed Aitken's
+    row terms: one product per (shape, a), each skew count a
+    corner-peeling memo lookup.
     For the walk's float path, call it inside workprec(precision + 40) with
     total=mpmath.fsum.
     """
@@ -463,53 +464,6 @@ def moments_by_fraction_weights(n: int, r_max: int, weight) -> list[Fraction]:
     factorial_moments = factorial_moments_by_skew_counts(n, min(r_max, n), weight)
     return [sum((s * f for s, f in zip(stirling_row(r), factorial_moments)), Fraction(0))
             for r in range(r_max + 1)]
-
-
-def _det_fraction(matrix: list[list[Fraction]]) -> Fraction:
-    m = [row[:] for row in matrix]
-    size = len(m)
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, size):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                for c in range(col, size):
-                    m[r][c] -= factor * m[col][c]
-    return det
-
-
-def skew_syt_count_determinant(outer, inner=()) -> int:
-    """Independent determinant evaluation of the same skew count.
-
-    The entry at (i, j) is 1/((outer_i - i) - (inner_j - j))!, with
-    reciprocal factorials of negative integers read as zero.
-    """
-    outer = Partition(outer)
-    inner = tuple(Partition(inner))
-    size = outer.n - sum(inner)
-    ell = len(outer)
-    if ell == 0:
-        return 1
-    padded = inner + (0,) * (ell - len(inner))
-    matrix = []
-    for i in range(ell):
-        row = []
-        for j in range(ell):
-            e = (outer[i] - (i + 1)) - (padded[j] - (j + 1))
-            row.append(Fraction(1, factorial(e)) if e >= 0 else Fraction(0))
-        matrix.append(row)
-    value = factorial(size) * _det_fraction(matrix)
-    if value.denominator != 1:
-        raise ArithmeticError(f"determinant count is not integral for {outer}/{inner}")
-    return int(value)
 
 
 # Scalar samplers: one permutation at a time, as references for the

@@ -2,11 +2,13 @@
 
 per_order_moment is the per-order sum the engine replaced first;
 factorial_moments_by_skew_counts is its former per-(shape, a) route to
-the factorial moments, which the lattice pass replaced. Both take
-Fraction weights, while the engine takes its rational weights as integer
-(numerator, denominator) pairs.
+the factorial moments, which the sums of Aitken's row terms replaced.
+Both take Fraction weights of the shape alone, while the engine's weights
+take the shape and its dim and give a rational as an integer (numerator,
+denominator) pair.
 """
 from fractions import Fraction
+from math import comb
 
 import mpmath
 import pytest
@@ -20,7 +22,7 @@ from oracles import (
 )
 from test_acceptance import TIER1
 
-from permfix import moments, tableaux
+from permfix import moments
 from permfix.characters import CycleType, char_ratio_icycle, character
 from permfix.errors import ValidationError
 from permfix.laws import stirling_row
@@ -118,8 +120,8 @@ def test_float_walk_engine_equals_per_order_sums_at_other_precisions(n, i, c, pr
         assert engine[r] == expected
 
 
-def _both_random(lam):
-    return (1, dim(lam))
+def _both_random(lam, f):
+    return (1, f)
 
 
 def _both_random_fraction(lam):
@@ -127,27 +129,27 @@ def _both_random_fraction(lam):
 
 
 @pytest.mark.parametrize("n", range(0, 15))
-def test_lattice_pass_equals_skew_count_route_for_both_random_weights(n):
+def test_row_expansion_equals_skew_count_route_for_both_random_weights(n):
     expected = factorial_moments_by_skew_counts(n, n, _both_random_fraction)
-    # Every a_max, since the pass drops the shapes too short for (n - a_max).
+    # Every a_max, since the engine drops the shapes too short for (n - a_max).
     for a_max in range(n + 1):
         assert _factorial_moments(n, a_max, _both_random) == expected[: a_max + 1]
 
 
 @pytest.mark.parametrize("i", (2, 3))
 @pytest.mark.parametrize("n", range(3, 15))
-def test_lattice_pass_equals_skew_count_route_for_exact_walk_weights(n, i):
+def test_row_expansion_equals_skew_count_route_for_exact_walk_weights(n, i):
     for k in range(7):
 
         def weight(lam):
             return dim(lam) * char_ratio_icycle(lam, i) ** k
 
         expected = factorial_moments_by_skew_counts(n, n, weight)
-        assert _factorial_moments(n, n, lambda lam: _walk_weight(lam, i, k)) == expected
+        assert _factorial_moments(n, n, lambda lam, f: _walk_weight(lam, f, i, k)) == expected
 
 
 @pytest.mark.parametrize("n", range(1, 11))
-def test_lattice_pass_equals_skew_count_route_on_every_class(n):
+def test_row_expansion_equals_skew_count_route_on_every_class(n):
     for parts in all_partitions(n):
         x = CycleType(parts)
 
@@ -155,14 +157,14 @@ def test_lattice_pass_equals_skew_count_route_on_every_class(n):
             return Fraction(character(lam, x) ** 2, dim(lam))
 
         expected = factorial_moments_by_skew_counts(n, n, weight)
-        assert _factorial_moments(n, n, lambda lam: (character(lam, x) ** 2, dim(lam))) == expected
+        assert _factorial_moments(n, n, lambda lam, f: (character(lam, x) ** 2, f)) == expected
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_commutator_engines_equal_the_fraction_weight_oracle(n):
     assert commutator_random_moments(n, n) == moments_by_fraction_weights(n, n, _both_random_fraction)
     # Every class at one n repeats the engine's key, so all but the first
-    # run on its latest lattice plan.
+    # run on its latest table.
     for parts in all_partitions(n):
         x = CycleType(parts)
 
@@ -183,53 +185,75 @@ def test_exact_walk_engine_equals_the_fraction_weight_oracle(n, i):
         assert icycle_walk_moments_exact(n, i, k, n) == moments_by_fraction_weights(n, n, weight)
 
 
-def _counting_plan_builds(monkeypatch) -> list:
-    """Record the (n, a_max) of every plan the engine builds, starting with none kept."""
+def test_engine_holds_one_table_for_its_latest_key_and_builds_none_past_the_shape_cap(monkeypatch):
+    # Each table enumerates its shapes once, so the enumerations count the builds.
     built = []
 
-    def plan(shapes, floor):
-        n = sum(shapes[0])
-        built.append((n, n - sum(floor)))
-        return tableaux.LatticePlan(shapes, floor)
+    def shapes(n, t_max):
+        built.append((n, t_max))
+        return large_first_row_tuples(n, t_max)
 
-    monkeypatch.setattr(moments, "LatticePlan", plan)
-    moments._engine_plan.cache_clear()
-    return built
-
-
-def test_engine_reuses_its_latest_plan_and_a_new_key_replaces_it(monkeypatch):
-    built = _counting_plan_builds(monkeypatch)
+    monkeypatch.setattr(moments, "large_first_row_tuples", shapes)
+    moments._engine_table.cache_clear()
     first = commutator_fixed_moments(9, (3, 3, 2, 1), 9)
-    assert built == [(9, 9)]
-    # The same key, with other weights: the plan serves them.
+    # The same key, with other weights: the table serves them.
     assert commutator_fixed_moments(9, (5, 4), 9) == moments_by_fraction_weights(
         9, 9, lambda lam: Fraction(character(lam, (5, 4)) ** 2, dim(lam)))
     assert commutator_fixed_moments(9, (3, 3, 2, 1), 9) == first
     assert built == [(9, 9)]
-    # A new key (here a lower order) builds again and replaces the plan.
+    # A new key (here a lower order) builds again and replaces the table.
     assert commutator_fixed_moments(9, (3, 3, 2, 1), 4) == first[:5]
+    commutator_fixed_moments(9, (5, 4), 4)
     assert built == [(9, 9), (9, 4)]
-    commutator_fixed_moments(9, (3, 3, 2, 1), 9)
-    assert built == [(9, 9), (9, 4), (9, 9)]
-    # The engine keeps that one plan, and the next call at its key reuses it.
-    assert moments._engine_plan.cache_info().currsize == 1
-    commutator_fixed_moments(9, (5, 4), 9)
-    assert built == [(9, 9), (9, 4), (9, 9)]
+    assert moments._engine_table.cache_info().currsize == 1
+    # Past the cap the engine enumerates cap + 1 shapes and stops: it
+    # computes no row terms, and keeps the table it held.
+    def refused(*args):
+        raise AssertionError("row terms computed past the shape cap")
 
-
-def test_engine_builds_no_plan_for_work_beyond_the_shape_cap(monkeypatch):
-    built = _counting_plan_builds(monkeypatch)
+    monkeypatch.setattr(moments, "row_terms", refused)
     with pytest.raises(ValidationError, match="shapes accepted"):
         _moments(10**6, 40, _both_random)
-    assert built == [] and moments._engine_plan.cache_info().currsize == 0
+    assert built == [(9, 9), (9, 4), (10**6, 40)]
+    assert commutator_fixed_moments(9, (3, 3, 2, 1), 4) == first[:5]
+    assert len(built) == 3 and moments._engine_table.cache_info().currsize == 1
+
+
+def test_a_zero_character_shape_weighs_zero_over_one_and_the_moments_stay():
+    x = CycleType((2,) * 5)
+    weight = moments._commutator_fixed_weight(x, 10)
+    zeros = [lam for lam in partition_tuples(10, 10) if character(lam, x) == 0]
+    assert len(zeros) == 6
+    assert all(weight(lam, dim(lam)) == (0, 1) for lam in zeros)
+    # The same moments as the weight that keeps every dim in the denominator.
+    assert commutator_fixed_moments(10, x, 10) == _moments(
+        10, 10, lambda lam, f: (character(lam, x) ** 2, f))
+
+
+def _poisson_one_plus_twice_poisson_half(r_max: int) -> list[Fraction]:
+    """Moments r = 0..r_max of Y + 2Z, with Y ~ Poisson(1) and Z ~ Poisson(1/2) independent."""
+    rows = [stirling_row(r) for r in range(r_max + 1)]
+    y = [sum(row) for row in rows]
+    z = [sum(Fraction(s, 2 ** a) for a, s in enumerate(row)) for row in rows]
+    return [sum(comb(r, j) * y[j] * 2 ** (r - j) * z[r - j] for j in range(r + 1))
+            for r in range(r_max + 1)]
+
+
+@pytest.mark.parametrize("n, r_max, equal", [(40, 20, True), (41, 20, True), (1000, 31, True),
+                                             (10**6, 12, True), (40, 21, False)])
+def test_unit_weight_moments_are_those_of_poisson_one_plus_twice_poisson_half(n, r_max, equal):
+    # With weight 1, F_a sums f^{lam/(n-a)} over every shape, and the
+    # moments are those of Y + 2Z exactly while 2 r_max <= n, and not past it.
+    values = _moments(n, r_max, lambda lam, f: (1, 1))
+    assert (values == _poisson_one_plus_twice_poisson_half(r_max)) == equal
 
 
 @pytest.mark.parametrize("c", (-0.5, 0.0, 1.0))
 @pytest.mark.parametrize("i", (2, 3))
 @pytest.mark.parametrize("n", (500, 2000, 16000))
-def test_float_walk_lattice_pass_equals_fsum_route_at_128_bits(n, i, c):
+def test_float_walk_row_expansion_equals_fsum_route_at_128_bits(n, i, c):
     # The C11 grid (n = 500, 2000) and the exact-large-n benchmark's range
-    # (n up to 16000). The pass sums exactly and rounds once; the former
+    # (n up to 16000). The engine sums exactly and rounds once; the former
     # route rounded every product and summed with fsum.
     k = cutoff_steps(n, i, c)
 
@@ -252,9 +276,9 @@ def test_engine_weighs_each_shape_of_its_strata_once(n):
     for a_max in range(n + 1):
         seen = []
 
-        def weight(lam):
+        def weight(lam, f):
             seen.append(lam)
-            return _both_random(lam)
+            return _both_random(lam, f)
 
         _factorial_moments(n, a_max, weight)
         assert len(seen) == len(set(seen)) == sum(stratum_sizes(n, a_max))
@@ -265,9 +289,9 @@ def test_engine_weighs_each_shape_of_its_strata_once(n):
 def test_engine_refuses_work_beyond_its_bounds_before_weighing_a_shape(n, r_max):
     weighed = []
 
-    def weight(lam):
+    def weight(lam, f):
         weighed.append(lam)
-        return _both_random(lam)
+        return _both_random(lam, f)
 
     with pytest.raises(ValidationError, match="accepted"):
         _moments(n, r_max, weight)
@@ -306,8 +330,8 @@ def test_float_walk_far_past_mixing_reaches_the_alternating_law(k, top):
     # and F_11 = F_12 = 12! * P(identity) = 2 or 0.
     n, i = 12, 2
 
-    def weight(lam):
-        return mpmath.mpf(dim(lam)) * _ratio_power(char_ratio_icycle(lam, i), k)
+    def weight(lam, f):
+        return mpmath.mpf(f) * _ratio_power(char_ratio_icycle(lam, i), k)
 
     with mp.workprec(128 + 40):
         factorial_moments = _factorial_moments(n, n, weight)
@@ -326,15 +350,6 @@ def test_ratio_power_is_within_one_rounding_of_a_512_bit_reference(k, precision_
             reference = (mpmath.mpf(ratio.numerator) / ratio.denominator) ** k
             assert abs(value - reference) <= abs(reference) * mpmath.mpf(2) ** -precision_bits, ratio
         assert (value < 0) == (ratio < 0 and k % 2 == 1), ratio
-
-
-def test_engine_dims_are_those_of_its_latest_plan_alone():
-    commutator_fixed_moments(1000, (2,) * 500, 20)
-    commutator_fixed_moments(1200, (2,) * 600, 20)
-    # The second plan cleared the memo, then weighed each of its shapes
-    # once: no dim of n = 1000 is left, and the memo is bounded by the plan.
-    assert moments._shape_dim.cache_info().currsize == sum(stratum_sizes(1200, 20)) == 2714
-    assert moments._engine_plan.cache_info().currsize == 1
 
 
 def _oracle_characters(monkeypatch) -> list:

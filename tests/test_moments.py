@@ -121,7 +121,7 @@ def test_commutator_fixed_polynomial_memory_stays_small_at_a_deep_below():
     # The polynomial route holds its levels of at most 20 cells and nothing
     # per swept shape (2714 here); a per-shape strip memo peaked near 14 MB.
     characters.class_column.cache_clear()
-    moments._engine_plan.cache_clear()
+    moments._engine_table.cache_clear()
     tracemalloc.start()
     try:
         commutator_fixed_moments(200, (2,) * 100, 20)

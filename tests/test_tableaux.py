@@ -1,14 +1,13 @@
-import random
+from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import count_syt, skew_count_by_corner_peeling, skew_syt_count_determinant
+from oracles import count_syt, skew_count_by_corner_peeling
 from permfix.errors import FirstRowGuardError
-from permfix.partitions import Partition, all_partitions, dim, large_first_row_tuples
-from permfix import tableaux
-from permfix.tableaux import LatticePlan, skew_syt_count, skew_syt_large_first_row
+from permfix.partitions import Partition, all_partitions, dim
+from permfix.tableaux import one_row_counts, row_terms, skew_syt_count, skew_syt_large_first_row
 from strategies import partitions
 
 
@@ -40,6 +39,9 @@ def test_whole_shape_reduces_to_dim():
     for n in range(0, 10):
         for lam in all_partitions(n):
             assert skew_syt_count(lam) == dim(lam)
+    # Eleven rows of this shape of 100210 cells have m_i <= n; n!/m_i! is a short perm.
+    lam = (100000,) + tuple(range(20, 0, -1))
+    assert skew_syt_count(lam) == dim(lam)
 
 
 def test_matches_explicit_enumeration():
@@ -67,78 +69,39 @@ def test_branching_consistency():
                 assert total == skew_syt_count(outer, inner)
 
 
-def _targets(floor: tuple, height: int) -> list[tuple]:
-    """Each level's target, top first: floor with the level's extra cells added to its first row."""
-    row, rest = (floor[0], floor[1:]) if floor else (0, ())
-    return [((row + extra,) if row + extra else ()) + rest for extra in range(height, -1, -1)]
-
-
-def _expected_sums(top: dict, floor: tuple) -> list[int]:
-    height = sum(next(iter(top))) - sum(floor)
-    return [sum(w * skew_count_by_corner_peeling(lam, target) for lam, w in top.items())
-            for target in _targets(floor, height)]
-
-
-def test_plan_sums_are_weighted_skew_counts_at_every_target_over_every_floor():
-    for n in range(1, 8):
-        for m in range(n + 1):
-            for floor in map(tuple, all_partitions(m)):
-                shapes = [tuple(lam) for lam in all_partitions(n) if lam.contains(floor)]
-                top = {lam: j + 1 for j, lam in enumerate(shapes)}
-                plan = LatticePlan(shapes, floor)
-                assert plan.sums(list(top.values())) == _expected_sums(top, floor)
-                # Every shape of a level size that contains floor lies under this top,
-                # and the levels hold those shapes alone.
-                assert [size for _, _, size in plan.levels] == [
-                    sum(mu.contains(floor) for mu in all_partitions(s)) for s in range(n - 1, m - 1, -1)
-                ]
-                # One-shape tops, where a level may lack its target.
-                for lam in shapes:
-                    assert LatticePlan([lam], floor).sums([1]) == _expected_sums({lam: 1}, floor)
-
-
 @pytest.mark.parametrize("n", range(15))
-def test_plan_sums_on_the_engine_tops_equal_corner_peeling_on_signed_weights(n):
-    # The engine's tops: every shape of n with first part >= n - a_max,
-    # over the floor (n - a_max). The weights include zeros and -10^30,
-    # and one plan serves several sets of weights.
-    rng = random.Random(n)
-    for a_max in range(n + 1):
-        shapes = list(large_first_row_tuples(n, a_max))
-        floor = (n - a_max,) if a_max < n else ()
-        assert _targets(floor, a_max) == [(n - a,) if a < n else () for a in range(a_max + 1)]
-        plan = LatticePlan(shapes, floor)
-        for _ in range(3):
-            top = [rng.choice((0, 0, 1, -1, 7, -10**30)) * rng.randrange(1, 100) for _ in shapes]
-            assert plan.sums(top) == _expected_sums(dict(zip(shapes, top)), floor)
+def test_row_terms_give_corner_peeling_for_every_shape_and_a(n):
+    for lam in map(tuple, all_partitions(n)):
+        f = dim(lam)
+        terms = row_terms(lam, f, n)
+        pairs = list(zip(terms[::2], terms[1::2]))
+        expected = [skew_count_by_corner_peeling(lam, (n - a,) if a < n else ()) for a in range(n + 1)]
+        sums = [0] * (n + 1)
+        for m, c in pairs:
+            sums[m] += c
+        assert one_row_counts(sums) == expected
+        # A lower a_max keeps the rows up to it, and their sum is the count at a.
+        for a in range(n + 1):
+            kept = [(m, c) for m, c in pairs if m <= a]
+            assert row_terms(lam, f, a) == tuple(x for pair in kept for x in pair)
+            assert sum(comb(a, m) * c for m, c in kept) == expected[a]
 
 
-def test_levels_wider_than_the_top_get_indices_as_wide_as_their_own_size(monkeypatch):
-    plan = LatticePlan([(4, 3, 2, 1)], ())
-    assert plan.sums([1]) == _expected_sums({(4, 3, 2, 1): 1}, ())
-    assert plan.sums([1])[-1] == dim((4, 3, 2, 1))
-    assert max(size for _, _, size in plan.levels) > 1
-    # With 1-byte indices up to 2^8 shapes, a one-shape top whose levels
-    # reach past 2^8 shapes needs wider indices below; the bottom target
-    # of the empty floor reads the dimension.
-    monkeypatch.setattr(tableaux, "_typecode", lambda size: "B" if size <= 1 << 8 else "H")
-    staircase = tuple(range(9, 0, -1))
-    plan = LatticePlan([staircase], ())
-    sizes = [1] + [size for _, _, size in plan.levels]
-    assert max(sizes) > 1 << 8
-    assert plan.sums([1])[-1] == dim(staircase)
-    for (parents, children, _), above, below in zip(plan.levels, sizes, sizes[1:]):
-        assert (parents.typecode, children.typecode) == (
-            "B" if above <= 1 << 8 else "H", "B" if below <= 1 << 8 else "H")
+def test_the_empty_shape_has_one_term_and_a_wrong_dim_raises():
+    assert row_terms((), 1, 0) == (0, 1)
+    assert skew_syt_count(()) == 1
+    # Row 2 of (2, 2) has m_2 = 3, beta_2 = 2; its kappa, (3,), has dim 2 * 2! / (4!/3!) = 1.
+    assert row_terms((2, 2), 2, 3) == (2, 1, 3, -1)
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        row_terms((2, 2), 3, 3)
 
 
-def test_determinant_agrees_with_branching():
+def test_skew_counts_agree_with_corner_peeling_for_every_inner_shape():
+    # Inner shapes of two rows or more take Aitken's whole determinant.
     for n in range(0, 10):
-        for outer in all_partitions(n):
+        for outer in map(tuple, all_partitions(n)):
             for inner in inner_shapes(outer):
-                assert skew_syt_count_determinant(outer, inner) == skew_syt_count(
-                    outer, inner
-                )
+                assert skew_syt_count(outer, inner) == skew_count_by_corner_peeling(outer, inner)
 
 
 def test_large_first_row_examples():
