@@ -32,12 +32,11 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import islice
 from math import comb, factorial, perm
 
 from .errors import SizeMismatchError, ValidationError
-from .limits import MAX_ENGINE_SHAPES
-from .partitions import Partition, as_parts, dim, large_first_row_tuples, partition_tuples
+from .limits import engine_shapes
+from .partitions import Partition, as_parts, dim, partition_tuples
 
 
 class CycleType(Partition):
@@ -215,9 +214,7 @@ def character(lam, mu) -> int:
     if n != mu.n:
         raise SizeMismatchError(f"|{lam!r}| = {n} but |{mu!r}| = {mu.n}")
     below = n - sum(lam[:1])
-    if next(islice(large_first_row_tuples(n, below), MAX_ENGINE_SHAPES, None), None) is not None:
-        raise ValidationError(f"a character with {below} cells under the first row at n = {n} "
-                              f"reads more than the {MAX_ENGINE_SHAPES} shapes accepted")
+    engine_shapes(n, below, f"a character with {below} cells under the first row at n = {n} reads")
     return class_column(mu, below).get(tuple(lam), 0)
 
 

@@ -19,10 +19,9 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from . import laws, moments, reports
+from . import laws, limits, moments, reports
 from .characters import CycleType, char_ratio_icycle
 from .errors import CrossCheckError, SizeMismatchError, ValidationError
-from .limits import check_row_points
 from .multiplicity import ROUTES as MULT_ROUTES, mult_by_route
 from .partitions import Partition
 from .verify import SUITES, run_suite
@@ -32,66 +31,8 @@ EXIT_VALIDATION = 2
 EXIT_GATE_FAILURE = 3
 EXIT_CROSS_CHECK = 4
 
-# Below a double's 53 bits, mpmath would still compute, and print wrong
-# digits: at -5 bits a walk moment of 8 comes out as 4.
-MIN_PRECISION_BITS = 53
-
-# At this cap moments walk --n 10 --i 2 --c 0, and the same at --n 2000
-# --r-max 3, take 0.9 s (4.6 s at 65536 bits); the slowest case tried,
-# --n 2000 --r-max 10, takes 8 s (0.4 s at 128 bits).
-MAX_PRECISION_BITS = 16384
-
-
-# A --lambda shape's cost grows with its cells below the first row: ratio
-# takes a dimension per strip removal, and a dimension costs about the
-# square of those cells. At this many, the slowest shape tried (a staircase
-# of 99 rows below a first row of 10^6) takes about 2 s for ratio.
-MAX_CELLS_BELOW_FIRST_ROW = 5000
-
-# mult reaches skew shapes lam/(n - a) of a <= min(r, n) cells. At 30, the
-# slowest case tried (--alg all, lam = (10^6, 7, 6, ..., 1)) takes about 2.6 s.
-MAX_MULT_SKEW_CELLS = 30
-
-# mult reads S(r, a) for a <= 30 only (MAX_MULT_SKEW_CELLS), so its cost
-# barely grows with r, but m(lam, r) <= 1^r + ... + 30^r has up to about
-# 1.48 r digits: at this r it prints within Python's default limit of 4300
-# digits for an int.
-MAX_MULT_R = 2000
-
-# dist walk prints each probability and the mean as exact fractions. Their
-# denominators divide L^k * lcm(z_mu), where L is the lcm of the reduced
-# denominators of the i-cycle character ratios and z_mu runs over the
-# centralizer orders; at n <= MAX_DIST_N, L is at most 2880 (n = 8, i = 7)
-# and lcm(z_mu) divides 8! = 40320. A numerator is at most 8 times its
-# denominator, so a printed int has at most 3.46 k + 6 digits, within
-# Python's default limit of 4300 digits up to k = 1240: at this k,
-# --n 8 --i 7 prints 4148 digits in about 0.2 s.
-MAX_DIST_K = 1200
-
-# The engine gives the walk's law at any n its shapes fit, but the digit
-# bound above is derived only for n <= 8, so this bound guards the printed
-# digits: at n = 12 the i-cycle class has up to 11! elements, and k = 1200
-# could not print. A wider n needs a digit bound in (n, i, k).
-MAX_DIST_N = 8
-
-# --samples is parsed as a double, which past 2^53 cannot tell a whole count
-# from its neighbours (2^53 + 1 reads as 2^53), so the check that it is
-# whole means nothing there.
-MAX_SAMPLES = 1 << 53
-
 # The options simulate reads for each model, besides those every model reads.
 _SIMULATE_OPTIONS = {"uniform": (), "commutator": ("x",), "walk": ("i", "k", "precision")}
-
-
-class _SimulateModel(argparse.Action):
-    """Stores simulate's --model. The walk, the one model whose exact
-    references read --precision, gets its default here, so the parsed
-    arguments hold it wherever they are read."""
-
-    def __call__(self, parser, namespace, value, option_string=None):
-        namespace.model = value
-        if value == "walk" and namespace.precision is None:
-            namespace.precision = moments.DEFAULT_PRECISION_BITS
 
 
 def parse_parts(
@@ -102,7 +43,7 @@ def parse_parts(
     With size given, parts that do not sum to size are rejected before any
     multiplicity is expanded, so "2^30000000" costs no more than "2". With
     max_below_first_row given, so are parts with more cells than that
-    outside the largest part.
+    outside the largest part, and always more than limits.MAX_PARTS parts.
     """
     runs: list[tuple[int, int]] = []
     cleaned = text.replace(" ", "").replace("\t", "")
@@ -128,8 +69,11 @@ def parse_parts(
             f"partition {text!r} has {below} cells below its first row, "
             f"more than the {max_below_first_row} accepted"
         )
-    parts = [value for value, repeat in runs for _ in range(repeat)]
-    return tuple(sorted(parts, reverse=True))
+    count = sum(repeat for _, repeat in runs)
+    if count > limits.MAX_PARTS:
+        raise ValidationError(f"{text!r} has {count} parts, "
+                              f"more than the {limits.MAX_PARTS} accepted")
+    return tuple(value for value, repeat in sorted(runs, reverse=True) for _ in range(repeat))
 
 
 def _leaf(sub, name: str, *flags: str, **kwargs) -> argparse.ArgumentParser:
@@ -142,7 +86,7 @@ def _leaf(sub, name: str, *flags: str, **kwargs) -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
     if "precision" in flags:
         p.add_argument("--precision", type=int, default=moments.DEFAULT_PRECISION_BITS,
-                       help=f"bits, {MIN_PRECISION_BITS}..{MAX_PRECISION_BITS}")
+                       help=f"bits, {limits.MIN_PRECISION_BITS}..{limits.MAX_PRECISION_BITS}")
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1, help="default: core count")
     return p
 
@@ -175,9 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _leaf(sub, "simulate", "format", "seed", "precision",
               help="seeded Monte Carlo with exact references")
-    p.set_defaults(precision=None)  # --model walk sets the default
-    p.add_argument("--model", choices=tuple(_SIMULATE_OPTIONS), required=True,
-                   action=_SimulateModel)
+    p.set_defaults(precision=None)  # cmd_simulate sets the walk's default
+    p.add_argument("--model", choices=tuple(_SIMULATE_OPTIONS), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--i", type=int, default=None, help="walk only")
     p.add_argument("--k", type=int, default=None, help="walk only")
@@ -222,13 +165,14 @@ def _emit(args, command: str, body: dict) -> None:
 
 
 def cmd_mult(args) -> int:
-    lam = Partition(parse_parts(args.lam, max_below_first_row=MAX_CELLS_BELOW_FIRST_ROW))
+    lam = Partition(parse_parts(args.lam, max_below_first_row=limits.MAX_CELLS_BELOW_FIRST_ROW))
     if args.r < 0:
         raise ValidationError("r must be nonnegative")
-    if min(args.r, lam.n) > MAX_MULT_SKEW_CELLS:
-        raise ValidationError(f"--r reaches more than the {MAX_MULT_SKEW_CELLS} cells accepted")
-    if args.r > MAX_MULT_R:
-        raise ValidationError(f"--r must be at most {MAX_MULT_R}, got {args.r}")
+    if min(args.r, lam.n) > limits.MAX_MULT_SKEW_CELLS:
+        raise ValidationError(
+            f"--r reaches more than the {limits.MAX_MULT_SKEW_CELLS} cells accepted")
+    if args.r > limits.MAX_MULT_R:
+        raise ValidationError(f"--r must be at most {limits.MAX_MULT_R}, got {args.r}")
     if args.alg == "all":
         values = mult_by_route(lam, args.r)
         if len(set(values.values())) != 1:
@@ -262,8 +206,9 @@ def cmd_simulate(args) -> int:
     if not (args.samples.is_integer() and args.samples >= 1):
         raise ValidationError(f"--samples must be finite, whole and at least 1, "
                               f"got {args.samples}")
-    if args.samples > MAX_SAMPLES:
-        raise ValidationError(f"--samples must be at most 2^53 = {MAX_SAMPLES}, got {args.samples}")
+    if args.samples > limits.MAX_SAMPLES:
+        raise ValidationError(
+            f"--samples must be at most 2^53 = {limits.MAX_SAMPLES}, got {args.samples}")
     args.samples = samples = int(args.samples)
     if args.seed < 0:
         raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
@@ -273,7 +218,9 @@ def cmd_simulate(args) -> int:
         raise ValidationError(f"--model {args.model} does not read {', '.join(unread)}")
     if args.model == "walk" and None in (args.i, args.k):
         raise ValidationError("walk model needs i and k")
-    check_row_points(args.model, args.n)
+    if args.model == "walk":  # the one model whose exact references read --precision
+        args.precision = args.precision or moments.DEFAULT_PRECISION_BITS
+    limits.check_row_points(args.model, args.n)
     x = CycleType(parse_parts(args.x, args.n)) if args.x is not None else None
     # The exact references come first: a bound they break exits 2 before any
     # sampling, and before numpy is imported with the sampler.
@@ -344,7 +291,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ratio(args) -> int:
-    lam = Partition(parse_parts(args.lam, max_below_first_row=MAX_CELLS_BELOW_FIRST_ROW))
+    lam = Partition(parse_parts(args.lam, max_below_first_row=limits.MAX_CELLS_BELOW_FIRST_ROW))
     value = char_ratio_icycle(lam, args.i)
     body = {"shape": list(lam), "i": args.i, "ratio": value, "ratio_float": float(value)}
     _emit(args, "ratio", body)
@@ -353,10 +300,10 @@ def cmd_ratio(args) -> int:
 
 def cmd_dist(args) -> int:
     if args.dist_model == "walk":
-        if args.n > MAX_DIST_N:
-            raise ValidationError(f"--n must be at most {MAX_DIST_N}, got {args.n}")
-        if args.k > MAX_DIST_K:
-            raise ValidationError(f"--k must be at most {MAX_DIST_K}, got {args.k}")
+        if args.n > limits.MAX_DIST_N:
+            raise ValidationError(f"--n must be at most {limits.MAX_DIST_N}, got {args.n}")
+        if args.k > limits.MAX_DIST_K:
+            raise ValidationError(f"--k must be at most {limits.MAX_DIST_K}, got {args.k}")
         dist = moments.icycle_walk_distribution(args.n, args.i, args.k)
         params = {"n": args.n, "i": args.i, "k": args.k}
     else:
@@ -394,11 +341,10 @@ def main(argv=None) -> int:
         if r_max < 0:
             raise ValidationError(f"--r-max must be nonnegative, got {r_max}")
         precision = getattr(args, "precision", None)
-        if precision is not None and not MIN_PRECISION_BITS <= precision <= MAX_PRECISION_BITS:
+        low, high = limits.MIN_PRECISION_BITS, limits.MAX_PRECISION_BITS
+        if precision is not None and not low <= precision <= high:
             raise ValidationError(
-                f"--precision must be at least {MIN_PRECISION_BITS} bits and at most "
-                f"{MAX_PRECISION_BITS}, got {args.precision}"
-            )
+                f"--precision must be at least {low} bits and at most {high}, got {precision}")
         return _COMMANDS[args.command](args)
     except CrossCheckError as exc:
         sys.stderr.write(f"cross-check failure: {exc}\n")

@@ -34,8 +34,8 @@ rational path (small k) and a high-precision float path, which raises
 each ratio to the kth power by binary powering, rounded once, so k can
 reach n log n and beyond.
 
-The engine bounds its own work, whoever calls it: past MAX_ENGINE_SHAPES
-shapes or above order MAX_ORDER it raises ValidationError before any work.
+limits.engine_shapes and limits.check_order bound the engine's work,
+whoever calls it, raising ValidationError before any.
 
 Each model's *_report builder returns the body `permfix moments` prints:
 the model, its parameters and one row per order r with the moment, that
@@ -54,7 +54,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import islice, permutations
+from itertools import permutations
 from math import factorial, isfinite, lcm, log
 from typing import Callable
 
@@ -62,7 +62,7 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import from_int, mpf_div, mpf_pow_int
 
-from . import laws
+from . import laws, limits
 from .characters import (
     CycleType,
     char_ratio_icycle,
@@ -70,16 +70,10 @@ from .characters import (
     perm_from_cycle_type,
 )
 from .errors import EnumerationLimitError, SizeMismatchError, ValidationError
-from .limits import MAX_ENGINE_SHAPES
-from .partitions import Partition, all_partitions, dim, large_first_row_tuples, partition_tuples
+from .partitions import Partition, all_partitions, dim, partition_tuples
 from .tableaux import one_row_counts, row_terms
 
 DEFAULT_PRECISION_BITS = 128
-
-# The highest moment order computed (simulate's exact references go to
-# twice its --r-max). Every Stirling row up to it is cached, which grows as
-# about r^3 log r bits whatever n is (order 800 took 139 MB at n = 5).
-MAX_ORDER = 128
 
 
 def _over_common_denominator(weights: list) -> tuple[list[int], Callable[[int], object]]:
@@ -122,13 +116,13 @@ def _over_common_denominator(weights: list) -> tuple[list[int], Callable[[int], 
 def _engine_table(n: int, a_max: int, cap: int) -> tuple[list[tuple], list[int], list[tuple]]:
     """Every shape of n with at most a_max cells under the first row, its dim and its row terms.
 
-    The three lists run in parallel. It raises ValidationError, building
-    nothing, past cap shapes; a new key replaces the table the engine held.
+    The three lists run in parallel, keyed also by the cap they are admitted
+    under. Refused, it keeps the table it held; admitted, it drops that
+    table before it builds the new one, so the engine never holds two.
     """
-    shapes = list(islice(large_first_row_tuples(n, a_max), cap + 1))
-    if len(shapes) > cap:
-        raise ValidationError(f"moments to order {a_max} at n = {n} visit more than the "
-                              f"{cap} shapes accepted")
+    admitted = limits.engine_shapes(n, a_max, f"moments to order {a_max} at n = {n} visit")
+    _engine_table.cache_clear()
+    shapes = list(admitted)
     dims = list(map(dim, shapes))
     return shapes, dims, [row_terms(lam, f, a_max) for lam, f in zip(shapes, dims)]
 
@@ -139,7 +133,7 @@ def _factorial_moment_sums(n: int, a_max: int, weight) -> tuple[list[int], Calla
     The shapes, at most MAX_ENGINE_SHAPES of them, reach weight as plain
     tuples with their dims; a zero numerator adds nothing to any H_s.
     """
-    shapes, dims, row_terms_of = _engine_table(n, a_max, MAX_ENGINE_SHAPES)
+    shapes, dims, row_terms_of = _engine_table(n, a_max, limits.MAX_ENGINE_SHAPES)
     numerators, over_denominator = _over_common_denominator(list(map(weight, shapes, dims)))
     sums = [0] * (a_max + 1)
     for numerator, terms in zip(numerators, row_terms_of):
@@ -156,11 +150,6 @@ def _factorial_moments(n: int, a_max: int, weight) -> list:
     return [over_denominator(f) for f in sums]
 
 
-def _check_order(r_max: int) -> None:
-    if r_max > MAX_ORDER:
-        raise ValidationError(f"moments to order {r_max} are above the {MAX_ORDER} accepted")
-
-
 def _moments(n: int, r_max: int, weight) -> list:
     """Moments r = 0..r_max of the shape sum of weight(lam, f^lam) * mult(lam, r).
 
@@ -170,7 +159,7 @@ def _moments(n: int, r_max: int, weight) -> list:
     an exact Fraction for rational weights, one rounding at the working
     precision for reals.
     """
-    _check_order(r_max)
+    limits.check_order(r_max)
     sums, over_denominator = _factorial_moment_sums(n, min(r_max, n), weight)
     return [over_denominator(total) for total in laws.moments(sums, r_max)]
 
@@ -184,7 +173,7 @@ def uniform_moments(n: int, r_max: int) -> list[Fraction]:
     """
     if n < 1 or r_max < 0:
         raise ValidationError("need n >= 1 and r >= 0")
-    _check_order(r_max)
+    limits.check_order(r_max)
     return [Fraction(m) for m in laws.moments([1] * (min(n, r_max) + 1), r_max)]
 
 
@@ -323,14 +312,17 @@ def _ratio_power(ratio: Fraction, k: int) -> mpmath.mpf:
 
 
 def icycle_walk_moments(
-    n: int, i: int, k: int, r_max: int, precision_bits: int = DEFAULT_PRECISION_BITS
+    n: int, i: int, k: int, r_max: int,
+    precision_bits: int | None = DEFAULT_PRECISION_BITS,
 ) -> list[mpmath.mpf]:
     """Moments r = 0..r_max after k steps, as high-precision reals.
 
     Each shape weighs dim * ratio^k; the sums run with guard precision
     and each moment is rounded to the requested precision at the end.
+    None stands for the default, the precision `permfix simulate` parses.
     """
     _validate_walk(n, i, k, r_max)
+    precision_bits = precision_bits or DEFAULT_PRECISION_BITS
 
     def weight(lam, f):
         return mpmath.mpf(f) * _ratio_power(char_ratio_icycle(lam, i), k)

@@ -30,6 +30,7 @@ import numpy as np
 from .characters import CycleType, perm_from_cycle_type
 from .errors import ValidationError
 from .limits import check_row_points
+from .moments import _validate_walk
 # perfbench/trace.py reads the uniform law under this name.
 from .moments import uniform_fixed_distribution_exact  # noqa: F401
 
@@ -275,10 +276,7 @@ def fixed_point_histogram(
     if model == "walk":
         if i is None or k is None:
             raise ValidationError("walk model needs i and k")
-        if not 2 <= i <= n:
-            raise ValidationError(f"need 2 <= i <= {n}, got i = {i}")
-        if k < 0:
-            raise ValidationError("k must be nonnegative")
+        _validate_walk(n, i, k, 0)
         params.update(i=i, k=k)
     elif model == "commutator":
         params["x"] = x

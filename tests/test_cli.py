@@ -11,27 +11,23 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from permfix import laws
-from permfix.cli import (
+from permfix import laws, limits
+from permfix.cli import build_parser, main, parse_parts
+from permfix.errors import SizeMismatchError, ValidationError
+from permfix.limits import (
     MAX_CELLS_BELOW_FIRST_ROW,
     MAX_DIST_K,
     MAX_DIST_N,
+    MAX_ENGINE_SHAPES,
     MAX_MULT_R,
     MAX_MULT_SKEW_CELLS,
-    MAX_SAMPLES,
-    build_parser,
-    main,
-    parse_parts,
-)
-from permfix.errors import SizeMismatchError, ValidationError
-from permfix.moments import (
-    MAX_ENGINE_SHAPES,
     MAX_ORDER,
-    commutator_random_moments,
-    moment_commutator_fixed_closed,
+    MAX_PARTS,
+    MAX_ROW_POINTS,
+    MAX_SAMPLES,
 )
+from permfix.moments import commutator_random_moments, moment_commutator_fixed_closed
 from permfix.multiplicity import mult_oracle, mult_skew
-from permfix.limits import MAX_ROW_POINTS
 from oracles import stratum_sizes
 from strategies import partitions
 
@@ -692,6 +688,25 @@ def test_parse_parts_counts_cells_below_the_first_row_before_expanding():
         parse_parts("1^1000000000", max_below_first_row=10)
 
 
+def test_parse_parts_counts_parts_before_expanding():
+    # The largest class tried, 2^5000000 at n = 10^7, stays within the bound.
+    assert 5 * 10**6 < MAX_PARTS
+    assert parse_parts("1^2,3,2^2", 9) == (3, 2, 2, 1, 1)
+    with pytest.raises(ValidationError, match=f"more than the {MAX_PARTS} accepted"):
+        parse_parts(f"2,1^{MAX_PARTS}")
+
+
+@pytest.mark.parametrize("x", ("1^1000000000", "2^500000000"))
+def test_a_class_of_more_parts_than_the_bound_exits_2_before_it_is_expanded(capsys, x):
+    # Expanded, each class asked for gigabytes and ended in a MemoryError traceback.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "moments", "commutator-fixed", "--n", "1000000000",
+                             "--x", x, "--r-max", "1")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert f"parts, more than the {MAX_PARTS} accepted" in err
+
+
 # Every subcommand, interleaved, with an argparse error, a validation error,
 # a CSV report and a simulation among them.
 INTERLEAVED_ARGV = [
@@ -776,9 +791,7 @@ def test_engine_shapes_beyond_the_cap_exit_2_before_any_work(capsys, argv):
 
 def test_engine_shapes_at_the_cap_are_accepted(capsys, monkeypatch):
     # n = 20 and r_max = 20 reach all 627 partitions of 20, n = 21 all 792 of 21.
-    import permfix.moments as moments_mod
-
-    monkeypatch.setattr(moments_mod, "MAX_ENGINE_SHAPES", 627)
+    monkeypatch.setattr(limits, "MAX_ENGINE_SHAPES", 627)
     code, _, err = run_cli(capsys, "moments", "commutator-random", "--n", "20", "--r-max", "20")
     assert code == 0, err
     code, out, _ = run_cli(capsys, "moments", "commutator-random", "--n", "21", "--r-max", "20")

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import derangement_law, set_partitions
-from permfix.cli import MAX_DIST_K
+from permfix.limits import MAX_DIST_K
 from permfix.errors import ValidationError
 from permfix.laws import (
     bell,

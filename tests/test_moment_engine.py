@@ -7,6 +7,7 @@ Both take Fraction weights of the shape alone, while the engine's weights
 take the shape and its dim and give a rational as an integer (numerator,
 denominator) pair.
 """
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -22,12 +23,12 @@ from oracles import (
 )
 from test_acceptance import TIER1
 
-from permfix import moments
+from permfix import limits, moments
 from permfix.characters import CycleType, char_ratio_icycle, character
 from permfix.errors import ValidationError
 from permfix.laws import stirling_row
+from permfix.limits import MAX_ORDER
 from permfix.moments import (
-    MAX_ORDER,
     _factorial_moments,
     _moments,
     _ratio_power,
@@ -186,14 +187,17 @@ def test_exact_walk_engine_equals_the_fraction_weight_oracle(n, i):
 
 
 def test_engine_holds_one_table_for_its_latest_key_and_builds_none_past_the_shape_cap(monkeypatch):
-    # Each table enumerates its shapes once, so the enumerations count the builds.
+    # Each table is admitted once, so the admissions count the builds. The
+    # engine reads limits.engine_shapes off the module; character, which
+    # the oracle below calls, holds its own reference and is not counted.
     built = []
+    engine_shapes = limits.engine_shapes
 
-    def shapes(n, t_max):
+    def shapes(n, t_max, request):
         built.append((n, t_max))
-        return large_first_row_tuples(n, t_max)
+        return engine_shapes(n, t_max, request)
 
-    monkeypatch.setattr(moments, "large_first_row_tuples", shapes)
+    monkeypatch.setattr(limits, "engine_shapes", shapes)
     moments._engine_table.cache_clear()
     first = commutator_fixed_moments(9, (3, 3, 2, 1), 9)
     # The same key, with other weights: the table serves them.
@@ -217,6 +221,24 @@ def test_engine_holds_one_table_for_its_latest_key_and_builds_none_past_the_shap
     assert built == [(9, 9), (9, 4), (10**6, 40)]
     assert commutator_fixed_moments(9, (3, 3, 2, 1), 4) == first[:5]
     assert len(built) == 3 and moments._engine_table.cache_info().currsize == 1
+
+
+def test_a_new_engine_key_peaks_no_higher_than_the_first_table():
+    # The held table is dropped before a new key's table is built. Held
+    # through the build, it took the second call's traced peak from 2.2 MB
+    # to 4.1 MB here, and from 19.7 MB to 30.5 MB for
+    # commutator_random_moments at (40, 40) then (40, 39).
+    moments._engine_table.cache_clear()
+    tracemalloc.start()
+    try:
+        _moments(30, 30, lambda lam, f: (1, 1))
+        first = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        _moments(30, 29, lambda lam, f: (1, 1))
+        second = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert second <= first + 2**20, (first, second)
 
 
 def test_a_zero_character_shape_weighs_zero_over_one_and_the_moments_stay():
@@ -304,9 +326,9 @@ def test_engine_shape_cap_counts_the_shapes_it_visits(monkeypatch):
     for n in range(13):
         for a in range(n + 1):
             visited = sum(stratum_sizes(n, a))
-            monkeypatch.setattr(moments, "MAX_ENGINE_SHAPES", visited)
+            monkeypatch.setattr(limits, "MAX_ENGINE_SHAPES", visited)
             assert len(_moments(n, a, _both_random)) == a + 1
-            monkeypatch.setattr(moments, "MAX_ENGINE_SHAPES", visited - 1)
+            monkeypatch.setattr(limits, "MAX_ENGINE_SHAPES", visited - 1)
             with pytest.raises(ValidationError, match=f"more than the {visited - 1} shapes"):
                 _moments(n, a, _both_random)
 
