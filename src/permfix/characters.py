@@ -3,9 +3,9 @@
 Every character sweep runs on one kernel, _add_strips: the power sum p_c
 on shapes held as bitmasks of their beta numbers (first-column hook
 lengths), where adding a border strip of c cells moves one bead up c
-places onto a free one. class_column(mu, below) gives {parts: chi} over
-the shapes of n with at most below cells under the first row, by one of
-two routes:
+places onto a free one. build_class_column(mu, below) gives {parts: chi}
+over the shapes of n with at most below cells under the first row, by one
+of two routes:
 
 * the class's column, p_mu applied to the empty shape, when
   2 below >= n: one strip per cycle, smallest first, dropping each shape
@@ -15,6 +15,8 @@ two routes:
   to below cells, n_k counting the k-cycles of x (the dual Pieri rule).
   The work depends on the cycle lengths, not on their number.
 
+class_column is the builder memoized for the process, for the readers
+that come back to a column; the engine reads each column once, unmemoized.
 character(lam, mu) reads one shape of the sweep at below = n - lam_1.
 char_ratio_icycle needs no sweep: Frobenius's formula gives the ratio on
 an i-cycle from the beta numbers of the one shape.
@@ -162,8 +164,7 @@ def _parts_of_beads(beads: int, count: int) -> tuple:
     return tuple(parts)
 
 
-@cache
-def class_column(mu: tuple, below: int) -> dict[tuple, int]:
+def build_class_column(mu: tuple, below: int) -> dict[tuple, int]:
     """{parts: chi^parts(mu) != 0} over the shapes of n with at most below <= n cells under row 1.
 
     When 2 below >= n, p_mu applied to the empty shape, one cycle at a
@@ -204,6 +205,9 @@ def class_column(mu: tuple, below: int) -> dict[tuple, int]:
                 by_size[m + j * k].update({beads: comb(n_k, j) * v for beads, v in term.items()})
     return {(n - m, *_parts_of_beads(beads, below)): value
             for m, level in enumerate(by_size) for beads, value in level.items() if value}
+
+
+class_column = cache(build_class_column)
 
 
 def character(lam, mu) -> int:

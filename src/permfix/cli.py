@@ -216,8 +216,6 @@ def cmd_simulate(args) -> int:
               if getattr(args, name) is not None and name not in _SIMULATE_OPTIONS[args.model]]
     if unread:
         raise ValidationError(f"--model {args.model} does not read {', '.join(unread)}")
-    if args.model == "walk" and None in (args.i, args.k):
-        raise ValidationError("walk model needs i and k")
     if args.model == "walk":  # the one model whose exact references read --precision
         args.precision = args.precision or moments.DEFAULT_PRECISION_BITS
     limits.check_row_points(args.model, args.n)

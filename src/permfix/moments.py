@@ -25,8 +25,8 @@ a sweep over classes or step counts at one n builds it once. The uniform
 permutation's weight is 1 on the one-row shape alone, so its F_a are 1
 and need no table.
 The fixed-x commutator weighs each shape by chi^lam(x)^2 / dim, read
-from characters.class_column(x, min(r_max, n)), swept once per call; a
-shape of character 0 weighs (0, 1), and the engine skips it.
+from characters.build_class_column(x, min(r_max, n)), once per call and
+unmemoized; a shape of character 0 weighs (0, 1), and the engine skips it.
 Each model's weight has one home here, shared by its moments and its
 law.
 Commutator moments are exact rationals. The walk offers an exact
@@ -65,6 +65,7 @@ from mpmath.libmp import from_int, mpf_div, mpf_pow_int
 from . import laws, limits
 from .characters import (
     CycleType,
+    build_class_column,
     char_ratio_icycle,
     class_column,
     perm_from_cycle_type,
@@ -202,7 +203,7 @@ def _commutator_fixed_weight(x: CycleType, below: int) -> Callable[[tuple, int],
     common denominator. The column is resolved at the first shape, so the
     engine's bounds refuse an oversized sweep before the class is expanded.
     """
-    chi = cache(lambda: class_column(x, below))
+    chi = cache(lambda: build_class_column(x, below))
 
     def weight(lam: tuple, f: int) -> tuple[int, int]:
         value = chi().get(lam, 0)
@@ -267,7 +268,9 @@ def moment_commutator_fixed_closed(n: int, x, r: int) -> Fraction:
     raise ValidationError(f"closed forms cover r in {{1, 2}}, got {r}")
 
 
-def _validate_walk(n: int, i: int, k: int, r: int) -> None:
+def _validate_walk(n: int, i: int | None, k: int | None, r: int) -> None:
+    if i is None or k is None:
+        raise ValidationError("walk model needs i and k")
     if not 2 <= i <= n:
         raise ValidationError(f"need 2 <= i <= {n}, got i = {i}")
     if k < 0 or r < 0:

@@ -21,6 +21,7 @@ shuffles off the same multiplicities: mult(lam, r) * dim(lam) / n^r.
 """
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -110,15 +111,8 @@ def mult_oracle(lam, r: int) -> int:
         raise EnumerationLimitError(f"full enumeration limited to n <= 7, got {n}")
     if r < 0:
         raise ValueError("r must be nonnegative")
-    char_cache: dict[tuple, int] = {}
-    total = 0
-    for g in permutations(range(n)):
-        ct = perm_cycle_type(g)
-        chi = char_cache.get(ct)
-        if chi is None:
-            chi = character(lam, ct)
-            char_cache[ct] = chi
-        total += ct.n_1 ** r * chi
+    classes = Counter(map(perm_cycle_type, permutations(range(n))))
+    total = sum(size * ct.n_1 ** r * character(lam, ct) for ct, size in classes.items())
     q, rem = divmod(total, factorial(n))
     if rem:
         raise ArithmeticError("inner product is not an integer")

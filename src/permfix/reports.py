@@ -43,8 +43,6 @@ def encode(obj, precision_bits: int = DEFAULT_PRECISION_BITS):
     if isinstance(obj, dict):
         return {str(k): encode(v, precision_bits) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        if set(map(type, obj)) == {int}:
-            return list(obj)
         return [encode(v, precision_bits) for v in obj]
     raise TypeError(f"cannot encode {type(obj)!r}")
 

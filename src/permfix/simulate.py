@@ -274,8 +274,6 @@ def fixed_point_histogram(
     check_row_points(model, n)
     params: dict = {}
     if model == "walk":
-        if i is None or k is None:
-            raise ValidationError("walk model needs i and k")
         _validate_walk(n, i, k, 0)
         params.update(i=i, k=k)
     elif model == "commutator":

@@ -386,6 +386,7 @@ def _oracle_characters(monkeypatch) -> list:
                 if (value := character_recursive(lam, tuple(mu)))}
 
     monkeypatch.setattr(moments, "class_column", class_column)
+    monkeypatch.setattr(moments, "build_class_column", class_column)
     return asked
 
 
